@@ -23,7 +23,8 @@ from .coreid import (identify_top_k, kmeans_split, select_rank_ecv,
                      threshold_config, threshold_er, write_partition_csv)
 from .errors import (ConvergenceError, CorexError, DegenerateError, DomainError,
                      InfeasibleError, ParseError, RangeError, ValidationError)
-from .evaluate import ALL_METHODS, eigengap_profile, roc, run_experiment
+from .evaluate import (ALL_METHODS, eigengap_profile, roc, run_experiment,
+                       write_roc_csv)
 from .graph import (average_density, degrees, load_edge_list, sample_adjacency,
                     write_edge_list, write_truth_labels)
 from .spectral import (config_scores, diagnostics, er_scores, truncated_eigs,
@@ -201,12 +202,8 @@ def cmd_bench(args) -> int:
         ratio_tag = f"{ratio:g}".replace(".", "p")
         for method in methods:
             pooled = np.concatenate(result.score_vectors[method])
-            curve = roc(pooled, pooled_truth)
-            write_path = os.path.join(out_dir, f"roc_ratio{ratio_tag}_{method}.csv")
-            with open(write_path, "wt", encoding="utf-8", newline="\n") as fh:
-                fh.write("method,fpr,tpr\n")
-                for fpr, tpr in curve.points:
-                    fh.write(f"{method},{float(fpr)!r},{float(tpr)!r}\n")
+            write_roc_csv(os.path.join(out_dir, f"roc_ratio{ratio_tag}_{method}.csv"),
+                          roc(pooled, pooled_truth), method)
         entry = result.summary_dict()
         entry["degree_ratio"] = ratio
         del entry["config"]

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from .errors import DegenerateError, DomainError
 from .graph import SparseGraph
-from .spectral import CoreScores, _subspace_eigs
+from .spectral import CoreScores, _eigs
 
 __all__ = [
     "CorePartition",
@@ -128,10 +128,12 @@ def threshold_config(scores, p_hat: float, n: int, eps: float = 0.01) -> CorePar
 def kmeans_split(scores, floor: float = KMEANS_FLOOR) -> CorePartition:
     """2-means on log scores; the cluster with the larger centroid is core.
 
-    One-dimensional 2-means is solved exactly: every split of the sorted
-    log scores is scanned and the within-cluster sum of squares minimized,
-    so there is no initialization sensitivity.  Scores at or below `floor`
-    are clamped before the log transform.
+    Scores at or below `floor` (isolated nodes score 0) carry no log
+    scale: they are labelled periphery and left out of the fit, so they
+    cannot pull the low cluster onto themselves.  One-dimensional 2-means
+    on the remaining log scores is solved exactly: every split of the
+    sorted values is scanned and the within-cluster sum of squares
+    minimized, so there is no initialization sensitivity.
     """
     values = _score_values(scores)
     n = values.size
@@ -139,20 +141,23 @@ def kmeans_split(scores, floor: float = KMEANS_FLOOR) -> CorePartition:
         raise DomainError("kmeans split needs at least 2 scores")
     if floor <= 0:
         raise DomainError("floor must be positive")
-    logv = np.log(np.maximum(values, floor))
-    order = np.argsort(logv, kind="stable")
-    x = logv[order]
-    if x[0] == x[-1]:
-        raise DegenerateError("all scores identical after clamping; no split exists")
+    logv = np.full(n, -np.inf)
+    live = values > floor
+    logv[live] = np.log(values[live])
+    x = np.sort(logv[live])
+    if x.size < 2 or x[0] == x[-1]:
+        raise DegenerateError("fewer than two distinct scores above the floor; "
+                              "no split exists")
+    m = x.size
     prefix = np.concatenate([[0.0], np.cumsum(x)])
     prefix_sq = np.concatenate([[0.0], np.cumsum(x * x)])
     total, total_sq = prefix[-1], prefix_sq[-1]
     best_cost, best_k = np.inf, None
-    for k in range(1, n):
+    for k in range(1, m):
         if x[k] == x[k - 1]:
             continue  # equal values cannot straddle a 2-means boundary
         left = prefix_sq[k] - prefix[k] ** 2 / k
-        right = (total_sq - prefix_sq[k]) - (total - prefix[k]) ** 2 / (n - k)
+        right = (total_sq - prefix_sq[k]) - (total - prefix[k]) ** 2 / (m - k)
         cost = left + right
         if cost < best_cost:
             best_cost, best_k = cost, k
@@ -219,9 +224,8 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
             vecs[np.arange(r_max), np.arange(r_max)] = 1.0
         else:
             # predictions tolerate loose eigenpairs; never abort a fold
-            vals, vecs, _ = _subspace_eigs(kept, n, r_max, tol=1e-6,
-                                           seed=seed + 7919 * (fold + 1),
-                                           max_sweeps=80, strict=False)
+            vals, vecs, _ = _eigs(kept, r_max, tol=1e-6,
+                                  seed=seed + 7919 * (fold + 1), strict=False)
         truth = np.asarray(adj[hi, hj]).ravel()
         for ci, r in enumerate(cands):
             pred = (vecs[hi, :r] * vals[np.newaxis, :r] * vecs[hj, :r]).sum(axis=1)

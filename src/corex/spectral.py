@@ -1,4 +1,5 @@
-"""Truncated eigendecomposition and spectral core scores.
+"""Truncated eigendecomposition (ARPACK, via scipy's `eigsh`) and
+spectral core scores.
 
 The denoised estimate of the probability matrix is the rank-r
 eigen-truncation of the adjacency matrix (signed eigenvalues retained).
@@ -34,8 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-MAX_SWEEPS = 300
-OVERSAMPLE = 10
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray  # (r,) signed, decreasing magnitude
     eigenvectors: np.ndarray  # (n, r) column-orthonormal
     source_n: int
+    residual: float | None = None  # max ||A u - lam u|| when solved, else None
 
     def __post_init__(self):
         lam = np.abs(self.eigenvalues)
@@ -78,83 +78,56 @@ def _order_eigenpairs(vals: np.ndarray, vecs: np.ndarray, r: int, ordering: str)
     return vals[idx], vecs[:, idx]
 
 
-def _subspace_eigs(mat, n: int, r: int, tol: float, seed: int,
-                   max_sweeps: int = MAX_SWEEPS, ordering: str = "magnitude",
-                   strict: bool = True):
-    """Randomized block-Krylov subspace iteration with Rayleigh-Ritz.
+def _residual(mat, vals: np.ndarray, vecs: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
 
-    `mat` is anything supporting `mat @ X` for an (n, k) array.  Starting
-    from a seeded random block of r + OVERSAMPLE vectors, the Krylov basis
-    is grown one block per sweep (with full re-orthogonalization) and
-    compressed back to the leading Ritz vectors whenever it gets large
-    (thick restart).  Iteration stops once every requested Ritz pair has
-    residual ||A u - lam u|| <= tol * max(1, |lam_1|), so the amount of
-    work adapts to the magnitude gaps; clustered eigenvalues converge at
-    Krylov (not power-iteration) rates.
+
+def _eigs(mat, r: int, tol: float, seed: int, ordering: str = "magnitude",
+          strict: bool = True):
+    """Top-r eigenpairs of the symmetric sparse n x n matrix `mat`, 1 <= r < n.
+
+    ARPACK's implicitly restarted Lanczos method (`eigsh`) does the work,
+    started from a seeded vector so results are deterministic; dense
+    `eigh` takes over where ARPACK cannot run (r >= n - 1).  Returns
+    (vals, vecs, residual) with residual = max ||A u - lam u||.  In strict
+    mode a residual above tol * max(1, |lam_1|), or an ARPACK failure,
+    raises ConvergenceError; otherwise an ARPACK failure falls back to
+    the dense solve.
     """
-    if not 1 <= r < n:
-        raise DomainError(f"rank r={r} must satisfy 1 <= r < n={n}")
-    block = min(n, r + OVERSAMPLE)
-    # small problems: let the basis grow to the full space, where the
-    # Rayleigh-Ritz step becomes an exact eigendecomposition; larger ones
-    # get a generous cap so clustered bulk eigenvalues have room before a
-    # thick restart (strong-gap problems converge long before reaching it)
-    cap = n if n <= 600 else min(n, max(10 * block, 700))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE1,)))
-    v, _ = np.linalg.qr(rng.standard_normal((n, block)))
-    new_cols = v.shape[1]
-    residual = np.inf
-    best = None
-    for _ in range(max_sweeps):
-        av = mat @ v
-        t = v.T @ av
-        t = 0.5 * (t + t.T)
-        ritz_vals, ritz_w = np.linalg.eigh(t)
-        vals, w = _order_eigenpairs(ritz_vals, ritz_w, r, ordering)
-        u = v @ w
-        resid = av @ w - u * vals[np.newaxis, :]
-        residual = float(np.max(np.linalg.norm(resid, axis=0)))
-        best = (vals, u)
-        scale = max(1.0, float(np.abs(vals).max())) if vals.size else 1.0
-        if residual <= tol * scale:
-            return vals, u, residual
-        if v.shape[1] >= cap:
-            # thick restart: compress to the leading block of Ritz vectors
-            _, keep_w = _order_eigenpairs(ritz_vals, ritz_w, block, ordering)
-            v = v @ keep_w
-            av = av @ keep_w
-            new_cols = block
-        # grow along the A-images of the newest directions; a single QR of
-        # the stacked basis keeps global orthonormality at machine precision
-        cand = av[:, -new_cols:]
-        room = n - v.shape[1]
-        top_up = min(room, block) - min(new_cols, room)
-        if top_up > 0:
-            # stalled or exhausted expansion: re-inject fresh random
-            # directions so every remaining eigenvector stays reachable
-            cand = np.hstack([cand, rng.standard_normal((n, top_up))])
-        cand_scale = max(float(np.linalg.norm(cand, axis=0).max()), 1e-300)
-        q, rr = np.linalg.qr(np.hstack([v, cand]))
-        k = v.shape[1]
-        alive = np.abs(np.diag(rr)[k:]) > 1e-10 * cand_scale
-        if not np.any(alive):
-            # no expansion possible: the basis already spans an invariant
-            # subspace containing the requested pairs
-            return vals, u, residual
-        v = np.hstack([q[:, :k], q[:, k:][:, alive]])
-        new_cols = int(alive.sum())
-    if not strict:
-        vals, u = best
-        return vals, u, residual
-    raise ConvergenceError(
-        f"eigensolver did not reach tol={tol} in {max_sweeps} sweeps",
-        residual=residual,
-    )
+    # imported on first solve: scipy.sparse.linalg pulls in scipy.linalg,
+    # about 0.1 s of start-up that `generate` and `diagnose --truth-p` skip
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    n = mat.shape[0]
+    dense = r >= n - 1
+    if not dense:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE1,)))
+        v0 = rng.standard_normal(n)
+        try:
+            vals, vecs = eigsh(mat, k=r, which="LM" if ordering == "magnitude" else "LA",
+                               tol=tol, v0=v0)
+        except ArpackNoConvergence as exc:
+            if strict:
+                vals, vecs = exc.eigenvalues, exc.eigenvectors
+                if vals.size == 0:
+                    # nothing converged: report the start vector's Rayleigh pair
+                    u = v0 / np.linalg.norm(v0)
+                    vals, vecs = np.array([u @ (mat @ u)]), u[:, np.newaxis]
+                raise ConvergenceError(f"eigensolver did not converge to tol={tol}: {exc}",
+                                       residual=_residual(mat, vals, vecs)) from None
+            dense = True
+    if dense:
+        vals, vecs = np.linalg.eigh(mat.toarray())
+    vals, vecs = _order_eigenpairs(vals, vecs, r, ordering)
+    residual = _residual(mat, vals, vecs)
+    if strict and residual > tol * max(1.0, float(np.abs(vals).max())):
+        raise ConvergenceError(f"eigenpair residual {residual:.3g} above tol={tol}",
+                               residual=residual)
+    return vals, vecs, residual
 
 
 def truncated_eigs(g: SparseGraph, r: int, tol: float = DEFAULT_TOL,
-                   seed: int = 0, max_sweeps: int = MAX_SWEEPS,
-                   ordering: str = "magnitude") -> SpectralDecomposition:
+                   seed: int = 0, ordering: str = "magnitude") -> SpectralDecomposition:
     """Top-r eigenpairs of the adjacency matrix, largest magnitude first.
 
     Magnitude ordering makes the truncation agree with the truncated SVD
@@ -169,10 +142,9 @@ def truncated_eigs(g: SparseGraph, r: int, tol: float = DEFAULT_TOL,
         # zero matrix: every eigenvalue is 0, any orthonormal set works
         vecs = np.zeros((g.n, r))
         vecs[np.arange(r), np.arange(r)] = 1.0
-        return SpectralDecomposition(r, np.zeros(r), vecs, g.n)
-    vals, vecs, _ = _subspace_eigs(g.to_csr(), g.n, r, tol, seed,
-                                   max_sweeps=max_sweeps, ordering=ordering)
-    return SpectralDecomposition(r, vals, vecs, g.n)
+        return SpectralDecomposition(r, np.zeros(r), vecs, g.n, residual=0.0)
+    vals, vecs, residual = _eigs(g.to_csr(), r, tol, seed, ordering=ordering)
+    return SpectralDecomposition(r, vals, vecs, g.n, residual=residual)
 
 
 def _gram_scores(u: np.ndarray, lam: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

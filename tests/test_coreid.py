@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corex.coreid import (RankSelection, identify_top_k, kmeans_split,
                           select_rank_ecv, threshold_config, threshold_er)
@@ -135,9 +137,23 @@ class TestKmeansSplit:
         b = kmeans_split(er(values * 37.5))
         assert np.array_equal(a.labels, b.labels)
 
-    def test_floor_clamps_zero_scores(self):
-        part = kmeans_split(er([0.0, 0.0, 5.0, 6.0]))
-        assert list(part.labels) == [False, False, True, True]
+    def test_floor_scores_are_periphery(self):
+        part = kmeans_split(er([0.0, 0.0, 0.5, 0.6, 5.0, 6.0]))
+        assert list(part.labels) == [False, False, False, False, True, True]
+
+    def test_floor_scores_leave_no_split(self):
+        with pytest.raises(DegenerateError):
+            kmeans_split(er([0.0, 0.0, 0.0, 3.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=60),
+           st.integers(1, 20))
+    def test_appended_zero_scores_change_no_label(self, values, zeros):
+        assume(len(set(values)) >= 2)
+        base = kmeans_split(er(values))
+        padded = kmeans_split(er(values + [0.0] * zeros))
+        assert np.array_equal(padded.labels[:len(values)], base.labels)
+        assert not padded.labels[len(values):].any()
 
 
 def planted_rank1(n, p, seed):
