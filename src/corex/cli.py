@@ -232,11 +232,20 @@ def _rebuild_from_meta(meta_path):
     return instance, meta
 
 
+def _parse_sweep(spec: str) -> list[int]:
+    sizes = spec.split(",")
+    if not all(s.strip().isdecimal() for s in sizes):
+        raise DomainError(f"--sweep must be a comma list of nonnegative integers, "
+                          f"got {spec!r}")
+    return [int(s) for s in sizes]
+
+
 def cmd_diagnose(args) -> int:
     if bool(args.truth_p) == bool(args.input):
         raise DomainError("give exactly one of --truth-p or --input")
     if args.input and args.sweep:
         raise DomainError("the eigengap sweep needs --truth-p (a known core model)")
+    sizes = _parse_sweep(args.sweep) if args.sweep else None
     source = args.truth_p or args.input
     if not os.path.exists(source):
         raise ValidationError(f"input file not found: {source}")
@@ -250,8 +259,7 @@ def cmd_diagnose(args) -> int:
         instance, meta = _rebuild_from_meta(args.truth_p)
         report = diagnostics(instance.p, args.rank, core_labels=instance.truth)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
-        if args.sweep:
-            sizes = [int(s) for s in args.sweep.split(",")]
+        if sizes:
             core = graphon_core(GraphonSpec(kind=meta["graphon"]),
                                 meta["n_core"], meta["latents_seed"])
             records = eigengap_profile(core, sizes, args.periphery_level)
@@ -292,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master random seed (default 0; never wall-clock)")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker parallelism cap (results are identical "
-                            "for any value)")
+                       help="recorded in run.json only: nothing reads it yet, so "
+                            "numpy's BLAS still uses every core (ROADMAP item 5)")
 
     p_gen = sub.add_parser("generate", help="emit a synthetic benchmark network")
     p_gen.add_argument("--graphon", type=int, choices=(1, 2, 3), required=True)

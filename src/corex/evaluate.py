@@ -18,8 +18,8 @@ from .coreid import (CorePartition, kmeans_split, select_rank_ecv,
                      threshold_config, threshold_er)
 from .errors import DegenerateError, DomainError
 from .graph import ProbabilityMatrix, average_density, degrees, sample_adjacency
-from .spectral import config_scores, er_scores, truncated_eigs
-from .synth import GraphonSpec, SynthConfig, assemble_er, generate_instance
+from .spectral import _er_assembly_eigvalsh, config_scores, er_scores, truncated_eigs
+from .synth import GraphonSpec, SynthConfig, generate_instance
 
 __all__ = [
     "RocCurve",
@@ -110,22 +110,31 @@ def kcore_points(coreness, truth) -> list[tuple[float, float]]:
 def eigengap_profile(core_p: ProbabilityMatrix, periphery_sizes,
                      periphery_level: float) -> list[dict]:
     """Sweep periphery sizes around a fixed core and report how the
-    third-to-fourth eigenvalue gap of the assembled matrix behaves.
+    third-to-fourth eigenvalue gap of the ER-type assembly behaves.
 
-    Eigenvalues are magnitude-sorted; each record carries the raw gap
-    |lam_3| - |lam_4| and the gap normalized by |lam_1|.
+    The assembly [[C, a J], [a J, a (J - I)]] (a = periphery_level, n_p
+    periphery nodes) is never built: its spectrum is -a with multiplicity
+    n_p - 1 plus the eigenvalues of the (n_c + 1)-square reduced matrix
+    [[C, a sqrt(n_p) 1], [a sqrt(n_p) 1^T, a (n_p - 1)]].  Eigenvalues
+    are magnitude-sorted; each record carries the raw gap
+    |lam_3| - |lam_4| and the gap normalized by |lam_1|.  Negative sizes
+    and a level outside (0, 1) are rejected before any spectrum is
+    computed.
     """
     if core_p.n < 4:
         raise DomainError("core must have at least 4 nodes to report a 3-4 gap")
+    if not 0.0 < periphery_level < 1.0:
+        raise DomainError("periphery_level must lie in (0, 1)")
+    sizes = [int(n_peri) for n_peri in periphery_sizes]
+    if any(n_peri < 0 for n_peri in sizes):
+        raise DomainError(f"periphery sizes must be nonnegative, got {sizes}")
     records = []
-    for n_peri in periphery_sizes:
-        assembled = assemble_er(core_p, int(n_peri), periphery_level) \
-            if n_peri else core_p
-        eigvals = np.linalg.eigvalsh(assembled.entries)
+    for n_peri in sizes:
+        eigvals = _er_assembly_eigvalsh(core_p.entries, n_peri, periphery_level)
         mags = np.sort(np.abs(eigvals))[::-1]
         gap = float(mags[2] - mags[3])
         records.append({
-            "n_periphery": int(n_peri),
+            "n_periphery": n_peri,
             "lambda_1": float(mags[0]),
             "gap_3_4": gap,
             "normalized_gap": gap / float(mags[0]) if mags[0] > 0 else 0.0,

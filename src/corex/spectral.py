@@ -233,29 +233,77 @@ class DiagnosticReport:
         }
 
 
+def _er_assembly_eigvalsh(core: np.ndarray, n_periphery: int, level: float) -> np.ndarray:
+    """Eigenvalues, unordered, of the ER-type assembly
+    [[C, a J], [a J, a (J - I)]] with core block C, n_periphery periphery
+    nodes and level a.
+
+    Periphery vectors that sum to zero are eigenvectors with eigenvalue
+    -a, so -a has multiplicity n_p - 1; the other eigenvalues are those
+    of the (n_c + 1)-square reduced matrix
+    [[C, a sqrt(n_p) 1], [a sqrt(n_p) 1^T, a (n_p - 1)]].
+    """
+    if n_periphery == 0:
+        return np.linalg.eigvalsh(core)
+    nc = core.shape[0]
+    reduced = np.empty((nc + 1, nc + 1))
+    reduced[:nc, :nc] = core
+    reduced[:nc, nc] = reduced[nc, :nc] = level * np.sqrt(n_periphery)
+    reduced[nc, nc] = level * (n_periphery - 1)
+    return np.concatenate([np.linalg.eigvalsh(reduced), np.full(n_periphery - 1, -level)])
+
+
+def _er_periphery_level(entries: np.ndarray, core_labels: np.ndarray) -> float | None:
+    """The level a when every periphery row is zero on the diagonal and a
+    everywhere else (Definition 1 with a single level), else None."""
+    periphery = ~core_labels
+    if not periphery.any():
+        return None
+    first = int(np.argmax(periphery))
+    level = entries[first, 1 if first == 0 else 0]
+    diagonal = np.diagonal(entries)
+    # off-diagonal entries equal to the level, counted per row
+    matches = np.count_nonzero(entries == level, axis=1) - (diagonal == level)
+    if np.all(diagonal[periphery] == 0.0) and np.all(matches[periphery] == entries.shape[0] - 1):
+        return float(level)
+    return None
+
+
 def diagnostics(p: ProbabilityMatrix, r: int, core_labels=None) -> DiagnosticReport:
-    """Dense, exact diagnostics: max entry, minimum core scores under both
-    models (absent without core labels or with an empty core), the full
-    magnitude-sorted spectrum, and the magnitude gap after rank r."""
+    """Exact diagnostics: max entry, minimum core scores under both models
+    (absent without core labels or with an empty core), the full
+    magnitude-sorted spectrum, and the magnitude gap after rank r.
+
+    When core labels are given and the periphery is ER-type (every
+    periphery row zero on its diagonal and one level a everywhere else,
+    in any node order), the spectrum is -a with multiplicity n_p - 1 plus
+    the eigenvalues of the (n_c + 1)-square reduced matrix
+    [[C, a sqrt(n_p) 1], [a sqrt(n_p) 1^T, a (n_p - 1)]], C the core
+    block.  Any other input takes a dense eigvalsh of the whole matrix.
+    """
+    if core_labels is not None:
+        core_labels = np.asarray(core_labels, dtype=bool)
+        if core_labels.shape != (p.n,):
+            raise DomainError("core label length must match matrix")
     if not 1 <= r < p.n:
         raise DomainError(f"rank r={r} must satisfy 1 <= r < n={p.n}")
-    eigvals = np.linalg.eigvalsh(p.entries)
+    level = None if core_labels is None else _er_periphery_level(p.entries, core_labels)
+    if level is None:
+        eigvals = np.linalg.eigvalsh(p.entries)
+    else:
+        # the core block copy dies with the call, before the truth scores below
+        eigvals = _er_assembly_eigvalsh(p.entries[np.ix_(core_labels, core_labels)],
+                                        int(np.count_nonzero(~core_labels)), level)
     order = np.lexsort((-eigvals, -np.abs(eigvals)))
     eigvals = eigvals[order]
     gap_r = float(np.abs(eigvals[r - 1]) - np.abs(eigvals[r]))
     p_star = float(p.entries.max()) if p.n else 0.0
     h_n = None
     h_prime_n = None
-    if core_labels is not None:
-        core_labels = np.asarray(core_labels, dtype=bool)
-        if core_labels.shape != (p.n,):
-            raise DomainError("core label length must match matrix")
-        if core_labels.any():
-            h_n = float(scores_from_truth(p, "er").values[core_labels].min())
-            if np.all(p.expected_degrees() > 0):
-                h_prime_n = float(
-                    scores_from_truth(p, "config").values[core_labels].min()
-                )
+    if core_labels is not None and core_labels.any():
+        h_n = float(scores_from_truth(p, "er").values[core_labels].min())
+        if np.all(p.expected_degrees() > 0):
+            h_prime_n = float(scores_from_truth(p, "config").values[core_labels].min())
     return DiagnosticReport(p_star=p_star, h_n=h_n, h_prime_n=h_prime_n,
                             eigenvalues=eigvals, gap_r=gap_r)
 

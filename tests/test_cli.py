@@ -186,6 +186,16 @@ class TestDiagnose:
         assert lines[0] == "n_periphery,lambda_1,gap_3_4,normalized_gap"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("flags", [["--sweep=-5"], ["--sweep", "abc"],
+                                       ["--sweep", "0,,20"],
+                                       ["--sweep", "0,20", "--periphery-level", "1.5"]])
+    def test_bad_sweep_is_data_error(self, generated, tmp_path, flags):
+        out = tmp_path / "bad_sweep"
+        code = run(["diagnose", "--truth-p", str(generated / "meta.json"),
+                    "--rank", "3", "--out-dir", str(out)] + flags)
+        assert code == 3
+        assert not (out / "eigengap_sweep.csv").exists()
+
     def test_malformed_path_no_partial_files(self, tmp_path):
         out = tmp_path / "nothing"
         code = run(["diagnose", "--truth-p", str(tmp_path / "missing.json"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mann_whitney_auc, random_graph
+from corex import evaluate
 from corex.baselines import coreness_scores
 from corex.coreid import identify_top_k, threshold_er
 from corex.errors import DomainError
@@ -9,7 +10,7 @@ from corex.evaluate import (eigengap_profile, kcore_points, operating_point,
                             roc, run_experiment)
 from corex.graph import ProbabilityMatrix, load_edge_list
 from corex.spectral import CoreScores
-from corex.synth import SynthConfig, graphon_by_number
+from corex.synth import SynthConfig, assemble_er, graphon_by_number
 
 
 class TestRoc:
@@ -139,6 +140,32 @@ class TestEigengapProfile:
         a = eigengap_profile(rank3_core(), [0, 30], periphery_level=0.04)
         b = eigengap_profile(rank3_core(), [0, 30], periphery_level=0.04)
         assert a == b
+
+    @pytest.mark.parametrize("level", [1e-3, 0.05, 0.5, 0.999])
+    def test_matches_dense_assembly(self, level):
+        # oracle: dense eigvalsh of the assembled n x n matrix
+        core = rank3_core(30)
+        sizes = [0, 1, 2, 7, 60]
+        records = eigengap_profile(core, sizes, periphery_level=level)
+        for n_peri, rec in zip(sizes, records):
+            mags = np.sort(np.abs(np.linalg.eigvalsh(
+                assemble_er(core, n_peri, level).entries)))[::-1]
+            assert rec["n_periphery"] == n_peri
+            assert abs(rec["lambda_1"] - mags[0]) <= 1e-10 * mags[0]
+            assert abs(rec["gap_3_4"] - (mags[2] - mags[3])) <= 1e-10 * mags[0]
+            assert abs(rec["normalized_gap"] - (mags[2] - mags[3]) / mags[0]) <= 1e-10
+
+    @pytest.mark.parametrize("sizes, level", [([0, 10, -1], 0.05),
+                                              ([0, 10], 0.0),
+                                              ([0, 10], 1.0),
+                                              ([0], -0.5)])
+    def test_bad_input_rejected_before_any_spectrum(self, monkeypatch, sizes, level):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectrum computed before the input was checked")
+
+        monkeypatch.setattr(evaluate, "_er_assembly_eigvalsh", no_spectrum)
+        with pytest.raises(DomainError):
+            eigengap_profile(rank3_core(), sizes, periphery_level=level)
 
 
 class TestRunExperiment:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (dense_config_scores, dense_er_scores, random_graph,
                       random_orthonormal)
 from corex.errors import DomainError
 from corex.graph import ProbabilityMatrix, SparseGraph, degrees, load_edge_list
-from corex.spectral import (CoreScores, SpectralDecomposition, config_scores,
-                            diagnostics, er_scores, scores_from_truth,
+from corex.spectral import (CoreScores, SpectralDecomposition, _er_periphery_level,
+                            config_scores, diagnostics, er_scores, scores_from_truth,
                             truncated_eigs)
+from corex.synth import SynthConfig, generate_instance, graphon_by_number
 
 
 def dense_reference_eigs(matrix: np.ndarray, r: int):
@@ -293,3 +296,90 @@ class TestDiagnostics:
         vals = np.linalg.eigvalsh(entries + np.diag([0.6] * 10 + [0.4] * 10 + [0.2] * 10))
         mags = np.sort(np.abs(vals))[::-1]
         assert mags[3] <= 1e-10
+
+    def test_label_length_checked_before_any_spectrum(self, monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectrum computed before the labels were checked")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+        entries = np.full((10, 10), 0.1)
+        np.fill_diagonal(entries, 0.0)
+        with pytest.raises(DomainError):
+            diagnostics(ProbabilityMatrix(entries), r=2,
+                        core_labels=np.ones(9, dtype=bool))
+
+
+def assert_spectrum_matches_dense(p: ProbabilityMatrix, report):
+    """Oracle: dense eigvalsh of the whole matrix, compared as a multiset
+    to 1e-10 |lambda_1|; the report must also be magnitude-sorted."""
+    dense = np.linalg.eigvalsh(p.entries)
+    scale = np.abs(dense).max()
+    assert report.eigenvalues.shape == dense.shape
+    assert np.max(np.abs(np.sort(report.eigenvalues) - dense)) <= 1e-10 * scale
+    mags = np.abs(report.eigenvalues)
+    assert np.all(mags[:-1] >= mags[1:])
+
+
+class TestReducedSpectrum:
+    """ER-type peripheries take the (n_c + 1)-square reduced spectrum;
+    everything else takes dense eigvalsh.  Dense eigvalsh of the whole
+    matrix is the oracle for both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 12),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_interleaved_er_assembly_matches_dense(self, n_core, n_periphery, level, seed):
+        n = n_core + n_periphery
+        assume(n >= 2)
+        rng = np.random.default_rng(seed)
+        core = np.triu(rng.random((n_core, n_core)), 1)
+        entries = np.full((n, n), level)
+        entries[:n_core, :n_core] = core + core.T
+        np.fill_diagonal(entries, 0.0)
+        perm = rng.permutation(n)  # periphery interleaved with the core
+        p = ProbabilityMatrix(entries[np.ix_(perm, perm)])
+        labels = perm < n_core
+        expected_level = level if n_periphery else None
+        assert _er_periphery_level(p.entries, labels) == expected_level
+        assert_spectrum_matches_dense(p, diagnostics(p, r=1, core_labels=labels))
+
+    def test_level_detection_edge_cases(self):
+        labels = np.arange(6) < 2
+        entries = np.full((6, 6), 0.3)
+        assert _er_periphery_level(entries, labels) is None  # nonzero diagonal
+        np.fill_diagonal(entries, 0.0)
+        assert _er_periphery_level(entries, labels) == 0.3
+        entries[2:, :] = entries[:, 2:] = 0.0  # isolated periphery: level 0
+        assert _er_periphery_level(entries, labels) == 0.0
+        entries[4, 0] = entries[0, 4] = 0.3  # one periphery row off level 0
+        assert _er_periphery_level(entries, labels) is None
+        assert _er_periphery_level(entries, np.ones(6, dtype=bool)) is None
+
+    def test_config_instance_takes_dense_path(self):
+        cfg = SynthConfig(n_core=30, n_periphery=40, periphery="config",
+                          degree_ratio=2.0, target_density=0.1, seed=4)
+        inst = generate_instance(graphon_by_number(1), cfg)
+        assert _er_periphery_level(inst.p.entries, inst.truth) is None
+        assert_spectrum_matches_dense(inst.p, diagnostics(inst.p, 3, inst.truth))
+
+    def test_one_ulp_off_er_instance_takes_dense_path(self):
+        cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
+                          degree_ratio=2.0, target_density=0.05, seed=4)
+        entries = generate_instance(graphon_by_number(1), cfg).p.entries.copy()
+        truth = np.arange(70) < 30
+        assert _er_periphery_level(entries, truth) is not None
+        entries[50, 3] = entries[3, 50] = np.nextafter(entries[50, 3], 1.0)
+        p = ProbabilityMatrix(entries)
+        assert _er_periphery_level(p.entries, truth) is None
+        assert_spectrum_matches_dense(p, diagnostics(p, 3, truth))
+
+    def test_clipped_er_instance_takes_reduced_path(self):
+        cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
+                          degree_ratio=3.0, target_density=0.2, seed=1)
+        inst = generate_instance(graphon_by_number(2), cfg)
+        assert inst.meta["rescale_clip_count"] > 0
+        level = inst.meta["c_periphery"] * inst.meta["er_level"]
+        assert _er_periphery_level(inst.p.entries, inst.truth) == pytest.approx(level, rel=1e-15)
+        report = diagnostics(inst.p, 3, inst.truth)
+        assert_spectrum_matches_dense(inst.p, report)
+        assert report.h_n == float(scores_from_truth(inst.p, "er").values[:30].min())
