@@ -110,7 +110,8 @@ def local_cc_scores(g: SparseGraph) -> BaselineScores:
 
 
 def coreness_scores(g: SparseGraph) -> BaselineScores:
-    """Core number of every node by bucket peeling.
+    """Core number of every node by bucket peeling (Batagelj & Zaversnik,
+    "An O(m) algorithm for cores decomposition of networks", 2003).
 
     values[i] is the largest k such that node i survives repeated removal
     of all nodes with degree < k.
@@ -119,23 +120,16 @@ def coreness_scores(g: SparseGraph) -> BaselineScores:
     deg = degrees(g)
     if n == 0:
         return BaselineScores(values=np.zeros(0), method="coreness")
-    max_deg = int(deg.max())
-    # bucket sort nodes by degree
-    bin_start = np.zeros(max_deg + 2, dtype=np.int64)
-    counts = np.bincount(deg, minlength=max_deg + 1)
-    bin_start[1:] = np.cumsum(counts)
-    vert = np.zeros(n, dtype=np.int64)
-    node_pos = np.zeros(n, dtype=np.int64)
-    fill = bin_start[:-1].copy()
-    for v in range(n):
-        node_pos[v] = fill[deg[v]]
-        vert[node_pos[v]] = v
-        fill[deg[v]] += 1
-    bin_ptr = bin_start[:-1].copy()
-    cur = deg.copy()
+    # nodes in buckets of equal degree, ascending; bin_ptr[d] starts bucket d
+    vert = np.argsort(deg, kind="stable")
+    node_pos = np.empty(n, dtype=np.int64)
+    node_pos[vert] = np.arange(n)
+    bin_ptr = np.concatenate([[0], np.cumsum(np.bincount(deg))]).tolist()
+    vert, node_pos, cur = vert.tolist(), node_pos.tolist(), deg.tolist()
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     for idx in range(n):
         v = vert[idx]
-        for u in g.adjacency[v]:
+        for u in indices[indptr[v]:indptr[v + 1]]:
             if cur[u] > cur[v]:
                 # swap u toward the front of its bucket, then shrink it
                 du = cur[u]
@@ -147,4 +141,4 @@ def coreness_scores(g: SparseGraph) -> BaselineScores:
                     node_pos[u], node_pos[w] = pw, pu
                 bin_ptr[du] += 1
                 cur[u] -= 1
-    return BaselineScores(values=cur.astype(np.float64), method="coreness")
+    return BaselineScores(values=np.array(cur, dtype=np.float64), method="coreness")

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateError, DomainError
 from .graph import SparseGraph
@@ -89,40 +88,34 @@ def identify_top_k(scores, n_core: int) -> CorePartition:
     return CorePartition(labels=labels, n_core=n_core, selection_method="topk")
 
 
-def _require_model(scores, model: str) -> np.ndarray:
+def _threshold(scores, model: str, p_hat: float, n: int, eps: float,
+               cutoff_of) -> CorePartition:
+    """Core = nodes scoring above cutoff_of(), once the arguments check out."""
     if isinstance(scores, CoreScores) and scores.model != model:
         raise DomainError(f"scores carry model {scores.model!r}, expected {model!r}")
-    return _score_values(scores)
+    values = _score_values(scores)
+    if values.size != n:
+        raise DomainError("n does not match score vector length")
+    if not 0.0 < p_hat <= 1.0:
+        raise DomainError("p_hat must lie in (0, 1]")
+    if not 0.0 < eps < 1.0:
+        raise DomainError("eps must lie in (0, 1)")
+    cutoff = cutoff_of()
+    labels = values > cutoff
+    return CorePartition(labels=labels, n_core=int(labels.sum()),
+                         selection_method="threshold", cutoff=cutoff)
 
 
 def threshold_er(scores, p_hat: float, n: int, eps: float = 0.01) -> CorePartition:
     """Core = nodes with score above sqrt(p_hat^(1-eps) * ln n)."""
-    values = _require_model(scores, "er")
-    if values.size != n:
-        raise DomainError("n does not match score vector length")
-    if not 0.0 < p_hat <= 1.0:
-        raise DomainError("p_hat must lie in (0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0, 1)")
-    cutoff = math.sqrt(p_hat ** (1.0 - eps) * math.log(n))
-    labels = values > cutoff
-    return CorePartition(labels=labels, n_core=int(labels.sum()),
-                         selection_method="threshold", cutoff=cutoff)
+    return _threshold(scores, "er", p_hat, n, eps,
+                      lambda: math.sqrt(p_hat ** (1.0 - eps) * math.log(n)))
 
 
 def threshold_config(scores, p_hat: float, n: int, eps: float = 0.01) -> CorePartition:
     """Core = nodes with score above sqrt(ln n) / (n * sqrt(p_hat^(1+eps)))."""
-    values = _require_model(scores, "config")
-    if values.size != n:
-        raise DomainError("n does not match score vector length")
-    if not 0.0 < p_hat <= 1.0:
-        raise DomainError("p_hat must lie in (0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0, 1)")
-    cutoff = math.sqrt(math.log(n)) / (n * math.sqrt(p_hat ** (1.0 + eps)))
-    labels = values > cutoff
-    return CorePartition(labels=labels, n_core=int(labels.sum()),
-                         selection_method="threshold", cutoff=cutoff)
+    return _threshold(scores, "config", p_hat, n, eps,
+                      lambda: math.sqrt(math.log(n)) / (n * math.sqrt(p_hat ** (1.0 + eps))))
 
 
 def kmeans_split(scores, floor: float = KMEANS_FLOOR) -> CorePartition:
@@ -210,11 +203,7 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
     for fold in range(folds):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
         hi, hj = _pair_split(n, holdout_fraction, rng)
-        mask = sparse.csr_matrix(
-            (np.ones(2 * hi.size),
-             (np.concatenate([hi, hj]), np.concatenate([hj, hi]))),
-            shape=(n, n),
-        )
+        mask = SparseGraph.from_pairs(n, np.column_stack([hi, hj])).to_csr()
         kept = adj - adj.multiply(mask)
         kept = kept * (1.0 / (1.0 - holdout_fraction))
         kept.eliminate_zeros()
@@ -227,10 +216,12 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
             vals, vecs, _ = _eigs(kept, r_max, tol=1e-6,
                                   seed=seed + 7919 * (fold + 1), strict=False)
         truth = np.asarray(adj[hi, hj]).ravel()
+        # column r - 1 is the rank-r prediction of every held-out pair
+        partial = np.cumsum(vecs[hi, :r_max] * vals[:r_max] * vecs[hj, :r_max], axis=1)
         for ci, r in enumerate(cands):
-            pred = (vecs[hi, :r] * vals[np.newaxis, :r] * vecs[hj, :r]).sum(axis=1)
-            pred = np.clip(pred, 0.0, 1.0)
+            pred = np.clip(partial[:, r - 1], 0.0, 1.0)
             losses[fold, ci] = float(np.mean((pred - truth) ** 2))
+        del partial  # (pairs x r_max) floats: free them before the next fold's split
     mean_losses = losses.mean(axis=0)
     chosen = cands[int(np.argmin(mean_losses))]  # argmin takes first = smallest r
     return RankSelection(chosen_r=chosen, candidates=tuple(cands),

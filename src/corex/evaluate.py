@@ -239,27 +239,18 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
         if collect_scores:
             result.truth_vectors.append(truth)
         for method in methods:
-            if method == "proposed_er":
-                scores = er_scores(dec)
+            if method in PROPOSED_METHODS:
+                model = method.removeprefix("proposed_")
+                if model == "er":
+                    scores, threshold = er_scores(dec), threshold_er
+                else:
+                    scores, threshold = config_scores(dec, degrees(g)), threshold_config
                 values = scores.values
-                part = threshold_er(scores, p_hat, g.n, eps=eps)
-                result.operating_points.setdefault("threshold_er", []).append(
-                    operating_point(part, truth))
+                result.operating_points.setdefault(f"threshold_{model}", []).append(
+                    operating_point(threshold(scores, p_hat, g.n, eps=eps), truth))
                 try:
                     km = kmeans_split(scores)
-                    result.operating_points.setdefault("kmeans_er", []).append(
-                        operating_point(km, truth))
-                except DegenerateError:
-                    pass
-            elif method == "proposed_config":
-                scores = config_scores(dec, degrees(g))
-                values = scores.values
-                part = threshold_config(scores, p_hat, g.n, eps=eps)
-                result.operating_points.setdefault("threshold_config", []).append(
-                    operating_point(part, truth))
-                try:
-                    km = kmeans_split(scores)
-                    result.operating_points.setdefault("kmeans_config", []).append(
+                    result.operating_points.setdefault(f"kmeans_{model}", []).append(
                         operating_point(km, truth))
                 except DegenerateError:
                     pass

@@ -1,9 +1,10 @@
 """Sparse undirected graphs, edge-list I/O, and Bernoulli sampling.
 
-Graphs are simple (no self-loops, no multi-edges), undirected, and binary.
-Nodes are integers 0..n-1.  Probability matrices are dense symmetric
-float arrays with a zero diagonal; they stay dense because synthetic
-experiments run at desk scale (n up to a few thousand).
+Graphs are simple (no self-loops, no multi-edges), undirected, and binary,
+on nodes 0..n-1, and stored as their adjacency matrix in CSR form.
+Probability matrices are dense symmetric float arrays with a zero diagonal;
+they stay dense because synthetic experiments run at desk scale (n up to a
+few thousand).
 """
 
 from __future__ import annotations
@@ -30,88 +31,89 @@ __all__ = [
 
 
 class SparseGraph:
-    """Immutable undirected graph stored as per-node sorted neighbor arrays."""
+    """Immutable undirected graph in CSR form: the neighbours of node i are
+    `indices[indptr[i]:indptr[i + 1]]`, ascending, so each edge is in both
+    of its rows.  Both arrays are read-only int64."""
 
-    __slots__ = ("n", "adjacency", "m", "_csr")
+    __slots__ = ("n", "m", "indptr", "indices", "_adjacency", "_csr")
 
-    def __init__(self, n: int, adjacency: list[np.ndarray], _validated: bool = False):
-        self.n = int(n)
-        self.adjacency = adjacency
-        self.m = sum(len(a) for a in adjacency) // 2
-        self._csr = None
-        if not _validated:
-            self._validate()
+    def __init__(self, n: int, adjacency):
+        """Validating constructor from one sorted neighbour array per node."""
+        n = int(n)
+        if n < 0:
+            raise ValidationError("node count must be nonnegative")
+        if len(adjacency) != n:
+            raise ValidationError("adjacency list count does not match n")
+        indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency], dtype=np.int64)
+        indices = np.concatenate([np.empty(0), *adjacency], dtype=np.int64, casting="unsafe")
+        self._adopt(n, indptr, indices)
+        self._validate()
+
+    def _adopt(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+        indptr.flags.writeable = indices.flags.writeable = False
+        self.n, self.m, self.indptr, self.indices = int(n), indices.size // 2, indptr, indices
+        self._adjacency = self._csr = None
 
     def _validate(self) -> None:
-        if self.n < 0:
-            raise ValidationError("node count must be nonnegative")
-        if len(self.adjacency) != self.n:
-            raise ValidationError("adjacency list count does not match n")
-        neighbor_sets = [None] * self.n
-        for i, nbrs in enumerate(self.adjacency):
-            arr = np.asarray(nbrs, dtype=np.int64)
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-                raise RangeError(f"neighbor id out of range for node {i}")
-            if np.any(arr == i):
-                raise ValidationError(f"self-loop at node {i}")
-            if arr.size and (np.any(np.diff(arr) <= 0)):
-                raise ValidationError(f"neighbors of node {i} not sorted/unique")
-            neighbor_sets[i] = arr
-        self.adjacency = neighbor_sets
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i not in self.adjacency[j]:
-                    raise ValidationError(f"edge ({i},{j}) not symmetric")
+        n, idx = self.n, self.indices
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        bad = (idx < 0) | (idx >= n)
+        if bad.any():
+            raise RangeError(f"neighbor id out of range for node {rows[bad.argmax()]}")
+        bad = idx == rows
+        if bad.any():
+            raise ValidationError(f"self-loop at node {rows[bad.argmax()]}")
+        bad = (np.diff(idx) <= 0) & (rows[1:] == rows[:-1])
+        if bad.any():
+            raise ValidationError(f"neighbors of node {rows[1:][bad.argmax()]} not sorted/unique")
+        # row-major keys are sorted; the graph is symmetric iff its mirror has the same keys
+        keys = rows * n + idx
+        mirrored = np.sort(idx * n + rows)
+        if not np.array_equal(keys, mirrored):
+            i, j = divmod(int(keys[np.argmin(np.isin(keys, mirrored, assume_unique=True))]), n)
+            raise ValidationError(f"edge ({i},{j}) not symmetric")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "SparseGraph":
-        """Build from an iterable of (i, j) pairs; duplicates and reversed
-        copies are merged, self-loops rejected."""
-        pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        """Build from an (k, 2) array or an iterable of (i, j) pairs;
+        duplicates and reversed copies are merged, self-loops rejected."""
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n:
                 raise RangeError("node id outside 0..n-1")
             if np.any(pairs[:, 0] == pairs[:, 1]):
                 raise ValidationError("self-loop in edge set")
-            lo = np.minimum(pairs[:, 0], pairs[:, 1])
-            hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            keys = np.unique(lo * np.int64(n) + hi)
-            lo, hi = keys // n, keys % n
-        else:
-            lo = hi = np.empty(0, dtype=np.int64)
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        order = np.argsort(heads, kind="stable")
-        heads, tails = heads[order], tails[order]
-        counts = np.bincount(heads, minlength=n)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        adjacency = [np.sort(tails[offsets[i]:offsets[i + 1]]) for i in range(n)]
-        return cls(n, adjacency, _validated=True)
+        # one sort of the row-major keys of both orientations gives the CSR order
+        tails, heads = pairs.T
+        keys = np.sort(np.concatenate([tails * n + heads, heads * n + tails]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        g = cls.__new__(cls)
+        g._adopt(n, indptr, keys % n)
+        return g
+
+    @property
+    def adjacency(self) -> tuple:
+        """Neighbour array of every node, as read-only views into `indices`."""
+        if self._adjacency is None:
+            bounds = self.indptr.tolist()
+            self._adjacency = tuple(self.indices[a:b] for a, b in zip(bounds, bounds[1:]))
+        return self._adjacency
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with i < j, lexicographically sorted."""
-        if self.m == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        rows = []
-        for i, nbrs in enumerate(self.adjacency):
-            upper = nbrs[nbrs > i]
-            if upper.size:
-                rows.append(np.column_stack([np.full(upper.size, i, dtype=np.int64), upper]))
-        return np.concatenate(rows, axis=0)
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = self.indices > rows
+        return np.column_stack([rows[upper], self.indices[upper]])
 
     def to_csr(self) -> sparse.csr_matrix:
         """Adjacency as a cached scipy CSR matrix of float64."""
         if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for i, nbrs in enumerate(self.adjacency):
-                indptr[i + 1] = indptr[i] + len(nbrs)
-            indices = (
-                np.concatenate(self.adjacency)
-                if self.n and indptr[-1]
-                else np.empty(0, dtype=np.int64)
-            )
-            data = np.ones(indptr[-1], dtype=np.float64)
-            self._csr = sparse.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+            self._csr = sparse.csr_matrix((np.ones(self.indices.size), self.indices,
+                                           self.indptr), shape=(self.n, self.n))
         return self._csr
 
     def to_dense(self) -> np.ndarray:
@@ -158,17 +160,56 @@ class ProbabilityMatrix:
         return f"ProbabilityMatrix(n={self.n})"
 
 
-def _iter_lines(source):
+# what is left of the data lines after deleting these characters is a fault
+_NOT_DATA = str.maketrans("", "", "0123456789 \t\n")
+
+
+def _read_text(source) -> str:
+    """The whole input as one string, with CRLF line ends turned into LF."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rt", encoding="utf-8") as fh:
-            yield from fh
-    elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
+        with open(source, "rb") as fh:
+            source = fh.read()
     elif hasattr(source, "read"):
-        for line in source:
-            yield line.decode("utf-8") if isinstance(line, bytes) else line
-    else:
-        yield from source
+        source = source.read()
+    elif not isinstance(source, bytes):  # an iterable of lines
+        source = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    return source.replace("\r\n", "\n")
+
+
+def _raise_first_bad_line(text: str) -> None:
+    """Check `text` one line at a time and raise the error of its first bad
+    line; runs only once the bulk parse in load_edge_list has found one."""
+    declared_n = None
+    first_data_line = True
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip(" \t\n")
+        if not line or line.startswith("#"):
+            continue
+        fields = [f for f in line.replace("\t", " ").split(" ") if f]
+        ids = [int(f) if f.isascii() and f.removeprefix("-").isdigit() else None for f in fields]
+        if first_data_line and fields[0] == "n":
+            if len(fields) != 2:
+                raise ParseError("header must be 'n <count>'", lineno)
+            if ids[1] is None:
+                raise ParseError(f"bad node count {fields[1]!r}", lineno)
+            if fields[1].startswith("-"):
+                raise ParseError("declared node count must be nonnegative", lineno)
+            declared_n = ids[1]
+        elif len(fields) != 2:
+            raise ParseError(f"expected two node ids, got {len(fields)} tokens", lineno)
+        elif None in ids:
+            raise ParseError(f"non-integer node id in {line!r}", lineno)
+        elif "-" in line:
+            raise ParseError("node ids must be nonnegative", lineno)
+        elif ids[0] == ids[1]:
+            raise ValidationError(f"line {lineno}: self-loop {ids[0]}-{ids[1]}")
+        elif declared_n is not None and max(ids) >= declared_n:
+            raise RangeError(f"line {lineno}: node id {max(ids)} >= declared n={declared_n}")
+        elif max(ids) >= 2**63:
+            raise RangeError(f"line {lineno}: node id {max(ids)} does not fit in 64 bits")
+        first_data_line = False
 
 
 def load_edge_list(source) -> SparseGraph:
@@ -178,60 +219,49 @@ def load_edge_list(source) -> SparseGraph:
     full-line comment, blank lines are skipped, and an optional first
     non-comment line `n <count>` declares the node count (needed to keep
     trailing isolated nodes).  Duplicate and reversed pairs merge silently;
-    self-loops are rejected.
+    self-loops are rejected.  Ids and the count are ASCII decimal digits,
+    fields are separated by spaces or tabs, and lines end in LF or CRLF.
+
+    `source` is a path, bytes, a file object or an iterable of lines.  Numpy
+    parses the text whole; only after it finds a fault are the lines
+    rescanned, to report the first bad one.
     """
+    text = body = _read_text(source)
+    if "#" in body:
+        body = "\n".join(line for line in body.split("\n")
+                         if not line.lstrip(" \t").startswith("#"))
+    body = body.lstrip(" \t\n")
     declared_n = None
-    edges = []
-    max_id = -1
-    first_data_line = True
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if first_data_line and tokens[0] == "n":
-            if len(tokens) != 2:
-                raise ParseError("header must be 'n <count>'", lineno)
-            try:
-                declared_n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad node count {tokens[1]!r}", lineno) from None
-            if declared_n < 0:
-                raise ParseError("declared node count must be nonnegative", lineno)
-            first_data_line = False
-            continue
-        first_data_line = False
-        if len(tokens) != 2:
-            raise ParseError(f"expected two node ids, got {len(tokens)} tokens", lineno)
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", lineno) from None
-        if i < 0 or j < 0:
-            raise ParseError("node ids must be nonnegative", lineno)
-        if i == j:
-            raise ValidationError(f"line {lineno}: self-loop {i}-{j}")
-        if declared_n is not None and (i >= declared_n or j >= declared_n):
-            raise RangeError(
-                f"line {lineno}: node id {max(i, j)} >= declared n={declared_n}"
-            )
-        max_id = max(max_id, i, j)
-        edges.append((i, j))
-    n = declared_n if declared_n is not None else max_id + 1
-    return SparseGraph.from_pairs(n, edges)
+    if body.startswith("n"):  # only the header, the first data line, may hold an "n"
+        header, _, body = body.partition("\n")
+        count = header[1:].strip(" \t")
+        if header[1:2] not in (" ", "\t") or not (count.isascii() and count.isdigit()):
+            _raise_first_bad_line(text)
+        declared_n = int(count)
+    pairs = None
+    try:
+        if not body.translate(_NOT_DATA):
+            pairs = (np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2) if body.strip()
+                     else np.empty((0, 2), dtype=np.int64))
+    except ValueError:  # rows of unequal length, or an id beyond int64
+        pass
+    if (pairs is None or pairs.shape[1] != 2 or np.any(pairs[:, 0] == pairs[:, 1])
+            or (declared_n is not None and pairs.size and pairs.max() >= declared_n)):
+        _raise_first_bad_line(text)
+    n = declared_n if declared_n is not None else int(pairs.max(initial=-1)) + 1
+    return SparseGraph.from_pairs(n, pairs)
 
 
 def write_edge_list(g: SparseGraph, path) -> None:
     """Write a graph in the dialect understood by load_edge_list."""
     with open(path, "wt", encoding="utf-8", newline="\n") as fh:
         fh.write(f"n {g.n}\n")
-        for i, j in g.edge_array():
-            fh.write(f"{i}\t{j}\n")
+        fh.write(("%d\t%d\n" * g.m) % tuple(g.edge_array().ravel().tolist()))
 
 
 def degrees(g: SparseGraph) -> np.ndarray:
     """Observed degree of every node (sums to 2m)."""
-    return np.array([len(a) for a in g.adjacency], dtype=np.int64)
+    return np.diff(g.indptr)
 
 
 def average_density(g: SparseGraph) -> float:
@@ -249,18 +279,13 @@ def sample_adjacency(p: ProbabilityMatrix, seed: int) -> SparseGraph:
     identical regardless of how rows might be partitioned across workers.
     """
     n = p.n
-    entries = p.entries
-    adjacency = [[] for _ in range(n)]
+    upper = []  # upper[i]: the neighbours j > i of node i
     for i in range(n - 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        u = rng.random(n - i - 1)
-        hits = np.nonzero(u < entries[i, i + 1:])[0] + i + 1
-        if hits.size:
-            adjacency[i].extend(hits.tolist())
-            for j in hits:
-                adjacency[j].append(i)
-    adjacency = [np.array(sorted(a), dtype=np.int64) for a in adjacency]
-    return SparseGraph(n, adjacency, _validated=True)
+        upper.append(np.flatnonzero(rng.random(n - i - 1) < p.entries[i, i + 1:]) + (i + 1))
+    tails = np.repeat(np.arange(len(upper), dtype=np.int64), [hits.size for hits in upper])
+    heads = np.concatenate([np.empty(0, dtype=np.int64), *upper])
+    return SparseGraph.from_pairs(n, np.column_stack([tails, heads]))
 
 
 def read_truth_labels(path) -> np.ndarray:
@@ -297,5 +322,5 @@ def write_truth_labels(path, labels) -> None:
     labels = np.asarray(labels, dtype=bool)
     with open(path, "wt", encoding="utf-8", newline="\n") as fh:
         fh.write("node_id,is_core\n")
-        for i, flag in enumerate(labels):
-            fh.write(f"{i},{int(flag)}\n")
+        rows = np.column_stack([np.arange(labels.size), labels])
+        fh.write(("%d,%d\n" * labels.size) % tuple(rows.ravel().tolist()))

@@ -16,6 +16,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from conftest import (brute_force_coreness, dense_config_scores,
                       dense_er_scores, mann_whitney_auc, random_graph,
@@ -29,6 +30,9 @@ from corex.baselines import coreness_scores, pagerank_scores
 from corex.spectral import (SpectralDecomposition, config_scores, er_scores,
                             scores_from_truth, truncated_eigs)
 from corex.synth import SynthConfig, generate_instance, graphon_by_number
+
+# the whole gate takes minutes; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
 
 BALANCED = dict(n_core=1000, n_periphery=1000)
 # Criteria 03 and 04 (exact recovery): graphon-1 core, rank 6.  A degree

@@ -1,12 +1,78 @@
 import io
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corex.errors import DomainError, ParseError, RangeError, ValidationError
 from corex.graph import (ProbabilityMatrix, SparseGraph, average_density,
                          degrees, load_edge_list, read_truth_labels,
                          sample_adjacency, write_edge_list, write_truth_labels)
+
+_ID = re.compile(r"-?[0-9]+")
+
+
+def reference_load(text: str):
+    """Line-by-line reference for load_edge_list's dialect.
+
+    Returns (n, sorted list of (i, j) with i < j) or raises the error of
+    the first bad line.  A CR right before an LF ends the line with it.
+    """
+    declared_n = None
+    first_data_line = True
+    edges = set()
+    max_id = -1
+    pieces = text.split("\n")
+    for lineno, raw in enumerate(pieces, start=1):
+        if lineno < len(pieces):
+            raw = raw.removesuffix("\r")
+        line = raw.strip(" \t")
+        if not line or line.startswith("#"):
+            continue
+        tokens = re.split(r"[ \t]+", line)
+        if first_data_line and tokens[0] == "n":
+            first_data_line = False
+            if len(tokens) != 2:
+                raise ParseError("header must be 'n <count>'", lineno)
+            if not _ID.fullmatch(tokens[1]):
+                raise ParseError(f"bad node count {tokens[1]!r}", lineno)
+            if tokens[1].startswith("-"):
+                raise ParseError("declared node count must be nonnegative", lineno)
+            declared_n = int(tokens[1])
+            continue
+        first_data_line = False
+        if len(tokens) != 2:
+            raise ParseError(f"expected two node ids, got {len(tokens)} tokens", lineno)
+        if not all(_ID.fullmatch(t) for t in tokens):
+            raise ParseError(f"non-integer node id in {line!r}", lineno)
+        if any(t.startswith("-") for t in tokens):
+            raise ParseError("node ids must be nonnegative", lineno)
+        i, j = int(tokens[0]), int(tokens[1])
+        if i == j:
+            raise ValidationError(f"line {lineno}: self-loop {i}-{j}")
+        if declared_n is not None and max(i, j) >= declared_n:
+            raise RangeError(f"line {lineno}: node id {max(i, j)} >= declared n={declared_n}")
+        if max(i, j) >= 2 ** 63:
+            raise RangeError(f"line {lineno}: node id {max(i, j)} does not fit in 64 bits")
+        edges.add((min(i, j), max(i, j)))
+        max_id = max(max_id, i, j)
+    return (declared_n if declared_n is not None else max_id + 1), sorted(edges)
+
+
+def outcome(parse):
+    """(n, edges) of a successful parse, or (class, message, line number)."""
+    try:
+        result = parse()
+    except ValidationError as exc:  # RangeError included
+        return type(exc), str(exc), None
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line_number
+    if isinstance(result, SparseGraph):
+        return result.n, [tuple(e) for e in result.edge_array().tolist()]
+    return result
 
 
 def check_invariants(g):
@@ -65,6 +131,193 @@ class TestLoadEdgeList:
         assert g2.n == g.n and g2.m == g.m
         for a, b in zip(g.adjacency, g2.adjacency):
             assert np.array_equal(a, b)
+
+
+# lines that the dialect rejects, one kind of fault each ({n} is the node count)
+FAULT_LINES = [
+    "0 1 2",          # three tokens
+    "5",              # one token
+    "0 x",            # non-integer token
+    "+3 1",           # sign prefix
+    "1_0 2",          # digit separator
+    "\u0663 1",       # non-ASCII digit
+    "0\xa01",         # non-ASCII blank
+    "0 1 # note",     # comment after data
+    "-1 2",           # negative id
+    "3 3",            # self-loop
+    "0 {n}",          # id >= declared n (a plain edge without a header)
+    "0 1\r",          # CR inside a line when lines end in CRLF
+    "n 4",            # a second header is a data line
+]
+BAD_HEADERS = ["n", "n 4 5", "n x", "n -2", "n +4", "n 4\xa0", "n\xa04"]
+BLANK_LINES = ["", " ", "\t", "# comment", "  # n 3", "#\t0 1"]
+
+
+@st.composite
+def edge_files(draw, faults=True):
+    """Edge-list text with comments, blank lines, mixed separators, leading
+    zeros, an optional header after comments, LF or CRLF line ends, and
+    (when `faults`) at most one injected bad line or bad header."""
+    n = draw(st.integers(2, 12))
+    pad = st.sampled_from(["", " ", "\t"])
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    lines = draw(st.lists(st.sampled_from(BLANK_LINES), max_size=3))
+    header = draw(st.booleans())
+    if header:
+        bad = faults and draw(st.booleans()) and draw(st.sampled_from(BAD_HEADERS))
+        lines.append(bad or f"{draw(pad)}n{draw(sep)}{n}{draw(pad)}")
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            zeros = draw(st.sampled_from(["", "0", "00"]))
+            lines.append(f"{draw(pad)}{zeros}{i}{draw(sep)}{j}{draw(pad)}")
+        else:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+    if faults and draw(st.booleans()):
+        fault = draw(st.sampled_from(FAULT_LINES)).format(n=n)
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestBulkParserAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=edge_files())
+    def test_same_graph_or_same_error(self, text):
+        expected = outcome(lambda: reference_load(text))
+        assert outcome(lambda: load_edge_list(text.encode("utf-8"))) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=edge_files())
+    def test_path_source(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("edges") / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda: load_edge_list(path)) == outcome(lambda: reference_load(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=edge_files(faults=False))
+    def test_parse_write_parse_round_trip(self, tmp_path_factory, text):
+        g = load_edge_list(text.encode("utf-8"))
+        path = tmp_path_factory.mktemp("round") / "edges.tsv"
+        write_edge_list(g, path)
+        n, edges = reference_load(text)
+        assert path.read_bytes() == ("".join([f"n {n}\n"] + [f"{i}\t{j}\n" for i, j in edges])
+                                     .encode("ascii"))
+        g2 = load_edge_list(path)
+        assert g2.n == g.n
+        assert np.array_equal(g2.indptr, g.indptr)
+        assert np.array_equal(g2.indices, g.indices)
+
+    def test_each_fault_line_matches_reference(self):
+        for fault in FAULT_LINES + BAD_HEADERS:
+            for text in (f"# c\nn 9\n0 1\n{fault}\n2 3\n", f"{fault}\r\n0 1\r\n"):
+                text = text.format(n=9)
+                assert (outcome(lambda: load_edge_list(text.encode("utf-8")))
+                        == outcome(lambda: reference_load(text))), text
+
+    def test_first_bad_line_wins(self):
+        text = "n 5\n0 1\n2 2\n0 x\n"
+        with pytest.raises(ValidationError, match="line 3: self-loop 2-2"):
+            load_edge_list(text.encode("utf-8"))
+
+    def test_crlf_header_after_comments(self):
+        g = load_edge_list(b"# made by hand\r\n\r\nn 4\r\n0 1\r\n2\t1\r\n")
+        assert g.n == 4 and g.edge_array().tolist() == [[0, 1], [1, 2]]
+
+    def test_sources_agree(self, tmp_path):
+        text = "# c\nn 6\n0 1\n4 2\n"
+        path = tmp_path / "e.tsv"
+        path.write_text(text)
+        graphs = [load_edge_list(path), load_edge_list(str(path)), load_edge_list(text.encode()),
+                  load_edge_list(io.StringIO(text)), load_edge_list(io.BytesIO(text.encode())),
+                  load_edge_list(text.splitlines()), load_edge_list(text.splitlines(keepends=True))]
+        for g in graphs:
+            assert g.n == 6 and g.edge_array().tolist() == [[0, 1], [2, 4]]
+
+
+class TestFromPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_invariants_and_order_independence(self, data):
+        n = data.draw(st.integers(2, 25))
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        pairs = [tuple(p) for p in data.draw(st.lists(pair, max_size=60))]
+        g = SparseGraph.from_pairs(n, pairs)
+        for i, row in enumerate(g.adjacency):
+            assert np.all(np.diff(row) > 0) and i not in row
+        dense = g.to_dense()
+        assert np.array_equal(dense, dense.T)
+        expected = sorted({(min(p), max(p)) for p in pairs})
+        assert g.m == len(expected)
+        assert degrees(g).sum() == 2 * g.m
+        assert [tuple(e) for e in g.edge_array().tolist()] == expected
+        # shuffled, partly reversed and partly repeated, as an ndarray
+        shuffled = data.draw(st.permutations(pairs))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        variant = [(j, i) if f else (i, j) for (i, j), f in zip(shuffled, flips)]
+        variant += data.draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+        g2 = SparseGraph.from_pairs(n, np.array(variant, dtype=np.int64).reshape(-1, 2))
+        assert np.array_equal(g2.indptr, g.indptr)
+        assert np.array_equal(g2.indices, g.indices)
+
+    def test_accepts_generators(self):
+        g = SparseGraph.from_pairs(4, ((i, i + 1) for i in range(3)))
+        assert g.edge_array().tolist() == [[0, 1], [1, 2], [2, 3]]
+
+    def test_rejects_bad_pairs(self):
+        with pytest.raises(RangeError):
+            SparseGraph.from_pairs(3, [(0, 3)])
+        with pytest.raises(ValidationError):
+            SparseGraph.from_pairs(3, np.array([[1, 1]]))
+
+    def test_arrays_are_read_only(self):
+        g = SparseGraph.from_pairs(3, [(0, 1)])
+        with pytest.raises(ValueError):
+            g.indices[0] = 2
+        with pytest.raises(ValueError):
+            g.adjacency[0][0] = 2
+
+
+class TestValidatingConstructor:
+    @pytest.mark.parametrize("n, adjacency, error, message", [
+        (2, [[1], [2]], RangeError, "neighbor id out of range for node 1"),
+        (2, [[-1], []], RangeError, "neighbor id out of range for node 0"),
+        (2, [[0, 1], [0]], ValidationError, "self-loop at node 0"),
+        (3, [[2, 1], [0], [0]], ValidationError, "neighbors of node 0 not sorted/unique"),
+        (2, [[1], [0, 0]], ValidationError, "neighbors of node 1 not sorted/unique"),
+        (3, [[1], [0, 2], []], ValidationError, "edge (1,2) not symmetric"),
+        (2, [[1]], ValidationError, "adjacency list count does not match n"),
+        (-1, [], ValidationError, "node count must be nonnegative"),
+    ])
+    def test_errors(self, n, adjacency, error, message):
+        with pytest.raises(error) as exc:
+            SparseGraph(n, adjacency)
+        assert str(exc.value) == message
+
+    def test_accepts_valid_lists(self):
+        g = SparseGraph(4, [[1, 3], [0], [], [0]])
+        assert g.m == 2 and g.edge_array().tolist() == [[0, 1], [0, 3]]
+
+    def test_validation_at_200k_edges(self):
+        rng = np.random.default_rng(0)
+        n = 20_000
+        pairs = rng.integers(0, n, size=(205_000, 2))
+        g = SparseGraph.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        assert g.m >= 200_000
+        adjacency = g.adjacency
+        t0 = time.perf_counter()
+        rebuilt = SparseGraph(n, adjacency)
+        elapsed = time.perf_counter() - t0
+        assert np.array_equal(rebuilt.indices, g.indices)
+        # vectorized checks take about 0.02 s on a 2-core machine; a per-edge
+        # membership scan of the neighbour lists took over 2 s on the same machine
+        assert elapsed < 0.5, f"validation took {elapsed:.2f} s"
+        v = int(np.argmax(degrees(g)))
+        u = int(adjacency[v][-1])
+        broken = list(adjacency)
+        broken[v] = adjacency[v][:-1]
+        with pytest.raises(ValidationError, match=rf"edge \({u},{v}\) not symmetric"):
+            SparseGraph(n, broken)
 
 
 class TestDegreesAndDensity:
@@ -166,6 +419,20 @@ class TestSampleAdjacency:
         g = sample_adjacency(ProbabilityMatrix(entries), seed=11)
         check_invariants(g)
 
+    def test_matches_per_row_reference(self):
+        # row i draws from its own stream (seed, i) and keeps the hits j > i
+        rng = np.random.default_rng(6)
+        raw = rng.random((40, 40)) * 0.4
+        entries = (raw + raw.T) / 2
+        np.fill_diagonal(entries, 0.0)
+        expected = []
+        for i in range(39):
+            row_rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(i,)))
+            hits = np.nonzero(row_rng.random(39 - i) < entries[i, i + 1:])[0] + i + 1
+            expected += [[i, int(j)] for j in hits]
+        g = sample_adjacency(ProbabilityMatrix(entries), seed=21)
+        assert g.edge_array().tolist() == expected
+
     def test_expected_degrees(self):
         # mean observed degree over replicates approaches the row sums
         rng = np.random.default_rng(5)
@@ -191,6 +458,13 @@ class TestTruthLabels:
         path = tmp_path / "truth.csv"
         write_truth_labels(path, labels)
         assert np.array_equal(read_truth_labels(path), labels)
+
+    def test_file_format(self, tmp_path):
+        labels = np.array([False, True, True, False] * 3)
+        path = tmp_path / "truth.csv"
+        write_truth_labels(path, labels)
+        expected = "node_id,is_core\n" + "".join(f"{i},{int(f)}\n" for i, f in enumerate(labels))
+        assert path.read_bytes() == expected.encode("ascii")
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "truth.csv"

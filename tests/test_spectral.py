@@ -7,9 +7,9 @@ from conftest import (dense_config_scores, dense_er_scores, random_graph,
                       random_orthonormal)
 from corex.errors import DomainError
 from corex.graph import ProbabilityMatrix, SparseGraph, degrees, load_edge_list
-from corex.spectral import (CoreScores, SpectralDecomposition, _er_periphery_level,
-                            config_scores, diagnostics, er_scores, scores_from_truth,
-                            truncated_eigs)
+from corex.spectral import (_TRUTH_ROW_BLOCK, CoreScores, SpectralDecomposition,
+                            _er_periphery_level, config_scores, diagnostics, er_scores,
+                            scores_from_truth, truncated_eigs)
 from corex.synth import SynthConfig, generate_instance, graphon_by_number
 
 
@@ -247,6 +247,22 @@ class TestScoresFromTruth:
         entries[0, 1] = entries[1, 0] = 0.5
         with pytest.raises(DomainError):
             scores_from_truth(ProbabilityMatrix(entries), "config")
+
+    def test_row_blocks_equal_whole_matrix_formula(self):
+        # n spans several row blocks and is not a multiple of the block size
+        n = 2 * _TRUTH_ROW_BLOCK + 37
+        rng = np.random.default_rng(8)
+        raw = rng.random((n, n)) * 0.5
+        entries = (raw + raw.T) / 2
+        np.fill_diagonal(entries, 0.0)
+        p = ProbabilityMatrix(entries)
+        centered = p.entries - p.entries.mean(axis=1, keepdims=True)
+        assert np.array_equal(scores_from_truth(p, "er").values,
+                              np.linalg.norm(centered, axis=1))
+        scaled = p.entries / p.expected_degrees()[np.newaxis, :]
+        centered = scaled - scaled.mean(axis=1, keepdims=True)
+        assert np.array_equal(scores_from_truth(p, "config").values,
+                              np.linalg.norm(centered, axis=1))
 
 
 class TestDiagnostics:
