@@ -1,9 +1,10 @@
 """Turning scores into a core/periphery partition and picking the rank.
 
 Selection rules: fixed-size top-k, the two theoretical score thresholds,
-and 2-means on log scores.  The approximating rank is chosen by edge
-cross-validation (mask node pairs, refit the low-rank estimate, compare
-held-out entries).
+and 2-means on log scores.  The approximating rank is chosen by
+edge-sampling cross-validation (hold out a share of the edges, refit the
+low-rank estimate, compare it with the held-out edges and with a
+reweighted sample of non-edges).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = [
 ECV_DEFAULT_FOLDS = 3
 ECV_DEFAULT_HOLDOUT = 0.1
 KMEANS_FLOOR = 1e-12
+_ECV_NON_EDGES_PER_EDGE = 10  # uniform non-edge draws per held-out edge, per fold
+_ECV_PAIR_BLOCK = 1 << 15  # pairs scored at once: bounds the (pairs x rank) temporaries
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,10 @@ class RankSelection:
     candidate_losses: tuple  # fold-averaged held-out MSE, aligned with candidates
     folds: int
     holdout_fraction: float
+    # the record behind the choice, kept out of to_json_dict:
+    fold_losses: tuple = ()  # one tuple per fold, aligned with candidates
+    fold_held_edges: tuple = ()  # held-out edges per fold
+    fold_non_edges: tuple = ()  # sampled non-edges per fold, edge draws rejected
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,30 +167,85 @@ def kmeans_split(scores, floor: float = KMEANS_FLOOR) -> CorePartition:
                          selection_method="kmeans", cutoff=float(math.exp(cut_value)))
 
 
-def _pair_split(n: int, holdout_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Randomly mask a fixed fraction of the unordered node pairs.
+def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode indices into the row-major upper triangle of an n x n matrix
+    (diagonal excluded) into (i, j) pairs with i < j; exact in int64 for
+    n up to 2e9."""
+    # count from the end, where row n - 2 - q holds q + 1 pairs: the square
+    # root of 8t + 1 then suffers no cancellation and is off by at most one
+    t = n * (n - 1) // 2 - 1 - index
+    q = np.floor((np.sqrt(8.0 * t + 1.0) - 1.0) / 2.0).astype(np.int64)
+    q = np.where(q * (q + 1) // 2 > t, q - 1, q)
+    q = np.where((q + 1) * (q + 2) // 2 <= t, q + 1, q)
+    return n - 2 - q, n - 1 - (t - q * (q + 1) // 2)
 
-    Returns (held_i, held_j) index arrays for the masked pairs i < j.
+
+def _edge_split(g: SparseGraph, edges: np.ndarray, keys: np.ndarray,
+                holdout_fraction: float, rng):
+    """One fold's held-out sample: (held, kept, non_edges, non_edge_weight).
+
+    `held` is round(holdout_fraction * m) edges drawn without replacement
+    and `kept` the graph of the other edges.  `non_edges` are the
+    accepted ones among uniform pair draws, edges (sorted keys i*n + j in
+    `keys`) rejected; each stands for non_edge_weight of the
+    holdout_fraction * (N - m) non-edges a held-out share of all N pairs
+    would contain.
     """
-    iu, ju = np.triu_indices(n, k=1)
-    n_pairs = iu.size
-    n_hold = int(round(holdout_fraction * n_pairs))
-    n_hold = min(max(n_hold, 1), n_pairs - 1)
-    perm = rng.permutation(n_pairs)
-    hold = perm[:n_hold]
-    return iu[hold], ju[hold]
+    n, m, n_pairs = g.n, g.m, g.n * (g.n - 1) // 2
+    n_held = int(round(holdout_fraction * m))
+    held_mask = np.zeros(m, dtype=bool)
+    held_mask[rng.choice(m, size=n_held, replace=False)] = True
+    kept = SparseGraph.from_pairs(n, edges[~held_mask])
+    non_edge_share = holdout_fraction * (n_pairs - m)
+    draws = min(_ECV_NON_EDGES_PER_EDGE * n_held, int(round(non_edge_share)))
+    if non_edge_share > 0:
+        draws = max(draws, 1)
+    # sorted draws give ascending keys, which searchsorted and the row
+    # gathers in _fold_losses walk in order
+    i, j = _triangle_pairs(n, np.sort(rng.integers(0, n_pairs, size=draws)))
+    draw_keys = i * n + j
+    # a draw past the last key lands on the sentinel -1, which no pair matches
+    is_edge = np.append(keys, -1)[np.searchsorted(keys, draw_keys)] == draw_keys
+    non_edges = np.column_stack([i[~is_edge], j[~is_edge]])
+    weight = non_edge_share / len(non_edges) if len(non_edges) else 0.0
+    return edges[held_mask], kept, non_edges, weight
+
+
+def _fold_losses(vals: np.ndarray, vecs: np.ndarray, held: np.ndarray,
+                 non_edges: np.ndarray, non_edge_weight: float, cands) -> np.ndarray:
+    """Weighted mean clipped squared error of the rank-r predictions, for
+    each r in cands, over the held-out edges (truth 1, weight 1) and the
+    sampled non-edges (truth 0, weight non_edge_weight); 0 where nothing
+    was held out."""
+    pairs = np.concatenate([held, non_edges])
+    truth = np.arange(len(pairs)) < len(held)
+    weights = np.where(truth, 1.0, non_edge_weight)
+    r_max, cols = max(cands), np.asarray(cands) - 1
+    sums = np.zeros(len(cands))
+    for lo in range(0, len(pairs), _ECV_PAIR_BLOCK):
+        block = slice(lo, lo + _ECV_PAIR_BLOCK)
+        i, j = pairs[block].T
+        # column r - 1 is the rank-r prediction of every pair in the block
+        partial = np.cumsum(vecs[i, :r_max] * vals[:r_max] * vecs[j, :r_max], axis=1)
+        sums += weights[block] @ (np.clip(partial[:, cols], 0.0, 1.0) - truth[block, None]) ** 2
+    total = weights.sum()
+    return sums / total if total > 0 else np.zeros(len(cands))
 
 
 def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
                     holdout_fraction: float = ECV_DEFAULT_HOLDOUT,
                     seed: int = 0) -> RankSelection:
-    """Pick the approximating rank by edge cross-validation.
+    """Pick the approximating rank by edge-sampling cross-validation
+    (Li, Levina & Zhu, Biometrika 2020).
 
-    Per fold: mask a random holdout_fraction of unordered pairs, zero them
-    out, rescale the kept entries by 1/(1-holdout_fraction), eigen-truncate
-    at each candidate rank, clamp the reconstruction to [0,1], and score
-    the masked entries by squared error.  The fold-averaged loss decides;
-    ties go to the smallest rank.
+    Per fold: hold out a random holdout_fraction of the edges, rescale the
+    kept edges by 1/(1-holdout_fraction), eigen-truncate at each candidate
+    rank, clamp the reconstruction to [0,1], and score the held-out edges
+    by squared error.  Non-edges are sampled uniformly, up to ten per
+    held-out edge, and reweighted to stand for the holdout_fraction share
+    of all non-edges, so the loss estimates the mean over a held-out share
+    of all node pairs in O((m + s) r) time and memory for s samples.  The
+    fold-averaged loss decides; ties go to the smallest rank.
     """
     cands = sorted(set(int(c) for c in candidates))
     if not cands:
@@ -197,43 +259,40 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
     if folds < 1:
         raise DomainError("folds must be >= 1")
     n = g.n
-    adj = g.to_csr()
+    edges = g.edge_array()
+    keys = edges[:, 0] * n + edges[:, 1]  # ascending: edge_array is sorted
     r_max = cands[-1]
     losses = np.zeros((folds, len(cands)))
+    held_counts, non_edge_counts = [], []
     for fold in range(folds):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
-        hi, hj = _pair_split(n, holdout_fraction, rng)
-        mask = SparseGraph.from_pairs(n, np.column_stack([hi, hj])).to_csr()
-        kept = adj - adj.multiply(mask)
-        kept = kept * (1.0 / (1.0 - holdout_fraction))
-        kept.eliminate_zeros()
-        if kept.nnz == 0:
+        held, kept, non_edges, weight = _edge_split(g, edges, keys, holdout_fraction, rng)
+        if kept.m == 0:
             vals = np.zeros(r_max)
             vecs = np.zeros((n, r_max))
             vecs[np.arange(r_max), np.arange(r_max)] = 1.0
         else:
             # predictions tolerate loose eigenpairs; never abort a fold
-            vals, vecs, _ = _eigs(kept, r_max, tol=1e-6,
-                                  seed=seed + 7919 * (fold + 1), strict=False)
-        truth = np.asarray(adj[hi, hj]).ravel()
-        # column r - 1 is the rank-r prediction of every held-out pair
-        partial = np.cumsum(vecs[hi, :r_max] * vals[:r_max] * vecs[hj, :r_max], axis=1)
-        for ci, r in enumerate(cands):
-            pred = np.clip(partial[:, r - 1], 0.0, 1.0)
-            losses[fold, ci] = float(np.mean((pred - truth) ** 2))
-        del partial  # (pairs x r_max) floats: free them before the next fold's split
+            vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout_fraction)), r_max,
+                                  tol=1e-6, seed=seed + 7919 * (fold + 1), strict=False)
+        losses[fold] = _fold_losses(vals, vecs, held, non_edges, weight, cands)
+        held_counts.append(len(held))
+        non_edge_counts.append(len(non_edges))
     mean_losses = losses.mean(axis=0)
     chosen = cands[int(np.argmin(mean_losses))]  # argmin takes first = smallest r
     return RankSelection(chosen_r=chosen, candidates=tuple(cands),
                          candidate_losses=tuple(float(v) for v in mean_losses),
-                         folds=folds, holdout_fraction=holdout_fraction)
+                         folds=folds, holdout_fraction=holdout_fraction,
+                         fold_losses=tuple(tuple(float(v) for v in row) for row in losses),
+                         fold_held_edges=tuple(held_counts),
+                         fold_non_edges=tuple(non_edge_counts))
 
 
 def write_partition_csv(path, partition: CorePartition, scores) -> None:
     values = _score_values(scores)
     if values.size != partition.labels.size:
         raise DomainError("scores and partition length mismatch")
+    flags = partition.labels.astype(np.uint8).tolist()
+    rows = [f"{i},{flag},{v!r}\n" for i, (flag, v) in enumerate(zip(flags, values.tolist()))]
     with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,is_core,score\n")
-        for i, (flag, v) in enumerate(zip(partition.labels, values)):
-            fh.write(f"{i},{int(flag)},{float(v)!r}\n")
+        fh.write("node_id,is_core,score\n" + "".join(rows))

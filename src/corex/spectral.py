@@ -308,7 +308,6 @@ def diagnostics(p: ProbabilityMatrix, r: int, core_labels=None) -> DiagnosticRep
 
 
 def write_scores_csv(path, scores: CoreScores) -> None:
+    values = np.asarray(scores.values, dtype=np.float64).tolist()
     with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,score\n")
-        for i, v in enumerate(scores.values):
-            fh.write(f"{i},{float(v)!r}\n")
+        fh.write("node_id,score\n" + "".join([f"{i},{v!r}\n" for i, v in enumerate(values)]))

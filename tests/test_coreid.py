@@ -1,13 +1,20 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corex.coreid import (RankSelection, identify_top_k, kmeans_split,
-                          select_rank_ecv, threshold_config, threshold_er)
+from conftest import random_graph
+from corex.coreid import (KMEANS_FLOOR, CorePartition, RankSelection, _edge_split, _fold_losses,
+                          _triangle_pairs, identify_top_k, kmeans_split,
+                          select_rank_ecv, threshold_config, threshold_er,
+                          write_partition_csv)
 from corex.errors import DegenerateError, DomainError
-from corex.graph import ProbabilityMatrix, sample_adjacency
-from corex.spectral import CoreScores
+from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
+from corex.spectral import CoreScores, _eigs, write_scores_csv
 
 # frozen independent evaluations (decimal arithmetic, 60 digits)
 ER_CUTOFF_N100_P004 = 0.43615668958789177
@@ -157,6 +164,34 @@ class TestKmeansSplit:
         assert np.array_equal(padded.labels[:len(values)], base.labels)
         assert not padded.labels[len(values):].any()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1e-13, KMEANS_FLOOR, 0.5, 2.0, 7.0]),
+                              st.floats(KMEANS_FLOOR, 1e6)), min_size=2, max_size=40))
+    def test_no_split_of_sorted_scores_is_better(self, values):
+        # brute force over every split of the sorted live log-scores; the
+        # sampled values give ties and scores at or below the floor
+        values = np.array(values)
+        live = values > KMEANS_FLOOR
+        logs = np.log(values[live])
+        x = np.sort(logs)
+        if x.size < 2 or x[0] == x[-1]:
+            with pytest.raises(DegenerateError):
+                kmeans_split(er(values))
+            return
+        part = kmeans_split(er(values))
+        assert not part.labels[~live].any()
+        core = part.labels[live]
+        assert core.any() and not core.all()
+        assert logs[core].min() > logs[~core].max()  # a split of the sorted values
+
+        def wcss(a):
+            return float(np.sum((a - a.mean()) ** 2)) if a.size else 0.0
+
+        chosen = wcss(logs[core]) + wcss(logs[~core])
+        tol = 1e-9 * (1.0 + wcss(x))
+        for k in range(1, x.size):
+            assert chosen <= wcss(x[:k]) + wcss(x[k:]) + tol
+
 
 def planted_rank1(n, p, seed):
     entries = np.full((n, n), p)
@@ -213,3 +248,253 @@ class TestSelectRankEcv:
                             holdout_fraction=0.1)
         payload = sel.to_json_dict()
         assert payload["chosen_r"] == 2 and payload["losses"]["2"] == 0.2
+
+
+def fold_sample(g, holdout_fraction, seed, fold):
+    """Replay fold `fold` of select_rank_ecv(..., seed=seed): its held-out
+    edges, kept graph, sampled non-edges, non-edge weight and eigenpairs."""
+    edges = g.edge_array()
+    keys = edges[:, 0] * g.n + edges[:, 1]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
+    held, kept, non_edges, weight = _edge_split(g, edges, keys, holdout_fraction, rng)
+    return held, kept, non_edges, weight
+
+
+class TestTrianglePairs:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 120))
+    def test_every_index_matches_triu_indices(self, n):
+        i, j = _triangle_pairs(n, np.arange(n * (n - 1) // 2))
+        iu, ju = np.triu_indices(n, k=1)
+        assert np.array_equal(i, iu) and np.array_equal(j, ju)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(90_000, 110_000), st.integers(10 ** 9, 2 * 10 ** 9)),
+           st.data())
+    def test_large_n_near_row_starts_and_the_end(self, n, data):
+        # exact integer inverse: index = row_start(i) + (j - i - 1), i < j < n.
+        # From n near 5e8 the float square root overshoots by one row next to
+        # many row ends, and the guard steps it back; a square root taken
+        # without counting from the end is many rows off near N at n = 1e9
+        n_pairs = n * (n - 1) // 2
+
+        def row_start(i):
+            return i * (2 * n - i - 1) // 2
+
+        row = data.draw(st.integers(0, n - 2))
+        near_end = data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=20))
+        index = [row_start(row), row_start(row + 1) - 1, max(row_start(row) - 1, 0)]
+        index += [n_pairs - 1 - k for k in near_end]
+        i, j = _triangle_pairs(n, np.array(index, dtype=np.int64))
+        for k, a, b in zip(index, i.tolist(), j.tolist()):
+            assert 0 <= a < b < n
+            assert row_start(a) + (b - a - 1) == k
+
+    def test_last_pair_at_n_1e5(self):
+        n = 100_000
+        i, j = _triangle_pairs(n, np.array([n * (n - 1) // 2 - 1, 0]))
+        assert i.tolist() == [n - 2, 0] and j.tolist() == [n - 1, 1]
+
+
+class TestEcvRecord:
+    def test_fold_losses_average_to_candidate_losses(self):
+        g = planted_sbm3(90, 0.5, 0.1, seed=3)
+        sel = select_rank_ecv(g, [1, 2, 3, 4], folds=4, holdout_fraction=0.2, seed=1)
+        folds = np.array(sel.fold_losses)
+        assert folds.shape == (4, 4)
+        assert np.array_equal(folds.mean(axis=0), np.array(sel.candidate_losses))
+        assert sel.fold_held_edges == (round(0.2 * g.m),) * 4
+        assert all(0 < s <= 10 * round(0.2 * g.m) for s in sel.fold_non_edges)
+
+    def test_json_keys_unchanged(self):
+        g = planted_rank1(60, 0.2, seed=0)
+        payload = select_rank_ecv(g, [1, 2], seed=0).to_json_dict()
+        assert set(payload) == {"chosen_r", "losses", "folds", "holdout_fraction"}
+
+    def test_sample_size(self):
+        # ten draws per held-out edge, capped by the held-out share of non-edges
+        sparse_g = planted_rank1(200, 0.02, seed=4)
+        held, _, non_edges, _ = fold_sample(sparse_g, 0.1, seed=0, fold=0)
+        assert len(held) == round(0.1 * sparse_g.m)
+        assert len(non_edges) <= 10 * len(held)
+        assert len(non_edges) >= 9 * len(held)  # few of the draws hit edges
+        dense_g = planted_rank1(40, 0.9, seed=5)
+        share = 0.1 * (40 * 39 // 2 - dense_g.m)
+        _, _, non_edges, weight = fold_sample(dense_g, 0.1, seed=0, fold=0)
+        assert len(non_edges) <= round(share)
+        assert weight == share / len(non_edges)
+
+
+class TestEcvEdgeCases:
+    def check(self, g, cands):
+        sel = select_rank_ecv(g, cands, seed=0)
+        assert isinstance(sel, RankSelection)
+        assert sel.chosen_r in sel.candidates == tuple(cands)
+        assert np.all(np.isfinite(sel.fold_losses))
+        assert np.all(np.isfinite(sel.candidate_losses))
+        assert len(sel.fold_losses) == sel.folds == len(sel.fold_held_edges)
+        return sel
+
+    def test_edgeless_graph(self):
+        sel = self.check(SparseGraph.from_pairs(6, []), [1, 2, 3])
+        assert sel.fold_held_edges == (0, 0, 0) and min(sel.fold_non_edges) >= 1
+        assert sel.candidate_losses == (0.0, 0.0, 0.0) and sel.chosen_r == 1  # tie: smallest
+
+    def test_single_edge_graph(self):
+        for n in (2, 3, 5, 12):
+            self.check(SparseGraph.from_pairs(n, [(0, n - 1)]), list(range(1, n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_complete_graph(self, n):
+        g = SparseGraph.from_pairs(n, list(itertools.combinations(range(n), 2)))
+        sel = self.check(g, list(range(1, n)))
+        assert sel.fold_non_edges == (0, 0, 0)
+
+    def test_sparse_graph_at_n_50000_stays_small(self):
+        # the pair universe alone would be 1.25e9 pairs, about 20 GB
+        n = 50_000
+        rng = np.random.default_rng(0)
+        pairs = rng.integers(0, n, size=(120_000, 2))
+        g = SparseGraph.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        tracemalloc.start()
+        try:
+            sel = select_rank_ecv(g, [1, 2, 3], seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.chosen_r in (1, 2, 3)
+        assert peak < 100 * 2 ** 20
+
+
+class TestEcvLossOracle:
+    """The sampled, reweighted loss against a dense brute force that uses
+    the same eigenpairs, on graphs small enough to list every pair."""
+
+    CASES = [(40, 0.2, 0.3), (50, 0.1, 0.2), (60, 0.3, 0.1), (30, 0.6, 0.3)]
+
+    @pytest.mark.parametrize("n, p, holdout", CASES)
+    def test_against_dense_brute_force(self, n, p, holdout):
+        cands = [1, 2, 3]
+        z_scores = []
+        for seed in range(8):
+            g = random_graph(n, p, seed=50 + seed)
+            sel = select_rank_ecv(g, cands, holdout_fraction=holdout, seed=seed)
+            adj = g.to_dense()
+            iu, ju = np.triu_indices(n, k=1)
+            for fold in range(sel.folds):
+                held, kept, non_edges, weight = fold_sample(g, holdout, seed, fold)
+                # the held-out edges are edges of g and never of the kept graph
+                kept_adj = kept.to_dense()
+                assert np.all(adj[held[:, 0], held[:, 1]] == 1)
+                assert not np.any(kept_adj[held[:, 0], held[:, 1]])
+                assert np.array_equal(kept_adj + _sym(n, held), adj)
+                assert np.all(adj[non_edges[:, 0], non_edges[:, 1]] == 0)
+                assert np.all(non_edges[:, 0] < non_edges[:, 1])
+                vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout)), max(cands),
+                                      tol=1e-6, seed=seed + 7919 * (fold + 1), strict=False)
+                losses = _fold_losses(vals, vecs, held, non_edges, weight, cands)
+                assert np.array_equal(losses, sel.fold_losses[fold])
+                share = holdout * (n * (n - 1) // 2 - g.m)
+                assert weight == pytest.approx(share / len(non_edges), rel=1e-15)
+                for ci, r in enumerate(cands):
+                    pred = np.clip((vecs[:, :r] * vals[:r]) @ vecs[:, :r].T, 0.0, 1.0)
+                    edge_sq = np.sum((pred[held[:, 0], held[:, 1]] - 1.0) ** 2)
+                    sample_sq = pred[non_edges[:, 0], non_edges[:, 1]] ** 2
+                    # the library's loss is the weighted mean over the scored pairs
+                    exact = (edge_sq + weight * sample_sq.sum()) / (len(held) + share)
+                    assert losses[ci] == pytest.approx(exact, rel=1e-12, abs=1e-15)
+                    # brute force: the mean over every non-edge, all eligible
+                    population = pred[iu, ju][adj[iu, ju] == 0] ** 2
+                    dense = (edge_sq + share * population.mean()) / (len(held) + share)
+                    se = share * population.std() / math.sqrt(len(non_edges)) / (len(held) + share)
+                    assert abs(losses[ci] - dense) <= 5.0 * se + 1e-12
+                    if se > 0:
+                        z_scores.append((losses[ci] - dense) / se)
+        # no systematic bias: the mean z-score over 24 folds x 3 ranks stays
+        # within 5 standard errors of an unbiased estimator, even fully correlated
+        assert abs(np.mean(z_scores)) <= 5.0 / math.sqrt(len(z_scores) / len(cands))
+
+    def test_losses_span_several_pair_blocks(self):
+        # more pairs than one block of _fold_losses: the blocks must add up
+        rng = np.random.default_rng(3)
+        n, r = 300, 5
+        vecs = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        vals = np.array([40.0, -12.0, 9.0, 5.0, 3.0])
+        held = rng.integers(0, n, size=(30_000, 2))
+        non_edges = rng.integers(0, n, size=(50_000, 2))
+        cands = [1, 3, 5]
+        losses = _fold_losses(vals, vecs, held, non_edges, 2.5, cands)
+        pred = [np.clip(np.sum(vecs[p[:, 0], :r] * vals[:r] * vecs[p[:, 1], :r], axis=1), 0, 1)
+                for p in (held, non_edges) for r in cands]
+        expected = [(np.sum((pred[k] - 1.0) ** 2) + 2.5 * np.sum(pred[3 + k] ** 2))
+                    / (len(held) + 2.5 * len(non_edges)) for k in range(3)]
+        assert losses == pytest.approx(expected, rel=1e-12)
+
+
+def _sym(n, pairs):
+    a = np.zeros((n, n))
+    a[pairs[:, 0], pairs[:, 1]] = a[pairs[:, 1], pairs[:, 0]] = 1.0
+    return a
+
+
+def reference_scores_csv(path, values):
+    with open(path, "wt", encoding="utf-8", newline="\n") as fh:
+        fh.write("node_id,score\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{float(v)!r}\n")
+
+
+def reference_partition_csv(path, labels, values):
+    with open(path, "wt", encoding="utf-8", newline="\n") as fh:
+        fh.write("node_id,is_core,score\n")
+        for i, (flag, v) in enumerate(zip(labels, values)):
+            fh.write(f"{i},{int(flag)},{float(v)!r}\n")
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 3.0, 1e22,
+                  12345678901234567.0, 0.1, 1e-300, 1.7976931348623157e308,
+                  float("inf"), float("nan")]
+
+
+class TestCsvWriters:
+    """Both writers format the whole file at once; their bytes must equal
+    the one-line-per-numpy-scalar reference."""
+
+    def check(self, tmp_path, values, labels):
+        values = np.asarray(values, dtype=np.float64)
+        scores = er(values)
+        write_scores_csv(tmp_path / "a.csv", scores)
+        reference_scores_csv(tmp_path / "b.csv", values)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        part = CorePartition(labels=labels, n_core=int(labels.sum()),
+                             selection_method="kmeans", cutoff=0.5)
+        write_partition_csv(tmp_path / "c.csv", part, scores)
+        reference_partition_csv(tmp_path / "d.csv", labels, values)
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+    def test_special_values(self, tmp_path):
+        labels = np.arange(len(SPECIAL_VALUES)) % 3 == 0
+        self.check(tmp_path, SPECIAL_VALUES, labels)
+
+    def test_empty(self, tmp_path):
+        self.check(tmp_path, [], np.zeros(0, dtype=bool))
+
+    def test_integer_and_float32_inputs(self, tmp_path):
+        ints = CoreScores(values=np.array([0, 1, 2]), model="er", rank_used=1)
+        write_scores_csv(tmp_path / "a.csv", ints)
+        assert (tmp_path / "a.csv").read_text() == "node_id,score\n0,0.0\n1,1.0\n2,2.0\n"
+        values = np.array([0.1, 1 / 3, 2.5], dtype=np.float32)
+        scores = CoreScores(values=values, model="er", rank_used=1)
+        write_scores_csv(tmp_path / "b.csv", scores)
+        reference_scores_csv(tmp_path / "c.csv", values)
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES),
+                                        st.integers(-2 ** 60, 2 ** 60).map(float))),
+                    max_size=50))
+    def test_matches_reference(self, tmp_path_factory, rows):
+        tmp_path = tmp_path_factory.mktemp("csv")
+        labels = np.array([flag for flag, _ in rows], dtype=bool)
+        self.check(tmp_path, [v for _, v in rows], labels)
