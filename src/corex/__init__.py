@@ -24,11 +24,9 @@ from .graph import (ProbabilityMatrix, SparseGraph, average_density, degrees,
                     write_edge_list, write_truth_labels)
 from .spectral import (CoreScores, SpectralDecomposition, config_scores,
                        diagnostics, er_scores, scores_from_truth, truncated_eigs)
-from .synth import (ConfigAssembly, GeneratedInstance, GraphonSpec, SynthConfig,
-                    assemble_config, assemble_er, definition1_residual,
-                    definition2_residual, generate_instance, graphon_by_number,
-                    graphon_core, graphon_matrix, graphon_value,
-                    periphery_product_residual, rescale, sample_latents,
-                    sample_periphery_theta)
+from .synth import (GeneratedInstance, GraphonSpec, SynthConfig, assemble_er,
+                    definition1_residual, definition2_residual, generate_instance,
+                    graphon_by_number, graphon_core, graphon_matrix, graphon_value,
+                    periphery_product_residual, sample_latents, sample_periphery_theta)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

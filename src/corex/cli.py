@@ -197,7 +197,7 @@ def cmd_bench(args) -> int:
         result = run_experiment(graphon, cfg, methods=methods,
                                 replicates=args.replicates,
                                 rank_mode=args.rank_mode, rank=args.rank,
-                                eps=args.eps, collect_scores=True)
+                                eps=args.eps)
         pooled_truth = np.concatenate(result.truth_vectors)
         ratio_tag = f"{ratio:g}".replace(".", "p")
         for method in methods:

@@ -38,6 +38,7 @@ __all__ = [
 PROPOSED_METHODS = ("proposed_er", "proposed_config")
 BASELINE_METHODS = ("degree", "pagerank", "eigenvector", "local_cc", "kcore")
 ALL_METHODS = PROPOSED_METHODS + BASELINE_METHODS
+ECV_CANDIDATES = (1, 2, 3, 4, 5, 6, 7, 8)  # ranks run_experiment's ECV mode chooses from
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ class ExperimentResult:
     aucs: dict = field(default_factory=dict)  # method -> list of AUC
     operating_points: dict = field(default_factory=dict)  # rule -> list of (fpr, tpr)
     chosen_ranks: list = field(default_factory=list)
-    # populated only with collect_scores=True: method -> list of arrays
+    # per-replicate score arrays, method -> list, for the pooled ROC files
     score_vectors: dict = field(default_factory=dict)
     truth_vectors: list = field(default_factory=list)
 
@@ -190,15 +191,15 @@ def _replicate_seed(master_seed: int, replicate: int) -> int:
 
 def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
                    replicates: int = 20, rank_mode: str = "fixed", rank: int = 6,
-                   ecv_candidates=(1, 2, 3, 4, 5, 6, 7, 8),
-                   eps: float = 0.01, collect_scores: bool = False) -> ExperimentResult:
+                   eps: float = 0.01) -> ExperimentResult:
     """Replicate the simulation protocol for one design point.
 
     Per replicate: draw the ground-truth matrix and one adjacency sample,
-    score the nodes with every requested method, collect AUCs, and record
-    the operating points of the threshold and 2-means selection rules
-    (plus the k-core staircase).  cfg.seed is the master seed; every
-    replicate derives its own seed from it.
+    score the nodes with every requested method, collect AUCs and the
+    score and truth vectors, and record the operating points of the
+    threshold and 2-means selection rules (plus the k-core staircase).  In
+    ECV mode the rank is chosen from ECV_CANDIDATES.  cfg.seed is the
+    master seed; every replicate derives its own seed from it.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(ALL_METHODS)
@@ -232,12 +233,11 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
         if need_spectral:
             r = rank
             if rank_mode == "ecv":
-                selection = select_rank_ecv(g, ecv_candidates, seed=rep_seed)
+                selection = select_rank_ecv(g, ECV_CANDIDATES, seed=rep_seed)
                 r = selection.chosen_r
                 result.chosen_ranks.append(r)
             dec = truncated_eigs(g, r, seed=rep_seed)
-        if collect_scores:
-            result.truth_vectors.append(truth)
+        result.truth_vectors.append(truth)
         for method in methods:
             if method in PROPOSED_METHODS:
                 model = method.removeprefix("proposed_")
@@ -268,13 +268,12 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
                 result.operating_points.setdefault("kcore", []).extend(
                     kcore_points(coreness, truth))
             result.aucs[method].append(roc(values, truth).auc)
-            if collect_scores:
-                result.score_vectors.setdefault(method, []).append(values)
+            result.score_vectors.setdefault(method, []).append(values)
     return result
 
 
 def write_roc_csv(path, curve: RocCurve, method: str) -> None:
+    points = np.asarray(curve.points, dtype=np.float64).tolist()
     with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,fpr,tpr\n")
-        for fpr, tpr in curve.points:
-            fh.write(f"{method},{float(fpr)!r},{float(tpr)!r}\n")
+        fh.write("method,fpr,tpr\n" + "".join([f"{method},{fpr!r},{tpr!r}\n"
+                                                for fpr, tpr in points]))

@@ -68,24 +68,13 @@ class CoreScores:
     excluded: tuple = field(default_factory=tuple)  # zero-degree nodes (config)
 
 
-def _order_eigenpairs(vals: np.ndarray, vecs: np.ndarray, r: int, ordering: str):
-    if ordering == "magnitude":
-        # stable tiebreak: larger magnitude first, then larger signed value
-        idx = np.lexsort((-vals, -np.abs(vals)))[:r]
-    elif ordering == "signed":
-        idx = np.argsort(-vals, kind="stable")[:r]
-    else:
-        raise DomainError(f"unknown ordering {ordering!r}")
-    return vals[idx], vecs[:, idx]
-
-
 def _residual(mat, vals: np.ndarray, vecs: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
 
 
-def _eigs(mat, r: int, tol: float, seed: int, ordering: str = "magnitude",
-          strict: bool = True):
-    """Top-r eigenpairs of the symmetric sparse n x n matrix `mat`, 1 <= r < n.
+def _eigs(mat, r: int, tol: float, seed: int, strict: bool = True):
+    """Top-r eigenpairs by magnitude of the symmetric sparse n x n matrix
+    `mat`, 1 <= r < n.
 
     ARPACK's implicitly restarted Lanczos method (`eigsh`) does the work,
     started from a seeded vector so results are deterministic; dense
@@ -105,8 +94,7 @@ def _eigs(mat, r: int, tol: float, seed: int, ordering: str = "magnitude",
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE1,)))
         v0 = rng.standard_normal(n)
         try:
-            vals, vecs = eigsh(mat, k=r, which="LM" if ordering == "magnitude" else "LA",
-                               tol=tol, v0=v0)
+            vals, vecs = eigsh(mat, k=r, which="LM", tol=tol, v0=v0)
         except ArpackNoConvergence as exc:
             if strict:
                 vals, vecs = exc.eigenvalues, exc.eigenvectors
@@ -119,7 +107,9 @@ def _eigs(mat, r: int, tol: float, seed: int, ordering: str = "magnitude",
             dense = True
     if dense:
         vals, vecs = np.linalg.eigh(mat.toarray())
-    vals, vecs = _order_eigenpairs(vals, vecs, r, ordering)
+    # stable tiebreak: larger magnitude first, then larger signed value
+    idx = np.lexsort((-vals, -np.abs(vals)))[:r]
+    vals, vecs = vals[idx], vecs[:, idx]
     residual = _residual(mat, vals, vecs)
     if strict and residual > tol * max(1.0, float(np.abs(vals).max())):
         raise ConvergenceError(f"eigenpair residual {residual:.3g} above tol={tol}",
@@ -128,12 +118,11 @@ def _eigs(mat, r: int, tol: float, seed: int, ordering: str = "magnitude",
 
 
 def truncated_eigs(g: SparseGraph, r: int, tol: float = DEFAULT_TOL,
-                   seed: int = 0, ordering: str = "magnitude") -> SpectralDecomposition:
+                   seed: int = 0) -> SpectralDecomposition:
     """Top-r eigenpairs of the adjacency matrix, largest magnitude first.
 
     Magnitude ordering makes the truncation agree with the truncated SVD
-    of the symmetric adjacency matrix; `ordering="signed"` switches to
-    plain decreasing-eigenvalue selection.
+    of the symmetric adjacency matrix.
     """
     if g.n == 0:
         raise DomainError("graph is empty")
@@ -144,7 +133,7 @@ def truncated_eigs(g: SparseGraph, r: int, tol: float = DEFAULT_TOL,
         vecs = np.zeros((g.n, r))
         vecs[np.arange(r), np.arange(r)] = 1.0
         return SpectralDecomposition(r, np.zeros(r), vecs, g.n, residual=0.0)
-    vals, vecs, residual = _eigs(g.to_csr(), r, tol, seed, ordering=ordering)
+    vals, vecs, residual = _eigs(g.to_csr(), r, tol, seed)
     return SpectralDecomposition(r, vals, vecs, g.n, residual=residual)
 
 

@@ -2,9 +2,10 @@
 
 Cores are drawn from graphons via latent uniforms; peripheries follow
 either a constant (ER-type) connection level or a product-form
-(configuration-type) pattern.  A two-scalar rescaling then hits a target
-overall density and core/periphery expected-degree ratio.  Nodes are
-ordered core first, periphery second.
+(configuration-type) pattern.  Two scalars, solved in closed form for
+each periphery type, then hit a target overall density and
+core/periphery expected-degree ratio.  Nodes are ordered core first,
+periphery second.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .graph import ProbabilityMatrix
 __all__ = [
     "GraphonSpec",
     "SynthConfig",
-    "ConfigAssembly",
     "RescaleResult",
     "GeneratedInstance",
     "graphon_by_number",
@@ -28,9 +28,7 @@ __all__ = [
     "graphon_matrix",
     "graphon_core",
     "assemble_er",
-    "assemble_config",
     "sample_periphery_theta",
-    "rescale",
     "definition1_residual",
     "definition2_residual",
     "periphery_product_residual",
@@ -152,66 +150,22 @@ def assemble_er(core_p: ProbabilityMatrix, n_periphery: int,
     return ProbabilityMatrix(p, _validated=True)
 
 
-@dataclass(frozen=True)
-class ConfigAssembly:
-    """Configuration-type assembly output: matrix, degree parameters,
-    and how many entries had to be clipped to 1."""
-
-    matrix: ProbabilityMatrix
-    theta: np.ndarray  # length n, core row sums then sampled periphery weights
-    clip_count: int
-
-
 def sample_periphery_theta(core_p: ProbabilityMatrix, n_periphery: int,
-                           seed: int, theta_range=None) -> np.ndarray:
+                           seed: int) -> np.ndarray:
     """Periphery degree parameters, uniform on
-    (0.5 * min core weight, 1.5 * max core weight) unless an explicit
-    (lo, hi) range overrides (a degenerate lo == hi is permitted).
+    (0.5 * min core weight, 1.5 * max core weight).
 
     The range is in units of the unscaled core weights (core-block row
     sums).  generate_instance later multiplies the periphery weights by a
-    factor beta relative to the core weights to reach the degree ratio,
-    so its periphery weights span beta times this range.
-    """
-    if theta_range is None:
-        theta_core = core_p.expected_degrees()
-        lo = 0.5 * float(theta_core.min())
-        hi = 1.5 * float(theta_core.max())
-    else:
-        lo, hi = float(theta_range[0]), float(theta_range[1])
-        if lo < 0 or hi < lo:
-            raise DomainError("theta_range must satisfy 0 <= lo <= hi")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA1,)))
-    return lo + (hi - lo) * rng.random(n_periphery)
-
-
-def assemble_config(core_p: ProbabilityMatrix, n_periphery: int,
-                    seed: int, theta_range=None) -> ConfigAssembly:
-    """Attach a configuration-type periphery.
-
-    Core weights are the core-block row sums; periphery weights are drawn
-    uniformly between half the smallest and 1.5x the largest core weight
-    (no scaling is applied here, so that range holds as drawn).  Every
-    pair touching a periphery node gets theta_i * theta_j divided by the
-    total core weight, clipping at 1 if needed.  Unclipped, the result
-    meets Definition 2: the expected degrees (periphery diagonal added
-    back) are proportional to theta.
+    factor beta relative to the core weights to reach the degree ratio
+    (see _scale_config), so its periphery weights span beta times this
+    range.
     """
     theta_core = core_p.expected_degrees()
-    s_core = float(theta_core.sum())
-    if s_core <= 0.0:
-        raise DomainError("core block has zero total weight")
-    theta_peri = sample_periphery_theta(core_p, n_periphery, seed, theta_range)
-    theta = np.concatenate([theta_core, theta_peri])
-    nc = core_p.n
-    p = np.outer(theta, theta) / s_core
-    p[:nc, :nc] = core_p.entries
-    np.fill_diagonal(p, 0.0)
-    clip_count = int(np.count_nonzero(p > 1.0) // 2)
-    if clip_count:
-        np.clip(p, 0.0, 1.0, out=p)
-    return ConfigAssembly(matrix=ProbabilityMatrix(p, _validated=True),
-                          theta=theta, clip_count=clip_count)
+    lo = 0.5 * float(theta_core.min())
+    hi = 1.5 * float(theta_core.max())
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA1,)))
+    return lo + (hi - lo) * rng.random(n_periphery)
 
 
 @dataclass(frozen=True)
@@ -250,72 +204,6 @@ class RescaleResult:
     clip_count: int
 
 
-def _block_sums(entries: np.ndarray, nc: int):
-    w_cc = float(entries[:nc, :nc].sum())
-    w_cp = float(entries[:nc, nc:].sum())
-    w_pp = float(entries[nc:, nc:].sum())
-    return w_cc, w_cp, w_pp
-
-
-def rescale(p: ProbabilityMatrix, cfg: SynthConfig) -> RescaleResult:
-    """Scale core-core entries by one constant and periphery-touching
-    entries by another so the off-diagonal mean hits cfg.target_density
-    and the core/periphery mean expected-degree ratio hits
-    cfg.degree_ratio.  The linear two-by-two system is solved in closed
-    form; entries are clipped to [0,1] afterwards and the operation fails
-    if more than 20% of pairs clip.
-
-    This keeps Definition 1 (constant periphery rows) and the product form
-    of periphery-touching entries, but not Definition 2: two different
-    constants break d proportional to theta.  generate_instance scales
-    configuration-type weights before assembly instead.
-    """
-    if p.n != cfg.n:
-        raise DomainError("matrix size does not match configuration")
-    return _rescale_entries(p.entries, cfg)
-
-
-def _rescale_entries(entries: np.ndarray, cfg: SynthConfig) -> RescaleResult:
-    nc, npr = cfg.n_core, cfg.n_periphery
-    n = cfg.n
-    total_pairs_x2 = n * n - n
-    target_sum = cfg.target_density * total_pairs_x2
-    w_cc, w_cp, w_pp = _block_sums(entries, nc)
-    if npr == 0:
-        if w_cc <= 0.0:
-            raise InfeasibleError("core block has zero mass; cannot rescale")
-        c_core = target_sum / w_cc
-        c_peri = 1.0
-    elif w_cc <= 0.0:
-        # single-node or empty core block: only one scale is available
-        c_core = 1.0
-        denom = 2.0 * w_cp + w_pp
-        if denom <= 0.0:
-            raise InfeasibleError("matrix has zero mass; cannot rescale")
-        c_peri = target_sum / denom
-        mean_core = c_peri * w_cp / nc
-        mean_peri = c_peri * (w_cp + w_pp) / npr
-        if abs(mean_core / mean_peri - cfg.degree_ratio) > 1e-6:
-            raise InfeasibleError("degree ratio unreachable with empty core block")
-    else:
-        peri_mass = w_cp + w_pp
-        if peri_mass <= 0.0:
-            raise InfeasibleError("periphery block has zero mass; cannot rescale")
-        k = (cfg.degree_ratio * (nc / npr) * peri_mass - w_cp) / w_cc
-        if k <= 0.0:
-            raise InfeasibleError(
-                f"degree ratio {cfg.degree_ratio} unreachable for this assembly"
-            )
-        c_peri = target_sum / (k * w_cc + 2.0 * w_cp + w_pp)
-        c_core = k * c_peri
-    scaled = entries.copy()
-    scaled[:nc, :nc] *= c_core
-    scaled[:nc, nc:] *= c_peri
-    scaled[nc:, :nc] *= c_peri
-    scaled[nc:, nc:] *= c_peri
-    return _clipped_result(scaled, c_core, c_peri)
-
-
 def _clipped_result(scaled: np.ndarray, c_core: float, c_peri: float) -> RescaleResult:
     """Clip a scaled matrix to [0, 1] in place; fail past 20% of pairs."""
     n = scaled.shape[0]
@@ -329,6 +217,42 @@ def _clipped_result(scaled: np.ndarray, c_core: float, c_peri: float) -> Rescale
     return RescaleResult(matrix=ProbabilityMatrix(scaled, _validated=True),
                          c_core=float(c_core), c_periphery=float(c_peri),
                          clip_count=clip_count)
+
+
+def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig) -> RescaleResult:
+    """ER-type assembly that meets the density and degree ratio.
+
+    The core block is scaled by c_core and the constant periphery level a
+    by c_periphery, so an unclipped instance meets Definition 1 exactly.
+    The block masses are w_cc = sum(core block), w_cp = a n_core n_periphery
+    and w_pp = a n_periphery (n_periphery - 1).  With R' = degree_ratio *
+    n_core / n_periphery, the degree ratio fixes k = c_core / c_periphery
+    = (R' (w_cp + w_pp) - w_cp) / w_cc, and the density fixes
+    c_periphery = target / (k w_cc + 2 w_cp + w_pp), where target is the
+    required sum of off-diagonal entries.  Without a periphery only c_core
+    is free, and c_periphery is 1.
+    """
+    nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
+    target_sum = cfg.target_density * (n * n - n)
+    w_cc = float(core_p.entries.sum())
+    if w_cc <= 0.0:
+        raise InfeasibleError("core block has zero mass; cannot scale")
+    if npr == 0:
+        c_core, c_peri = target_sum / w_cc, 1.0
+    else:
+        w_cp = level * nc * npr
+        w_pp = level * npr * (npr - 1)
+        k = (cfg.degree_ratio * (nc / npr) * (w_cp + w_pp) - w_cp) / w_cc
+        if k <= 0.0:
+            raise InfeasibleError(
+                f"degree ratio {cfg.degree_ratio} unreachable for this assembly"
+            )
+        c_peri = target_sum / (k * w_cc + 2.0 * w_cp + w_pp)
+        c_core = k * c_peri
+    p = np.full((n, n), c_peri * level)
+    np.multiply(core_p.entries, c_core, out=p[:nc, :nc])
+    np.fill_diagonal(p, 0.0)
+    return _clipped_result(p, c_core, c_peri)
 
 
 def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray,
@@ -428,8 +352,9 @@ def periphery_product_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> f
 
     The product form is necessary for Definition 2 but not sufficient:
     Definition 2 also needs phi proportional to the expected degrees,
-    which definition2_residual checks.  A two-constant rescale keeps the
-    product form and still leaves Definition 2.
+    which definition2_residual checks.  Scaling the core block and the
+    periphery-touching entries of a Definition-2 matrix by two different
+    constants keeps the product form and still leaves Definition 2.
     """
     periphery = np.asarray(periphery, dtype=bool)
     peri_idx = np.nonzero(periphery)[0]
@@ -480,7 +405,9 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
     adjacency sampling are derived from cfg.seed and echoed in the
     metadata so every artifact can be rebuilt from the meta record alone.
 
-    ER-type: the assembly is rescaled by two constants (see rescale).
+    ER-type: the core block is scaled by c_core and the periphery level by
+    c_periphery, both solved in closed form from the block masses (see
+    _scale_er), so an unclipped instance meets Definition 1 exactly.
     Configuration-type: the core weights are scaled by c_core and the
     periphery weights by c_periphery before assembly (see _scale_config),
     so an unclipped instance meets Definition 2 exactly.  The periphery
@@ -510,9 +437,8 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
         level = er_level if er_level is not None else core.off_diagonal_mean()
         if not 0.0 < level < 1.0:
             raise DomainError("ER periphery level must lie in (0, 1)")
-        raw = assemble_er(core, cfg.n_periphery, level).entries
         meta["er_level"] = level
-        result = _rescale_entries(raw, cfg)
+        result = _scale_er(core, level, cfg)
     else:
         theta_peri = sample_periphery_theta(core, cfg.n_periphery, theta_seed)
         result = _scale_config(core, theta_peri, cfg)

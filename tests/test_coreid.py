@@ -13,6 +13,7 @@ from corex.coreid import (KMEANS_FLOOR, CorePartition, RankSelection, _edge_spli
                           select_rank_ecv, threshold_config, threshold_er,
                           write_partition_csv)
 from corex.errors import DegenerateError, DomainError
+from corex.evaluate import RocCurve, write_roc_csv
 from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
 from corex.spectral import CoreScores, _eigs, write_scores_csv
 
@@ -451,14 +452,21 @@ def reference_partition_csv(path, labels, values):
             fh.write(f"{i},{int(flag)},{float(v)!r}\n")
 
 
+def reference_roc_csv(path, method, points):
+    with open(path, "wt", encoding="utf-8", newline="\n") as fh:
+        fh.write("method,fpr,tpr\n")
+        for fpr, tpr in points:
+            fh.write(f"{method},{float(fpr)!r},{float(tpr)!r}\n")
+
+
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 3.0, 1e22,
                   12345678901234567.0, 0.1, 1e-300, 1.7976931348623157e308,
                   float("inf"), float("nan")]
 
 
 class TestCsvWriters:
-    """Both writers format the whole file at once; their bytes must equal
-    the one-line-per-numpy-scalar reference."""
+    """The scores, partition and ROC writers format the whole file at once;
+    their bytes must equal the one-line-per-numpy-scalar reference."""
 
     def check(self, tmp_path, values, labels):
         values = np.asarray(values, dtype=np.float64)
@@ -471,6 +479,11 @@ class TestCsvWriters:
         write_partition_csv(tmp_path / "c.csv", part, scores)
         reference_partition_csv(tmp_path / "d.csv", labels, values)
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        # ROC points pair each value with the values in reverse order
+        points = np.column_stack([values, values[::-1]])
+        write_roc_csv(tmp_path / "e.csv", RocCurve(points=points, auc=0.5), "proposed_er")
+        reference_roc_csv(tmp_path / "f.csv", "proposed_er", points)
+        assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
 
     def test_special_values(self, tmp_path):
         labels = np.arange(len(SPECIAL_VALUES)) % 3 == 0

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corex.errors import DomainError, InfeasibleError
 from corex.graph import ProbabilityMatrix
 from corex.spectral import scores_from_truth
-from corex.synth import (PRESET_SIZES, GraphonSpec, SynthConfig, assemble_config,
-                         assemble_er, definition1_residual, definition2_residual,
-                         generate_instance, graphon_by_number, graphon_core,
-                         graphon_matrix, graphon_value, periphery_product_residual,
-                         rescale, sample_latents, sample_periphery_theta)
+from corex.synth import (PRESET_SIZES, GraphonSpec, SynthConfig, assemble_er,
+                         definition1_residual, definition2_residual, generate_instance,
+                         graphon_by_number, graphon_core, graphon_matrix, graphon_value,
+                         periphery_product_residual, sample_latents,
+                         sample_periphery_theta)
 
 G1 = graphon_by_number(1)
 G2 = graphon_by_number(2)
@@ -139,117 +142,143 @@ class TestAssembleEr:
         assert np.allclose(values[12:], expected, rtol=1e-12)
 
 
-class TestAssembleConfig:
-    def test_degenerate_uniform_collapse(self):
-        c, n_core = 0.3, 5
-        core = small_core(p=c / (n_core - 1), n=n_core)  # all weights equal c... scaled
-        theta_c = core.expected_degrees()
-        const = float(theta_c[0])
-        assembly = assemble_config(core, 3, seed=0, theta_range=(const, const))
-        # periphery entries collapse to theta/ N_C-sum ratio: const / (n_core*const) * const
-        expected = const * const / (n_core * const)
-        assert np.allclose(assembly.matrix.entries[5:, :5], expected, rtol=1e-12)
-        assert np.allclose(assembly.theta[n_core:], const)
+def constant_graphon(value):
+    return GraphonSpec(kind="custom",
+                       custom_fn=lambda m, n: np.full(np.broadcast_shapes(np.shape(m),
+                                                                          np.shape(n)), value))
 
-    def test_definition2_membership(self):
-        core = graphon_core(G1, 30, seed=4)
-        assembly = assemble_config(core, 20, seed=9)
-        periphery = np.zeros(50, dtype=bool)
-        periphery[30:] = True
-        assert assembly.clip_count == 0
-        assert definition2_residual(assembly.matrix, periphery) <= 1e-10
+
+def er_instance(graphon, n_core, n_periphery, ratio, density, er_level=None, seed=0):
+    cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
+                      degree_ratio=ratio, target_density=density, seed=seed)
+    return generate_instance(graphon, cfg, er_level=er_level)
+
+
+def dense_rescale_oracle(graphon, cfg, meta):
+    """The dense ER scaling that generate_instance replaced: assemble the
+    n x n matrix, take its block sums, solve the 2 x 2 system for the two
+    constants, scale a copy and clip it.  Returns (c_core, c_periphery,
+    scaled matrix), or None when the system has no feasible solution."""
+    nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
+    core = graphon_core(graphon, nc, meta["latents_seed"])
+    dense = assemble_er(core, npr, meta["er_level"]).entries
+    w_cc = dense[:nc, :nc].sum()
+    w_cp = dense[:nc, nc:].sum()
+    w_pp = dense[nc:, nc:].sum()
+    target = cfg.target_density * (n * n - n)
+    if npr == 0:
+        c_core, c_peri = target / w_cc, 1.0
+    else:
+        k = (cfg.degree_ratio * (nc / npr) * (w_cp + w_pp) - w_cp) / w_cc
+        if k <= 0.0:
+            return None
+        c_peri = target / (k * w_cc + 2.0 * w_cp + w_pp)
+        c_core = k * c_peri
+    scaled = dense.copy()
+    scaled[:nc, :nc] *= c_core
+    scaled[:nc, nc:] *= c_peri
+    scaled[nc:, :] *= c_peri
+    if np.count_nonzero(scaled > 1.0) // 2 > 0.2 * ((n * n - n) // 2):
+        return None
+    return c_core, c_peri, np.minimum(scaled, 1.0)
+
+
+class TestAssembleConfig:
+    """Configuration-type assembly, reached through generate_instance."""
 
     def test_theta_deterministic(self):
         core = graphon_core(G3, 15, seed=6)
         t1 = sample_periphery_theta(core, 10, seed=21)
         t2 = sample_periphery_theta(core, 10, seed=21)
         assert np.array_equal(t1, t2)
-        a1 = assemble_config(core, 10, seed=21)
-        a2 = assemble_config(core, 10, seed=21)
-        assert np.array_equal(a1.matrix.entries, a2.matrix.entries)
 
     def test_zero_core_rejected(self):
-        entries = np.zeros((4, 4))
+        cfg = SynthConfig(n_core=4, n_periphery=3, periphery="config",
+                          degree_ratio=1.0, target_density=0.05, seed=0)
         with pytest.raises(DomainError):
-            assemble_config(ProbabilityMatrix(entries), 3, seed=0)
+            generate_instance(constant_graphon(0.0), cfg)
 
 
 class TestRescale:
+    """ER-type scaling by two constants, reached through generate_instance."""
+
     def test_identity_when_already_on_target(self):
-        n_core, n_peri = 10, 10
-        n = n_core + n_peri
-        density = 0.25
-        entries = np.full((n, n), density)
-        np.fill_diagonal(entries, 0.0)
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_peri, periphery="er",
-                          degree_ratio=1.0, target_density=density, seed=0)
-        result = rescale(ProbabilityMatrix(entries), cfg)
-        assert abs(result.c_core - 1.0) < 1e-9
-        assert abs(result.c_periphery - 1.0) < 1e-9
+        # a constant 0.25 core and level: density 0.25 and ratio 1 already hold
+        inst = er_instance(constant_graphon(0.25), 10, 10, ratio=1.0, density=0.25,
+                           er_level=0.25)
+        assert abs(inst.meta["c_core"] - 1.0) < 1e-9
+        assert abs(inst.meta["c_periphery"] - 1.0) < 1e-9
 
     def test_hits_target_density(self):
-        core = graphon_core(G1, 30, seed=3)
-        p = assemble_er(core, 30, 0.05)
-        cfg = SynthConfig(n_core=30, n_periphery=30, periphery="er",
-                          degree_ratio=2.0, target_density=0.02, seed=0)
-        result = rescale(p, cfg)
-        assert result.clip_count == 0
-        assert abs(result.matrix.off_diagonal_mean() - 0.02) < 1e-9
+        inst = er_instance(G1, 30, 30, ratio=2.0, density=0.02, er_level=0.05, seed=3)
+        assert inst.meta["rescale_clip_count"] == 0
+        assert abs(inst.p.off_diagonal_mean() - 0.02) < 1e-9
 
     def test_hits_degree_ratio(self):
-        core = graphon_core(G2, 40, seed=8)
-        p = assemble_er(core, 60, 0.04)
-        cfg = SynthConfig(n_core=40, n_periphery=60, periphery="er",
-                          degree_ratio=3.0, target_density=0.03, seed=0)
-        result = rescale(p, cfg)
-        deg = result.matrix.expected_degrees()
+        inst = er_instance(G2, 40, 60, ratio=3.0, density=0.03, er_level=0.04, seed=8)
+        deg = inst.p.expected_degrees()
         ratio = deg[:40].mean() / deg[40:].mean()
         assert abs(ratio - 3.0) < 1e-6
 
     def test_preserves_er_membership(self):
-        core = graphon_core(G1, 25, seed=5)
-        p = assemble_er(core, 25, 0.06)
-        cfg = SynthConfig(n_core=25, n_periphery=25, periphery="er",
-                          degree_ratio=2.5, target_density=0.05, seed=0)
-        result = rescale(p, cfg)
-        periphery = np.zeros(50, dtype=bool)
-        periphery[25:] = True
-        assert result.clip_count == 0
-        assert definition1_residual(result.matrix, periphery) <= 1e-16
-
-    def test_preserves_product_form(self):
-        core = graphon_core(G1, 25, seed=6)
-        assembly = assemble_config(core, 25, seed=7)
-        cfg = SynthConfig(n_core=25, n_periphery=25, periphery="config",
-                          degree_ratio=2.0, target_density=0.05, seed=0)
-        result = rescale(assembly.matrix, cfg)
-        periphery = np.zeros(50, dtype=bool)
-        periphery[25:] = True
-        assert result.clip_count == 0
-        assert periphery_product_residual(result.matrix, periphery) <= 1e-10
+        inst = er_instance(G1, 25, 25, ratio=2.5, density=0.05, er_level=0.06, seed=5)
+        assert inst.meta["rescale_clip_count"] == 0
+        assert definition1_residual(inst.p, ~inst.truth) == 0.0
 
     def test_infeasible_ratio(self):
-        core = graphon_core(G1, 10, seed=2)
-        p = assemble_er(core, 40, 0.05)
-        cfg = SynthConfig(n_core=10, n_periphery=40, periphery="er",
-                          degree_ratio=0.05, target_density=0.02, seed=0)
         with pytest.raises(InfeasibleError):
-            rescale(p, cfg)
+            er_instance(G1, 10, 40, ratio=0.05, density=0.02, er_level=0.05, seed=2)
 
     def test_heavy_clipping_rejected(self):
-        # a dense clique inside the core cannot be pushed to density 0.95
-        # without more than 20% of the pairs saturating at 1
-        n_core, n_peri = 22, 2
-        n = n_core + n_peri
-        entries = np.full((n, n), 0.001)
-        entries[:20, :20] = 0.9
-        entries[n_core:, :] = 0.01
-        entries[:, n_core:] = 0.01
-        np.fill_diagonal(entries, 0.0)
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_peri, periphery="er",
-                          degree_ratio=1.0, target_density=0.95, seed=0)
+        # ratio 3 at density 0.95 pushes every core pair of a constant core
+        # past 1, and core pairs are 190 of the 276 pairs
+        with pytest.raises(InfeasibleError, match="20%"):
+            er_instance(constant_graphon(0.5), 20, 4, ratio=3.0, density=0.95,
+                        er_level=0.1)
+
+    def test_zero_core_rejected(self):
         with pytest.raises(InfeasibleError):
-            rescale(ProbabilityMatrix(entries), cfg)
+            er_instance(constant_graphon(0.0), 5, 5, ratio=1.0, density=0.05,
+                        er_level=0.05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gnum=st.integers(1, 3), n_core=st.integers(2, 30),
+           n_periphery=st.integers(0, 30),
+           ratio=st.floats(1.0, 6.0), density=st.floats(0.005, 0.3),
+           er_level=st.one_of(st.none(), st.floats(0.001, 0.999)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_matches_dense_oracle(self, gnum, n_core, n_periphery, ratio,
+                                              density, er_level, seed):
+        graphon = graphon_by_number(gnum)
+        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
+                          degree_ratio=ratio, target_density=density, seed=seed)
+        try:
+            inst = generate_instance(graphon, cfg, er_level=er_level)
+        except InfeasibleError:
+            core_seed = int(np.random.SeedSequence(seed).generate_state(3)[0])
+            core = graphon_core(graphon, n_core, core_seed)
+            level = er_level if er_level is not None else core.off_diagonal_mean()
+            meta = {"latents_seed": core_seed, "er_level": level}
+            assert dense_rescale_oracle(graphon, cfg, meta) is None
+            return
+        oracle = dense_rescale_oracle(graphon, cfg, inst.meta)
+        assert oracle is not None
+        c_core, c_peri, scaled = oracle
+        assert inst.meta["c_core"] == pytest.approx(c_core, rel=1e-12)
+        assert inst.meta["c_periphery"] == pytest.approx(c_peri, rel=1e-12)
+        np.testing.assert_allclose(inst.p.entries, scaled, rtol=1e-12, atol=0.0)
+
+    def test_peak_memory_one_dense_matrix(self):
+        # the closed form allocates the n x n matrix once; the dense path
+        # assembled it and then scaled a copy, about 2.4 x 8 n^2 at this size
+        n = 2000
+        tracemalloc.start()
+        try:
+            er_instance(G1, 1000, 1000, ratio=3.0, density=0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestGenerateInstance:
