@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import io
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError, ParseError, RangeError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "SparseGraph",
@@ -112,6 +115,8 @@ class SparseGraph:
     def to_csr(self) -> sparse.csr_matrix:
         """Adjacency as a cached scipy CSR matrix of float64."""
         if self._csr is None:
+            # imported here so `generate` and `diagnose --truth-p` never load scipy
+            from scipy import sparse
             self._csr = sparse.csr_matrix((np.ones(self.indices.size), self.indices,
                                            self.indptr), shape=(self.n, self.n))
         return self._csr

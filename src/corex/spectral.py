@@ -84,8 +84,8 @@ def _eigs(mat, r: int, tol: float, seed: int, strict: bool = True):
     raises ConvergenceError; otherwise an ARPACK failure falls back to
     the dense solve.
     """
-    # imported on first solve: scipy.sparse.linalg pulls in scipy.linalg,
-    # about 0.1 s of start-up that `generate` and `diagnose --truth-p` skip
+    # imported on first solve, like scipy.sparse in `SparseGraph.to_csr`:
+    # `generate` and `diagnose --truth-p` never load scipy
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = mat.shape[0]

@@ -207,7 +207,10 @@ class RescaleResult:
 def _clipped_result(scaled: np.ndarray, c_core: float, c_peri: float) -> RescaleResult:
     """Clip a scaled matrix to [0, 1] in place; fail past 20% of pairs."""
     n = scaled.shape[0]
-    clip_count = int(np.count_nonzero(scaled > 1.0) // 2)
+    # a block of rows at a time, so the comparison never needs n x n bytes
+    step = max(1, 2**20 // n)
+    clip_count = sum(int(np.count_nonzero(scaled[i:i + step] > 1.0))
+                     for i in range(0, n, step)) // 2
     if clip_count > 0.2 * ((n * n - n) // 2):
         raise InfeasibleError(
             f"rescale would clip {clip_count} pairs (> 20% of all pairs)"

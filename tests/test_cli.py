@@ -1,5 +1,9 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,47 @@ def generated(tmp_path):
     out = tmp_path / "data"
     run(GEN_FLAGS + ["--out-dir", str(out)])
     return out
+
+
+IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+    out = Path(sys.argv[1])
+    scipy_modules = lambda: sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+    loaded = {}
+    import corex
+    from corex.cli import main
+    loaded["import"] = scipy_modules()
+    for periphery in ("er", "config"):
+        data = out / periphery
+        assert main(["generate", "--graphon", "1", "--n-core", "30", "--n-periphery", "30",
+                     "--periphery", periphery, "--density", "0.05", "--seed", "3",
+                     "--out-dir", str(data)]) == 0
+        loaded["generate " + periphery] = scipy_modules()
+        assert main(["diagnose", "--truth-p", str(data / "meta.json"), "--rank", "3",
+                     "--sweep", "0,20", "--out-dir", str(data / "diag")]) == 0
+        loaded["diagnose " + periphery] = scipy_modules()
+    assert main(["identify", "--input", str(out / "er" / "edges.tsv"), "--rank", "3",
+                 "--select", "threshold", "--out-dir", str(out / "id")]) == 0
+    loaded["identify"] = scipy_modules()
+    print(json.dumps(loaded))
+""")
+
+
+def test_scipy_loads_only_for_sparse_solves(tmp_path):
+    """`import corex`, `generate` and `diagnose --truth-p` never import
+    scipy; `identify` loads `scipy.sparse` on its first CSR matrix.  A fresh
+    interpreter, because this one has scipy loaded already."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    for step in ("import", "generate er", "diagnose er", "generate config", "diagnose config"):
+        assert loaded[step] == [], (step, loaded[step][:5])
+    assert "scipy.sparse" in loaded["identify"]
 
 
 class TestIdentify:

@@ -55,6 +55,19 @@ class TestTopK:
         b = identify_top_k(er(np.exp(3 * values)), 20)
         assert np.array_equal(a.labels, b.labels)
 
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ties_match_brute_force(self, values, data):
+        # node i is core iff fewer than n_core nodes beat it, where j beats i
+        # with a larger score, or an equal score and a smaller index
+        n_core = data.draw(st.integers(0, len(values)))
+        part = identify_top_k(er(values), n_core)
+        expected = [sum(b > a or (b == a and j < i) for j, b in enumerate(values)) < n_core
+                    for i, a in enumerate(values)]
+        assert part.labels.tolist() == expected
+        assert part.n_core == n_core == int(part.labels.sum())
+
 
 class TestThresholdEr:
     def test_frozen_cutoff(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import mann_whitney_auc, random_graph
 from corex import evaluate
@@ -50,6 +52,21 @@ class TestRoc:
             curve = roc(values, truth)
             assert curve.auc == pytest.approx(mann_whitney_auc(values, truth),
                                               abs=1e-12)
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0, 1.5, 4.0]), st.booleans()),
+                    min_size=2, max_size=50))
+    @settings(max_examples=150, deadline=None)
+    def test_ties_match_brute_force(self, pairs):
+        values, truth = (np.array(col) for col in zip(*pairs))
+        truth = truth.astype(bool)
+        assume(truth.any() and not truth.all())
+        curve = roc(values, truth)
+        # one point per distinct score: everything scoring at least t is called core
+        expected = [(0.0, 0.0)] + [(np.sum(~truth & (values >= t)) / np.sum(~truth),
+                                    np.sum(truth & (values >= t)) / np.sum(truth))
+                                   for t in sorted(set(values.tolist()), reverse=True)]
+        np.testing.assert_allclose(curve.points, expected, rtol=0, atol=1e-15)
+        assert curve.auc == pytest.approx(mann_whitney_auc(values, truth), abs=1e-12)
 
     def test_auc_equals_trapezoid_of_points(self):
         rng = np.random.default_rng(2)

@@ -207,6 +207,24 @@ class TestConfigScores:
             denom = np.maximum(np.abs(oracle), 1e-30)
             assert np.max(np.abs(values - oracle) / denom) <= 1e-10
 
+    @given(st.integers(3, 40), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_degree_nodes_match_brute_force(self, n, r, seed, zero_share):
+        rng = np.random.default_rng(seed)
+        r = min(r, n - 1)
+        u = random_orthonormal(n, r, rng)
+        lam = rng.standard_normal(r) * 5
+        deg = rng.integers(1, 20, size=n).astype(np.float64)
+        deg[rng.random(n) < zero_share] = 0.0
+        dec = SpectralDecomposition(r, *_magnitude_sort(lam, u), n)
+        scores = config_scores(dec, deg)
+        assert scores.excluded == tuple(np.nonzero(deg == 0)[0].tolist())
+        oracle = dense_config_scores(dec.eigenvectors, dec.eigenvalues, deg)
+        assert np.all(scores.values[deg == 0] == 0.0)
+        np.testing.assert_allclose(scores.values, oracle, rtol=1e-10,
+                                   atol=1e-13 * np.abs(lam).max())
+
 
 class TestScoresFromTruth:
     def test_pure_er(self):

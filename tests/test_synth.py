@@ -154,11 +154,24 @@ def er_instance(graphon, n_core, n_periphery, ratio, density, er_level=None, see
     return generate_instance(graphon, cfg, er_level=er_level)
 
 
+def er_peak_in_dense_matrices(n_core, n_periphery):
+    """tracemalloc peak of an ER generate_instance, in units of one n x n
+    float64 matrix."""
+    tracemalloc.start()
+    try:
+        er_instance(G1, n_core, n_periphery, ratio=3.0, density=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * (n_core + n_periphery) ** 2)
+
+
 def dense_rescale_oracle(graphon, cfg, meta):
     """The dense ER scaling that generate_instance replaced: assemble the
     n x n matrix, take its block sums, solve the 2 x 2 system for the two
     constants, scale a copy and clip it.  Returns (c_core, c_periphery,
-    scaled matrix), or None when the system has no feasible solution."""
+    scaled matrix, clip count), or None when the system has no feasible
+    solution."""
     nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
     core = graphon_core(graphon, nc, meta["latents_seed"])
     dense = assemble_er(core, npr, meta["er_level"]).entries
@@ -178,9 +191,10 @@ def dense_rescale_oracle(graphon, cfg, meta):
     scaled[:nc, :nc] *= c_core
     scaled[:nc, nc:] *= c_peri
     scaled[nc:, :] *= c_peri
-    if np.count_nonzero(scaled > 1.0) // 2 > 0.2 * ((n * n - n) // 2):
+    clip_count = int(np.count_nonzero(scaled > 1.0) // 2)
+    if clip_count > 0.2 * ((n * n - n) // 2):
         return None
-    return c_core, c_peri, np.minimum(scaled, 1.0)
+    return c_core, c_peri, np.minimum(scaled, 1.0), clip_count
 
 
 class TestAssembleConfig:
@@ -263,7 +277,8 @@ class TestRescale:
             return
         oracle = dense_rescale_oracle(graphon, cfg, inst.meta)
         assert oracle is not None
-        c_core, c_peri, scaled = oracle
+        c_core, c_peri, scaled, clip_count = oracle
+        assert inst.meta["rescale_clip_count"] == clip_count
         assert inst.meta["c_core"] == pytest.approx(c_core, rel=1e-12)
         assert inst.meta["c_periphery"] == pytest.approx(c_peri, rel=1e-12)
         np.testing.assert_allclose(inst.p.entries, scaled, rtol=1e-12, atol=0.0)
@@ -271,14 +286,21 @@ class TestRescale:
     def test_peak_memory_one_dense_matrix(self):
         # the closed form allocates the n x n matrix once; the dense path
         # assembled it and then scaled a copy, about 2.4 x 8 n^2 at this size
-        n = 2000
-        tracemalloc.start()
-        try:
-            er_instance(G1, 1000, 1000, ratio=3.0, density=0.02)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert er_peak_in_dense_matrices(1000, 1000) < 1.5
+
+    def test_peak_memory_no_square_clip_mask(self):
+        # counting clips over the whole matrix at once took an n x n boolean
+        # (1.375 x 8 n^2 here); a block of rows at a time leaves about 1.31 x
+        assert er_peak_in_dense_matrices(1000, 1000) < 1.35
+
+    def test_clip_count_over_row_blocks(self):
+        # n = 1400 spans two row blocks of the clip count
+        cfg = SynthConfig(n_core=600, n_periphery=800, periphery="er",
+                          degree_ratio=3.0, target_density=0.2, seed=1)
+        inst = generate_instance(G2, cfg)
+        c_core, c_peri, scaled, clip_count = dense_rescale_oracle(G2, cfg, inst.meta)
+        assert inst.meta["rescale_clip_count"] == clip_count == 49935
+        np.testing.assert_allclose(inst.p.entries, scaled, rtol=1e-12, atol=0.0)
 
 
 class TestGenerateInstance:
