@@ -21,27 +21,29 @@ __all__ = [
     "coreness_scores",
 ]
 
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-12  # on the L1 change of one iteration
+PAGERANK_MAX_ITER = 1000
+EIGENVECTOR_TOL = 1e-10  # on the Euclidean change of one iteration
+EIGENVECTOR_MAX_ITER = 20000
+
 
 @dataclass(frozen=True)
 class BaselineScores:
     values: np.ndarray
-    method: str  # degree | pagerank | eigenvector | local_cc | coreness
 
 
 def degree_scores(g: SparseGraph) -> BaselineScores:
-    return BaselineScores(values=degrees(g).astype(np.float64), method="degree")
+    return BaselineScores(values=degrees(g).astype(np.float64))
 
 
-def pagerank_scores(g: SparseGraph, damping: float = 0.85,
-                    tol: float = 1e-12, max_iter: int = 1000) -> BaselineScores:
+def pagerank_scores(g: SparseGraph) -> BaselineScores:
     """Power iteration for PageRank on the undirected graph.
 
     Each undirected edge acts as two directed edges; isolated (dangling)
     nodes redistribute their mass uniformly.  Iterates until the L1 change
-    drops below tol.
+    drops below PAGERANK_TOL.
     """
-    if not 0.0 < damping < 1.0:
-        raise DomainError("damping must lie in (0, 1)")
     n = g.n
     if n == 0:
         raise DomainError("graph is empty")
@@ -49,22 +51,21 @@ def pagerank_scores(g: SparseGraph, damping: float = 0.85,
     dangling = deg == 0
     adj = g.to_csr()
     pr = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
-    for _ in range(max_iter):
+    base = (1.0 - PAGERANK_DAMPING) / n
+    for _ in range(PAGERANK_MAX_ITER):
         outflow = np.where(dangling, 0.0, pr / np.where(dangling, 1.0, deg))
-        nxt = base + damping * (adj @ outflow)
+        nxt = base + PAGERANK_DAMPING * (adj @ outflow)
         if dangling.any():
-            nxt += damping * pr[dangling].sum() / n
+            nxt += PAGERANK_DAMPING * pr[dangling].sum() / n
         delta = float(np.abs(nxt - pr).sum())
         pr = nxt
-        if delta <= tol:
-            return BaselineScores(values=pr, method="pagerank")
-    raise ConvergenceError(f"pagerank did not converge in {max_iter} iterations",
+        if delta <= PAGERANK_TOL:
+            return BaselineScores(values=pr)
+    raise ConvergenceError(f"pagerank did not converge in {PAGERANK_MAX_ITER} iterations",
                            residual=delta)
 
 
-def eigenvector_scores(g: SparseGraph, tol: float = 1e-10,
-                       max_iter: int = 20000) -> BaselineScores:
+def eigenvector_scores(g: SparseGraph) -> BaselineScores:
     """Entrywise-nonnegative leading eigenvector of the adjacency matrix,
     unit Euclidean norm, by power iteration from the all-ones vector.
 
@@ -77,17 +78,17 @@ def eigenvector_scores(g: SparseGraph, tol: float = 1e-10,
     n = g.n
     adj = g.to_csr()
     x = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(max_iter):
+    for _ in range(EIGENVECTOR_MAX_ITER):
         y = adj @ x + x
         norm = float(np.linalg.norm(y))
         y /= norm
         delta = float(np.linalg.norm(y - x))
         x = y
-        if delta <= tol:
+        if delta <= EIGENVECTOR_TOL:
             x = np.abs(x)  # Perron vector: fix the sign convention
-            return BaselineScores(values=x / np.linalg.norm(x), method="eigenvector")
+            return BaselineScores(values=x / np.linalg.norm(x))
     raise ConvergenceError(
-        f"eigenvector centrality did not converge in {max_iter} iterations",
+        f"eigenvector centrality did not converge in {EIGENVECTOR_MAX_ITER} iterations",
         residual=delta,
     )
 
@@ -106,7 +107,7 @@ def local_cc_scores(g: SparseGraph) -> BaselineScores:
         eligible = deg >= 2
         denom = deg * (deg - 1.0)
         values[eligible] = 2.0 * tri[eligible] / denom[eligible]
-    return BaselineScores(values=values, method="local_cc")
+    return BaselineScores(values=values)
 
 
 def coreness_scores(g: SparseGraph) -> BaselineScores:
@@ -119,7 +120,7 @@ def coreness_scores(g: SparseGraph) -> BaselineScores:
     n = g.n
     deg = degrees(g)
     if n == 0:
-        return BaselineScores(values=np.zeros(0), method="coreness")
+        return BaselineScores(values=np.zeros(0))
     # nodes in buckets of equal degree, ascending; bin_ptr[d] starts bucket d
     vert = np.argsort(deg, kind="stable")
     node_pos = np.empty(n, dtype=np.int64)
@@ -141,4 +142,4 @@ def coreness_scores(g: SparseGraph) -> BaselineScores:
                     node_pos[u], node_pos[w] = pw, pu
                 bin_ptr[du] += 1
                 cur[u] -= 1
-    return BaselineScores(values=np.array(cur, dtype=np.float64), method="coreness")
+    return BaselineScores(values=np.array(cur, dtype=np.float64))

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .coreid import (identify_top_k, kmeans_split, select_rank_ecv,
                      threshold_config, threshold_er, write_partition_csv)
-from .errors import (ConvergenceError, CorexError, DegenerateError, DomainError,
-                     InfeasibleError, ParseError, RangeError, ValidationError)
+from .errors import (ConvergenceError, CorexError, DomainError, InfeasibleError,
+                     ParseError, ValidationError)
 from .evaluate import (ALL_METHODS, eigengap_profile, roc, run_experiment,
                        write_roc_csv)
 from .graph import (average_density, degrees, load_edge_list, sample_adjacency,
@@ -84,8 +84,7 @@ def cmd_generate(args) -> int:
     _write_run_record(out_dir, "generate", {
         "graphon": args.graphon, "n_core": n_core, "n_periphery": n_periphery,
         "periphery": args.periphery, "density": args.density,
-        "ratio": args.ratio, "seed": args.seed, "threads": args.threads,
-        "out_dir": args.out_dir,
+        "ratio": args.ratio, "seed": args.seed, "out_dir": args.out_dir,
     })
     instance = generate_instance(graphon, cfg)
     g = sample_adjacency(instance.p, instance.adjacency_seed)
@@ -111,7 +110,7 @@ def _parse_select(spec: str):
 
 
 def cmd_identify(args) -> int:
-    if not os.path.exists(args.input):
+    if not os.path.isfile(args.input):
         raise ValidationError(f"input file not found: {args.input}")
     select_method, topk = _parse_select(args.select)
     rank_auto = args.rank == "auto"
@@ -124,7 +123,7 @@ def cmd_identify(args) -> int:
     _write_run_record(out_dir, "identify", {
         "input": args.input, "model": args.model, "rank": args.rank,
         "select": args.select, "eps": args.eps, "seed": args.seed,
-        "threads": args.threads, "out_dir": args.out_dir,
+        "out_dir": args.out_dir,
     })
     g = load_edge_list(args.input)
     if g.n == 0 or g.m == 0:
@@ -173,8 +172,12 @@ def cmd_bench(args) -> int:
             raise DomainError("give --preset or --graphon")
         graphon_number, periphery = args.graphon, args.periphery
     n_core, n_periphery = _parse_sizes(args)
-    ratios = tuple(float(x) for x in args.ratios.split(",")) if args.ratios \
-        else DEFAULT_RATIOS
+    try:
+        ratios = tuple(map(float, args.ratios.split(","))) if args.ratios else DEFAULT_RATIOS
+    except ValueError:
+        raise DomainError(f"--ratios must be a comma list of numbers: {args.ratios!r}") from None
+    if args.replicates < 1:
+        raise DomainError("--replicates must be >= 1")
     methods = tuple(args.methods.split(",")) if args.methods else ALL_METHODS
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
@@ -185,8 +188,7 @@ def cmd_bench(args) -> int:
         "n_core": n_core, "n_periphery": n_periphery, "ratios": list(ratios),
         "methods": list(methods), "replicates": args.replicates,
         "rank": args.rank, "rank_mode": args.rank_mode, "density": args.density,
-        "eps": args.eps, "seed": args.seed, "threads": args.threads,
-        "out_dir": args.out_dir,
+        "eps": args.eps, "seed": args.seed, "out_dir": args.out_dir,
     })
     graphon = graphon_by_number(graphon_number)
     summary = {"settings": [], "methods": list(methods)}
@@ -204,10 +206,7 @@ def cmd_bench(args) -> int:
             pooled = np.concatenate(result.score_vectors[method])
             write_roc_csv(os.path.join(out_dir, f"roc_ratio{ratio_tag}_{method}.csv"),
                           roc(pooled, pooled_truth), method)
-        entry = result.summary_dict()
-        entry["degree_ratio"] = ratio
-        del entry["config"]
-        summary["settings"].append({"config": result.config, **entry})
+        summary["settings"].append({**result.summary_dict(), "degree_ratio": ratio})
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"benchmarked {len(methods)} methods at {len(ratios)} ratios "
           f"({args.replicates} replicates each)")
@@ -215,8 +214,13 @@ def cmd_bench(args) -> int:
 
 
 def _rebuild_from_meta(meta_path):
-    with open(meta_path, "rt", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path, "rt", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError(f"meta.json is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValidationError("meta.json must hold a JSON object")
     required = {"graphon", "n_core", "n_periphery", "periphery",
                 "target_density", "degree_ratio", "seed"}
     missing = required - set(meta)
@@ -245,15 +249,17 @@ def cmd_diagnose(args) -> int:
         raise DomainError("give exactly one of --truth-p or --input")
     if args.input and args.sweep:
         raise DomainError("the eigengap sweep needs --truth-p (a known core model)")
+    if args.rank < 1:
+        raise DomainError(f"--rank must be >= 1, got {args.rank}")
     sizes = _parse_sweep(args.sweep) if args.sweep else None
     source = args.truth_p or args.input
-    if not os.path.exists(source):
+    if not os.path.isfile(source):
         raise ValidationError(f"input file not found: {source}")
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, "diagnose", {
         "truth_p": args.truth_p, "input": args.input, "rank": args.rank,
         "sweep": args.sweep, "periphery_level": args.periphery_level,
-        "seed": args.seed, "threads": args.threads, "out_dir": args.out_dir,
+        "seed": args.seed, "out_dir": args.out_dir,
     })
     if args.truth_p:
         instance, meta = _rebuild_from_meta(args.truth_p)
@@ -299,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="master random seed (default 0; never wall-clock)")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="recorded in run.json only: nothing reads it yet, so "
-                            "numpy's BLAS still uses every core (ROADMAP item 5)")
 
     p_gen = sub.add_parser("generate", help="emit a synthetic benchmark network")
     p_gen.add_argument("--graphon", type=int, choices=(1, 2, 3), required=True)
@@ -363,16 +366,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, RangeError, DomainError,
-            DegenerateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConvergenceError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except CorexError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_SOLVER if isinstance(exc, (ConvergenceError, InfeasibleError)) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -41,13 +41,14 @@ class CorePartition:
     """Boolean core labels plus how they were selected."""
 
     labels: np.ndarray  # (n,) bool, True = core
-    n_core: int
     selection_method: str  # "topk" | "threshold" | "kmeans"
     cutoff: float | None = None  # score threshold actually applied
 
+    @property
+    def n_core(self) -> int:
+        return int(np.count_nonzero(self.labels))
+
     def __post_init__(self):
-        if self.n_core != int(np.count_nonzero(self.labels)):
-            raise DomainError("n_core does not match labels")
         if (self.cutoff is None) != (self.selection_method == "topk"):
             raise DomainError("cutoff present iff selection is not topk")
 
@@ -92,7 +93,7 @@ def identify_top_k(scores, n_core: int) -> CorePartition:
     # stable argsort on -values: equal scores keep ascending index order
     order = np.argsort(-values, kind="stable")
     labels[order[:n_core]] = True
-    return CorePartition(labels=labels, n_core=n_core, selection_method="topk")
+    return CorePartition(labels=labels, selection_method="topk")
 
 
 def _threshold(scores, model: str, p_hat: float, n: int, eps: float,
@@ -109,8 +110,7 @@ def _threshold(scores, model: str, p_hat: float, n: int, eps: float,
         raise DomainError("eps must lie in (0, 1)")
     cutoff = cutoff_of()
     labels = values > cutoff
-    return CorePartition(labels=labels, n_core=int(labels.sum()),
-                         selection_method="threshold", cutoff=cutoff)
+    return CorePartition(labels=labels, selection_method="threshold", cutoff=cutoff)
 
 
 def threshold_er(scores, p_hat: float, n: int, eps: float = 0.01) -> CorePartition:
@@ -125,10 +125,10 @@ def threshold_config(scores, p_hat: float, n: int, eps: float = 0.01) -> CorePar
                       lambda: math.sqrt(math.log(n)) / (n * math.sqrt(p_hat ** (1.0 + eps))))
 
 
-def kmeans_split(scores, floor: float = KMEANS_FLOOR) -> CorePartition:
+def kmeans_split(scores) -> CorePartition:
     """2-means on log scores; the cluster with the larger centroid is core.
 
-    Scores at or below `floor` (isolated nodes score 0) carry no log
+    Scores at or below KMEANS_FLOOR (isolated nodes score 0) carry no log
     scale: they are labelled periphery and left out of the fit, so they
     cannot pull the low cluster onto themselves.  One-dimensional 2-means
     on the remaining log scores is solved exactly: every split of the
@@ -139,10 +139,8 @@ def kmeans_split(scores, floor: float = KMEANS_FLOOR) -> CorePartition:
     n = values.size
     if n < 2:
         raise DomainError("kmeans split needs at least 2 scores")
-    if floor <= 0:
-        raise DomainError("floor must be positive")
     logv = np.full(n, -np.inf)
-    live = values > floor
+    live = values > KMEANS_FLOOR
     logv[live] = np.log(values[live])
     x = np.sort(logv[live])
     if x.size < 2 or x[0] == x[-1]:
@@ -163,8 +161,8 @@ def kmeans_split(scores, floor: float = KMEANS_FLOOR) -> CorePartition:
             best_cost, best_k = cost, k
     cut_value = x[best_k]  # smallest log score in the core cluster
     labels = logv >= cut_value
-    return CorePartition(labels=labels, n_core=int(labels.sum()),
-                         selection_method="kmeans", cutoff=float(math.exp(cut_value)))
+    return CorePartition(labels=labels, selection_method="kmeans",
+                         cutoff=float(math.exp(cut_value)))
 
 
 def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,14 +265,9 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
     for fold in range(folds):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
         held, kept, non_edges, weight = _edge_split(g, edges, keys, holdout_fraction, rng)
-        if kept.m == 0:
-            vals = np.zeros(r_max)
-            vecs = np.zeros((n, r_max))
-            vecs[np.arange(r_max), np.arange(r_max)] = 1.0
-        else:
-            # predictions tolerate loose eigenpairs; never abort a fold
-            vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout_fraction)), r_max,
-                                  tol=1e-6, seed=seed + 7919 * (fold + 1), strict=False)
+        # predictions tolerate loose eigenpairs; never abort a fold
+        vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout_fraction)), r_max,
+                              tol=1e-6, seed=seed + 7919 * (fold + 1), strict=False)
         losses[fold] = _fold_losses(vals, vecs, held, non_edges, weight, cands)
         held_counts.append(len(held))
         non_edge_counts.append(len(non_edges))

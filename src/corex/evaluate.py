@@ -45,7 +45,6 @@ ECV_CANDIDATES = (1, 2, 3, 4, 5, 6, 7, 8)  # ranks run_experiment's ECV mode cho
 class RocCurve:
     points: np.ndarray  # (k, 2) array of (fpr, tpr), (0,0) .. (1,1)
     auc: float
-    method: str = ""
 
 
 def roc(score_values, truth) -> RocCurve:
@@ -207,6 +206,8 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
         raise DomainError(f"unknown methods: {sorted(unknown)}")
     if rank_mode not in ("fixed", "ecv"):
         raise DomainError("rank_mode must be 'fixed' or 'ecv'")
+    if replicates < 1:
+        raise DomainError("replicates must be >= 1")
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))
     result = ExperimentResult(
         config={"graphon": graphon.kind, "n_core": cfg.n_core,

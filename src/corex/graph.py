@@ -179,7 +179,11 @@ def _read_text(source) -> str:
     elif not isinstance(source, bytes):  # an iterable of lines
         source = "".join(line if line.endswith("\n") else line + "\n" for line in source)
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("input is not UTF-8 text",
+                             source.count(b"\n", 0, exc.start) + 1) from None
     return source.replace("\r\n", "\n")
 
 

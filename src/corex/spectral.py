@@ -42,13 +42,23 @@ _TRUTH_ROW_BLOCK = 256  # rows per block in scores_from_truth: 2 MiB per tempora
 class SpectralDecomposition:
     """Top-r eigenpairs of a symmetric matrix, ordered by |eigenvalue|."""
 
-    rank: int
     eigenvalues: np.ndarray  # (r,) signed, decreasing magnitude
     eigenvectors: np.ndarray  # (n, r) column-orthonormal
-    source_n: int
     residual: float | None = None  # max ||A u - lam u|| when solved, else None
 
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.size
+
+    @property
+    def source_n(self) -> int:
+        return self.eigenvectors.shape[0]
+
     def __post_init__(self):
+        if (self.eigenvalues.ndim != 1 or self.eigenvectors.ndim != 2
+                or self.eigenvectors.shape[1] != self.eigenvalues.size):
+            raise DomainError(f"eigenvalues {self.eigenvalues.shape} do not match "
+                              f"eigenvectors {self.eigenvectors.shape}")
         lam = np.abs(self.eigenvalues)
         if np.any(lam[:-1] < lam[1:] - 1e-12 * max(1.0, lam[0] if lam.size else 1.0)):
             raise DomainError("eigenvalues not in decreasing magnitude order")
@@ -63,8 +73,6 @@ class CoreScores:
 
     values: np.ndarray
     model: str  # "er" or "config"
-    rank_used: int
-    centered: bool = True
     excluded: tuple = field(default_factory=tuple)  # zero-degree nodes (config)
 
 
@@ -89,6 +97,9 @@ def _eigs(mat, r: int, tol: float, seed: int, strict: bool = True):
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = mat.shape[0]
+    if mat.nnz == 0:
+        # zero matrix: every eigenvalue is 0, any orthonormal set works
+        return np.zeros(r), np.eye(n, r), 0.0
     dense = r >= n - 1
     if not dense:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE1,)))
@@ -117,24 +128,16 @@ def _eigs(mat, r: int, tol: float, seed: int, strict: bool = True):
     return vals, vecs, residual
 
 
-def truncated_eigs(g: SparseGraph, r: int, tol: float = DEFAULT_TOL,
-                   seed: int = 0) -> SpectralDecomposition:
+def truncated_eigs(g: SparseGraph, r: int, seed: int = 0) -> SpectralDecomposition:
     """Top-r eigenpairs of the adjacency matrix, largest magnitude first.
 
     Magnitude ordering makes the truncation agree with the truncated SVD
     of the symmetric adjacency matrix.
     """
-    if g.n == 0:
-        raise DomainError("graph is empty")
     if not 1 <= r < g.n:
         raise DomainError(f"rank r={r} must satisfy 1 <= r < n={g.n}")
-    if g.m == 0:
-        # zero matrix: every eigenvalue is 0, any orthonormal set works
-        vecs = np.zeros((g.n, r))
-        vecs[np.arange(r), np.arange(r)] = 1.0
-        return SpectralDecomposition(r, np.zeros(r), vecs, g.n, residual=0.0)
-    vals, vecs, residual = _eigs(g.to_csr(), r, tol, seed)
-    return SpectralDecomposition(r, vals, vecs, g.n, residual=residual)
+    vals, vecs, residual = _eigs(g.to_csr(), r, DEFAULT_TOL, seed)
+    return SpectralDecomposition(vals, vecs, residual=residual)
 
 
 def _gram_scores(u: np.ndarray, lam: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -151,7 +154,7 @@ def er_scores(dec: SpectralDecomposition) -> CoreScores:
     under an ER-type periphery score near zero)."""
     values = _gram_scores(dec.eigenvectors, dec.eigenvalues,
                           dec.eigenvectors, dec.source_n)
-    return CoreScores(values=values, model="er", rank_used=dec.rank)
+    return CoreScores(values=values, model="er")
 
 
 def config_scores(dec: SpectralDecomposition, deg: np.ndarray) -> CoreScores:
@@ -175,8 +178,7 @@ def config_scores(dec: SpectralDecomposition, deg: np.ndarray) -> CoreScores:
     if excluded:
         values = values.copy()
         values[list(excluded)] = 0.0
-    return CoreScores(values=values, model="config", rank_used=dec.rank,
-                      excluded=excluded)
+    return CoreScores(values=values, model="config", excluded=excluded)
 
 
 def scores_from_truth(p: ProbabilityMatrix, model: str) -> CoreScores:
@@ -198,7 +200,7 @@ def scores_from_truth(p: ProbabilityMatrix, model: str) -> CoreScores:
         rows = p.entries[start:start + _TRUTH_ROW_BLOCK] / d
         centered = rows - rows.mean(axis=1, keepdims=True)
         values[start:start + _TRUTH_ROW_BLOCK] = np.linalg.norm(centered, axis=1)
-    return CoreScores(values=values, model=model, rank_used=n)
+    return CoreScores(values=values, model=model)
 
 
 @dataclass(frozen=True)

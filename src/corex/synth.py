@@ -36,6 +36,8 @@ __all__ = [
     "PRESET_SIZES",
 ]
 
+_DEFINITION2_MAX_ITER = 200  # fixed-point steps for the implied periphery degrees
+
 PRESET_SIZES = {
     "balanced": (1000, 1000),
     "small-core": (700, 1300),
@@ -319,8 +321,7 @@ def definition1_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
     return worst
 
 
-def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray,
-                         max_iter: int = 200) -> float:
+def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
     """Deviation of periphery-touching entries from d_i d_j / sum(d).
 
     Degrees follow the ignoring-self-loops convention: the implied
@@ -330,7 +331,7 @@ def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray,
     periphery = np.asarray(periphery, dtype=bool)
     s = p.expected_degrees()
     d = s.copy()
-    for _ in range(max_iter):
+    for _ in range(_DEFINITION2_MAX_ITER):
         total = d.sum()
         if total <= 0.0:
             return 0.0 if not periphery.any() else float(np.abs(p.entries).max())

@@ -88,7 +88,7 @@ def noiseless_signal(inst, rank, model):
     n = p.n
     pbar = p.off_diagonal_mean()
     vals, vecs = magnitude_sorted(*np.linalg.eigh(p.entries))
-    dec = SpectralDecomposition(rank, vals[:rank], vecs[:, :rank], n)
+    dec = SpectralDecomposition(vals[:rank], vecs[:, :rank])
     deg = p.expected_degrees()
     core_idx = np.nonzero(truth)[0]
     rows = p.entries[core_idx]
@@ -134,7 +134,7 @@ def test_criterion_01_gram_trick_oracle_equivalence():
         lam = rng.standard_normal(r) * rng.uniform(1, 20)
         lam, u = magnitude_sorted(lam, u)
         deg = rng.integers(1, 30, size=n).astype(float)
-        dec = SpectralDecomposition(r, lam, u, n)
+        dec = SpectralDecomposition(lam, u)
         for values, oracle in (
             (er_scores(dec).values, dense_er_scores(u, lam)),
             (config_scores(dec, deg).values, dense_config_scores(u, lam, deg)),
@@ -419,13 +419,12 @@ def test_criterion_11_cli_determinism(tmp_path):
     a, b = run_twice(gen, tmp_path / "gen")
     ok &= a == b
     notes.append(f"generate {'ok' if a == b else 'DIFFERS'}")
-    # identical flags except --threads: everything but the flag echo matches
-    assert cli_main(gen + ["--threads", "4", "--out-dir",
-                           str(tmp_path / "gen_t")]) == 0
-    t_snap = snapshot(tmp_path / "gen_t")
-    same_t = all(a[nm] == t_snap[nm] for nm in a if nm != "run.json")
-    ok &= same_t
-    notes.append(f"threads {'ok' if same_t else 'DIFFERS'}")
+    # --threads is gone: the flag is a usage error, not an echo in run.json
+    with pytest.raises(SystemExit) as exc:
+        cli_main(gen + ["--threads", "4", "--out-dir", str(tmp_path / "gen_t")])
+    rejected = exc.value.code == 2
+    ok &= rejected
+    notes.append(f"threads {'rejected' if rejected else 'ACCEPTED'}")
 
     edges = str(tmp_path / "gen" / "edges.tsv")
     ident = ["identify", "--input", edges, "--model", "er", "--rank", "3",

@@ -56,10 +56,6 @@ class TestPagerank:
         values = pagerank_scores(g).values
         assert abs(values.sum() - 1.0) <= 1e-10
 
-    def test_damping_domain(self):
-        with pytest.raises(DomainError):
-            pagerank_scores(load_edge_list(TRIANGLE), damping=1.0)
-
 
 class TestEigenvector:
     def test_triangle(self):
@@ -71,7 +67,7 @@ class TestEigenvector:
         assert np.allclose(values, 1 / np.sqrt(2), atol=1e-8)
 
     def test_path3_matches_dense_solve(self):
-        values = eigenvector_scores(load_edge_list(PATH3), tol=1e-12).values
+        values = eigenvector_scores(load_edge_list(PATH3)).values
         assert np.allclose(values, [0.5, 1 / np.sqrt(2), 0.5], atol=1e-8)
 
     def test_needs_an_edge(self):

@@ -51,12 +51,17 @@ class TestGenerate:
                 continue  # echoes the differing --out-dir flag
             assert files_a[name] == files_b[name], name
 
-    def test_thread_flag_does_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run(GEN_FLAGS + ["--out-dir", str(a), "--threads", "1"])
-        run(GEN_FLAGS + ["--out-dir", str(b), "--threads", "4"])
-        assert (a / "edges.tsv").read_bytes() == (b / "edges.tsv").read_bytes()
-        assert (a / "meta.json").read_bytes() == (b / "meta.json").read_bytes()
+    def test_thread_flag_is_usage_error(self, tmp_path):
+        out = tmp_path / "t"
+        with pytest.raises(SystemExit) as exc:
+            main(GEN_FLAGS + ["--out-dir", str(out), "--threads", "4"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_run_record_has_no_threads_key(self, tmp_path):
+        run(GEN_FLAGS + ["--out-dir", str(tmp_path)])
+        params = json.loads((tmp_path / "run.json").read_text())["parameters"]
+        assert "threads" not in params
 
     def test_pure_core_network(self, tmp_path):
         out = tmp_path / "pure"
@@ -248,6 +253,14 @@ class TestDiagnose:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["--truth-p", "--input"])
+    def test_rank_below_one_is_data_error(self, generated, tmp_path, source):
+        path = generated / ("meta.json" if source == "--truth-p" else "edges.tsv")
+        out = tmp_path / "rank0"
+        code = run(["diagnose", source, str(path), "--rank", "0", "--out-dir", str(out)])
+        assert code == 3
+        assert not out.exists()
+
     def test_mutually_exclusive_inputs(self, generated, tmp_path):
         code = run(["diagnose", "--truth-p", str(generated / "meta.json"),
                     "--input", str(generated / "edges.tsv"),
@@ -267,6 +280,30 @@ class TestExitCodes:
         code = run(["identify", "--input", str(bad),
                     "--out-dir", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("flags, bad_args", [
+        (["bench", "--graphon", "1", "--ratios", "1,,2"], True),
+        (["bench", "--graphon", "1", "--replicates", "0"], True),
+        (["diagnose", "--truth-p", "{not_json}"], False),
+        (["diagnose", "--truth-p", "{not_object}"], False),
+        (["identify", "--input", "{not_utf8}"], False),
+        (["identify", "--input", "{directory}"], True),
+        (["diagnose", "--input", "{directory}"], True),
+    ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
+            "identify-dir", "diagnose-dir"])
+    def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
+        files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
+                 "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir"}
+        files["not_json"].write_text("n 3\n0 1\n")
+        files["not_object"].write_text("3\n")
+        files["not_utf8"].write_bytes(b"0 1\n1 \xff2\n")
+        files["directory"].mkdir()
+        out = tmp_path / "out"
+        code = run([f.format(**files) for f in flags] + ["--out-dir", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        if bad_args:  # rejected before any output is written
+            assert not out.exists()
 
     def test_infeasible_is_solver_error(self, tmp_path):
         code = run(["generate", "--graphon", "1", "--n-core", "20",

@@ -23,11 +23,11 @@ CONFIG_CUTOFF_N100_P004 = 0.10903917239697294
 
 
 def er(values):
-    return CoreScores(values=np.asarray(values, dtype=float), model="er", rank_used=1)
+    return CoreScores(values=np.asarray(values, dtype=float), model="er")
 
 
 def cfg(values):
-    return CoreScores(values=np.asarray(values, dtype=float), model="config", rank_used=1)
+    return CoreScores(values=np.asarray(values, dtype=float), model="config")
 
 
 class TestTopK:
@@ -487,8 +487,7 @@ class TestCsvWriters:
         write_scores_csv(tmp_path / "a.csv", scores)
         reference_scores_csv(tmp_path / "b.csv", values)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        part = CorePartition(labels=labels, n_core=int(labels.sum()),
-                             selection_method="kmeans", cutoff=0.5)
+        part = CorePartition(labels=labels, selection_method="kmeans", cutoff=0.5)
         write_partition_csv(tmp_path / "c.csv", part, scores)
         reference_partition_csv(tmp_path / "d.csv", labels, values)
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
@@ -506,11 +505,11 @@ class TestCsvWriters:
         self.check(tmp_path, [], np.zeros(0, dtype=bool))
 
     def test_integer_and_float32_inputs(self, tmp_path):
-        ints = CoreScores(values=np.array([0, 1, 2]), model="er", rank_used=1)
+        ints = CoreScores(values=np.array([0, 1, 2]), model="er")
         write_scores_csv(tmp_path / "a.csv", ints)
         assert (tmp_path / "a.csv").read_text() == "node_id,score\n0,0.0\n1,1.0\n2,2.0\n"
         values = np.array([0.1, 1 / 3, 2.5], dtype=np.float32)
-        scores = CoreScores(values=values, model="er", rank_used=1)
+        scores = CoreScores(values=values, model="er")
         write_scores_csv(tmp_path / "b.csv", scores)
         reference_scores_csv(tmp_path / "c.csv", values)
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()

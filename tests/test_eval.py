@@ -101,7 +101,7 @@ class TestOperatingPoint:
         truth = rng.random(100) < 0.5
         truth[:2] = [True, False]
         curve = roc(values, truth)
-        scores = CoreScores(values=values, model="er", rank_used=1)
+        scores = CoreScores(values=values, model="er")
         for eps in (0.05, 0.2, 0.5):
             part = threshold_er(scores, p_hat=0.4, n=100, eps=eps)
             fpr, tpr = operating_point(part, truth)

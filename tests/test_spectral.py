@@ -7,7 +7,7 @@ from conftest import (dense_config_scores, dense_er_scores, random_graph,
                       random_orthonormal)
 from corex.errors import DomainError
 from corex.graph import ProbabilityMatrix, SparseGraph, degrees, load_edge_list
-from corex.spectral import (_TRUTH_ROW_BLOCK, CoreScores, SpectralDecomposition,
+from corex.spectral import (_TRUTH_ROW_BLOCK, DEFAULT_TOL, CoreScores, SpectralDecomposition,
                             _er_periphery_level, config_scores, diagnostics, er_scores,
                             scores_from_truth, truncated_eigs)
 from corex.synth import SynthConfig, generate_instance, graphon_by_number
@@ -48,8 +48,8 @@ class TestTruncatedEigs:
 
     def test_residuals_meet_tolerance(self):
         g = random_graph(80, 0.2, seed=3)
-        tol = 1e-8
-        dec = truncated_eigs(g, 4, tol=tol, seed=5)
+        tol = DEFAULT_TOL
+        dec = truncated_eigs(g, 4, seed=5)
         a = g.to_dense()
         for k in range(4):
             u = dec.eigenvectors[:, k]
@@ -65,6 +65,20 @@ class TestTruncatedEigs:
         g = SparseGraph.from_pairs(5, [])
         dec = truncated_eigs(g, 2, seed=0)
         assert np.all(dec.eigenvalues == 0.0)
+
+    def test_rank_and_size_come_from_the_arrays(self):
+        dec = truncated_eigs(random_graph(30, 0.3, seed=4), 3, seed=0)
+        assert (dec.rank, dec.source_n) == (3, 30)
+
+    @pytest.mark.parametrize("vals, vecs", [
+        (np.ones(2), np.eye(5)[:, :3]),  # fewer eigenvalues than eigenvectors
+        (np.ones(3), np.eye(5)[:, :2]),  # more eigenvalues than eigenvectors
+        (np.ones((2, 1)), np.eye(5)[:, :2]),  # eigenvalues not a vector
+        (np.ones(2), np.ones(5)),  # eigenvectors not a matrix
+    ])
+    def test_mismatched_shapes_are_domain_errors(self, vals, vecs):
+        with pytest.raises(DomainError, match="do not match"):
+            SpectralDecomposition(vals, vecs)
 
     def test_deterministic(self):
         g = random_graph(40, 0.25, seed=2)
@@ -85,7 +99,7 @@ class TestTruncatedEigs:
 def full_rank_decomposition(p: ProbabilityMatrix) -> SpectralDecomposition:
     vals, vecs = np.linalg.eigh(p.entries)
     order = np.argsort(-np.abs(vals), kind="stable")
-    return SpectralDecomposition(p.n, vals[order], vecs[:, order], p.n)
+    return SpectralDecomposition(vals[order], vecs[:, order])
 
 
 class TestErScores:
@@ -111,7 +125,7 @@ class TestErScores:
         assert np.max(np.abs(values - oracle) / oracle) <= 1e-10
 
     def test_zero_spectrum_gives_zero_scores(self):
-        dec = SpectralDecomposition(2, np.zeros(2), np.eye(5)[:, :2], 5)
+        dec = SpectralDecomposition(np.zeros(2), np.eye(5)[:, :2])
         assert np.all(er_scores(dec).values == 0.0)
 
     def test_gram_matches_brute_force_random(self):
@@ -121,7 +135,7 @@ class TestErScores:
             r = int(rng.integers(1, 11))
             u = random_orthonormal(n, r, rng)
             lam = rng.standard_normal(r) * 10
-            dec = SpectralDecomposition(r, *_magnitude_sort(lam, u), n)
+            dec = SpectralDecomposition(*_magnitude_sort(lam, u))
             values = er_scores(dec).values
             oracle = dense_er_scores(dec.eigenvectors, dec.eigenvalues)
             denom = np.maximum(np.abs(oracle), 1e-30)
@@ -131,17 +145,17 @@ class TestErScores:
         rng = np.random.default_rng(4)
         u = random_orthonormal(30, 3, rng)
         lam = np.array([5.0, -2.0, 1.0])
-        base = er_scores(SpectralDecomposition(3, lam, u, 30)).values
-        scaled = er_scores(SpectralDecomposition(3, 2.5 * lam, u, 30)).values
+        base = er_scores(SpectralDecomposition(lam, u)).values
+        scaled = er_scores(SpectralDecomposition(2.5 * lam, u)).values
         assert np.allclose(scaled, 2.5 * base, rtol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         u = random_orthonormal(25, 4, rng)
         lam = np.array([6.0, -4.0, 2.0, 1.0])
-        base = er_scores(SpectralDecomposition(4, lam, u, 25)).values
+        base = er_scores(SpectralDecomposition(lam, u)).values
         perm = rng.permutation(25)
-        permuted = er_scores(SpectralDecomposition(4, lam, u[perm], 25)).values
+        permuted = er_scores(SpectralDecomposition(lam, u[perm])).values
         assert np.allclose(permuted, base[perm], rtol=1e-12)
 
 
@@ -201,7 +215,7 @@ class TestConfigScores:
             u = random_orthonormal(n, r, rng)
             lam = rng.standard_normal(r) * 5
             deg = rng.integers(1, 20, size=n).astype(np.float64)
-            dec = SpectralDecomposition(r, *_magnitude_sort(lam, u), n)
+            dec = SpectralDecomposition(*_magnitude_sort(lam, u))
             values = config_scores(dec, deg).values
             oracle = dense_config_scores(dec.eigenvectors, dec.eigenvalues, deg)
             denom = np.maximum(np.abs(oracle), 1e-30)
@@ -217,7 +231,7 @@ class TestConfigScores:
         lam = rng.standard_normal(r) * 5
         deg = rng.integers(1, 20, size=n).astype(np.float64)
         deg[rng.random(n) < zero_share] = 0.0
-        dec = SpectralDecomposition(r, *_magnitude_sort(lam, u), n)
+        dec = SpectralDecomposition(*_magnitude_sort(lam, u))
         scores = config_scores(dec, deg)
         assert scores.excluded == tuple(np.nonzero(deg == 0)[0].tolist())
         oracle = dense_config_scores(dec.eigenvectors, dec.eigenvalues, deg)
