@@ -12,6 +12,7 @@ infeasibility error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,23 +30,13 @@ from .graph import (average_density, degrees, load_edge_list, sample_adjacency,
                     write_edge_list, write_truth_labels)
 from .spectral import (config_scores, diagnostics, er_scores, truncated_eigs,
                        write_scores_csv)
-from .synth import (PRESET_SIZES, GraphonSpec, SynthConfig, generate_instance,
-                    graphon_by_number, graphon_core)
+from .synth import (PRESET_SIZES, SynthConfig, generate_instance, graphon_by_number,
+                    graphon_core, read_design)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
-BENCH_PRESETS = {
-    # name -> (graphon number, periphery type)
-    "fig2-g1": (1, "er"),
-    "fig2-g2": (2, "er"),
-    "fig2-g3": (3, "er"),
-    "fig3-g1": (1, "config"),
-    "fig3-g2": (2, "config"),
-    "fig3-g3": (3, "config"),
-}
 DEFAULT_RATIOS = (1.0, 2.0, 3.0)
 
 
@@ -66,23 +57,25 @@ def _ensure_out_dir(path) -> str:
     return path
 
 
-def _parse_sizes(args) -> tuple[int, int]:
-    if args.preset_sizes:
-        return PRESET_SIZES[args.preset_sizes]
-    if args.n_core is None or args.n_periphery is None:
-        raise DomainError("give --preset-sizes or both --n-core and --n-periphery")
-    return args.n_core, args.n_periphery
+def _design(args, ratios) -> list[SynthConfig]:
+    """One design point per degree ratio, from the flags add_design declares;
+    sizes are --preset-sizes or both --n-core and --n-periphery (neither: balanced)."""
+    sizes = (args.n_core, args.n_periphery)
+    if sizes == (None, None):
+        sizes = PRESET_SIZES[args.preset_sizes or "balanced"]
+    elif args.preset_sizes or None in sizes:
+        raise DomainError("give --preset-sizes, or both --n-core and --n-periphery")
+    return [SynthConfig(n_core=sizes[0], n_periphery=sizes[1], periphery=args.periphery,
+                        degree_ratio=ratio, target_density=args.density, seed=args.seed)
+            for ratio in ratios]
 
 
 def cmd_generate(args) -> int:
-    n_core, n_periphery = _parse_sizes(args)
-    cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery,
-                      periphery=args.periphery, degree_ratio=args.ratio,
-                      target_density=args.density, seed=args.seed)
+    cfg, = _design(args, [args.ratio])
     graphon = graphon_by_number(args.graphon)
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, "generate", {
-        "graphon": args.graphon, "n_core": n_core, "n_periphery": n_periphery,
+        "graphon": args.graphon, "n_core": cfg.n_core, "n_periphery": cfg.n_periphery,
         "periphery": args.periphery, "density": args.density,
         "ratio": args.ratio, "seed": args.seed, "out_dir": args.out_dir,
     })
@@ -165,37 +158,28 @@ def cmd_identify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.preset:
-        graphon_number, periphery = BENCH_PRESETS[args.preset]
-    else:
-        if args.graphon is None:
-            raise DomainError("give --preset or --graphon")
-        graphon_number, periphery = args.graphon, args.periphery
-    n_core, n_periphery = _parse_sizes(args)
     try:
         ratios = tuple(map(float, args.ratios.split(","))) if args.ratios else DEFAULT_RATIOS
     except ValueError:
         raise DomainError(f"--ratios must be a comma list of numbers: {args.ratios!r}") from None
+    cfgs = _design(args, ratios)
     if args.replicates < 1:
         raise DomainError("--replicates must be >= 1")
     methods = tuple(args.methods.split(",")) if args.methods else ALL_METHODS
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
+    graphon = graphon_by_number(args.graphon)
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, "bench", {
-        "preset": args.preset, "graphon": graphon_number, "periphery": periphery,
-        "n_core": n_core, "n_periphery": n_periphery, "ratios": list(ratios),
+        "graphon": args.graphon, "periphery": args.periphery,
+        "n_core": cfgs[0].n_core, "n_periphery": cfgs[0].n_periphery, "ratios": list(ratios),
         "methods": list(methods), "replicates": args.replicates,
         "rank": args.rank, "rank_mode": args.rank_mode, "density": args.density,
         "eps": args.eps, "seed": args.seed, "out_dir": args.out_dir,
     })
-    graphon = graphon_by_number(graphon_number)
     summary = {"settings": [], "methods": list(methods)}
-    for ratio in ratios:
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery,
-                          periphery=periphery, degree_ratio=ratio,
-                          target_density=args.density, seed=args.seed)
+    for ratio, cfg in zip(ratios, cfgs):
         result = run_experiment(graphon, cfg, methods=methods,
                                 replicates=args.replicates,
                                 rank_mode=args.rank_mode, rank=args.rank,
@@ -213,7 +197,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _rebuild_from_meta(meta_path):
+def _read_meta(meta_path):
     try:
         with open(meta_path, "rt", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -221,19 +205,7 @@ def _rebuild_from_meta(meta_path):
         raise ParseError(f"meta.json is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValidationError("meta.json must hold a JSON object")
-    required = {"graphon", "n_core", "n_periphery", "periphery",
-                "target_density", "degree_ratio", "seed"}
-    missing = required - set(meta)
-    if missing:
-        raise ValidationError(f"meta.json missing fields: {sorted(missing)}")
-    cfg = SynthConfig(n_core=meta["n_core"], n_periphery=meta["n_periphery"],
-                      periphery=meta["periphery"],
-                      degree_ratio=meta["degree_ratio"],
-                      target_density=meta["target_density"], seed=meta["seed"])
-    graphon = GraphonSpec(kind=meta["graphon"])
-    er_level = meta.get("er_level")
-    instance = generate_instance(graphon, cfg, er_level=er_level)
-    return instance, meta
+    return read_design(meta)
 
 
 def _parse_sweep(spec: str) -> list[int]:
@@ -255,6 +227,8 @@ def cmd_diagnose(args) -> int:
     source = args.truth_p or args.input
     if not os.path.isfile(source):
         raise ValidationError(f"input file not found: {source}")
+    if args.truth_p:
+        graphon, cfg, er_level = _read_meta(args.truth_p)
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, "diagnose", {
         "truth_p": args.truth_p, "input": args.input, "rank": args.rank,
@@ -262,12 +236,11 @@ def cmd_diagnose(args) -> int:
         "seed": args.seed, "out_dir": args.out_dir,
     })
     if args.truth_p:
-        instance, meta = _rebuild_from_meta(args.truth_p)
+        instance = generate_instance(graphon, cfg, er_level=er_level)
         report = diagnostics(instance.p, args.rank, core_labels=instance.truth)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes:
-            core = graphon_core(GraphonSpec(kind=meta["graphon"]),
-                                meta["n_core"], meta["latents_seed"])
+            core = graphon_core(graphon, cfg.n_core, instance.meta["latents_seed"])
             records = eigengap_profile(core, sizes, args.periphery_level)
             sweep_path = os.path.join(out_dir, "eigengap_sweep.csv")
             with open(sweep_path, "wt", encoding="utf-8", newline="\n") as fh:
@@ -299,20 +272,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Identify the informative core of a network whose "
                     "periphery follows an uninformative connection pattern.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # no prefix matching, so a removed flag (--preset) cannot stand for another
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0,
                        help="master random seed (default 0; never wall-clock)")
         p.add_argument("--out-dir", default=".", help="output directory")
 
+    def add_design(p):
+        p.add_argument("--graphon", type=int, choices=(1, 2, 3), required=True)
+        p.add_argument("--n-core", type=int)
+        p.add_argument("--n-periphery", type=int)
+        p.add_argument("--preset-sizes", choices=sorted(PRESET_SIZES),
+                       help="instead of --n-core and --n-periphery (default balanced)")
+        p.add_argument("--periphery", choices=("er", "config"), default="er")
+        p.add_argument("--density", type=float, default=0.02)
+
     p_gen = sub.add_parser("generate", help="emit a synthetic benchmark network")
-    p_gen.add_argument("--graphon", type=int, choices=(1, 2, 3), required=True)
-    p_gen.add_argument("--n-core", type=int)
-    p_gen.add_argument("--n-periphery", type=int)
-    p_gen.add_argument("--preset-sizes", choices=sorted(PRESET_SIZES))
-    p_gen.add_argument("--periphery", choices=("er", "config"), default="er")
-    p_gen.add_argument("--density", type=float, default=0.02)
+    add_design(p_gen)
     p_gen.add_argument("--ratio", type=float, default=3.0,
                        help="core/periphery mean expected-degree ratio")
     add_common(p_gen)
@@ -331,19 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.set_defaults(func=cmd_identify)
 
     p_bench = sub.add_parser("bench", help="run the simulation benchmark")
-    p_bench.add_argument("--preset", choices=sorted(BENCH_PRESETS))
-    p_bench.add_argument("--graphon", type=int, choices=(1, 2, 3))
-    p_bench.add_argument("--periphery", choices=("er", "config"), default="er")
-    p_bench.add_argument("--n-core", type=int)
-    p_bench.add_argument("--n-periphery", type=int)
-    p_bench.add_argument("--preset-sizes", choices=sorted(PRESET_SIZES),
-                         default="balanced")
+    add_design(p_bench)
     p_bench.add_argument("--ratios", help="comma list, default 1,2,3")
     p_bench.add_argument("--methods", help=f"comma list from {','.join(ALL_METHODS)}")
     p_bench.add_argument("--replicates", type=int, default=20)
     p_bench.add_argument("--rank", type=int, default=6)
     p_bench.add_argument("--rank-mode", choices=("fixed", "ecv"), default="fixed")
-    p_bench.add_argument("--density", type=float, default=0.02)
     p_bench.add_argument("--eps", type=float, default=0.01,
                          help="threshold exponent slack")
     add_common(p_bench)
@@ -365,6 +337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand's randomness flows from --seed
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CorexError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ Mann-Whitney statistic with half credit for ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .coreid import (CorePartition, kmeans_split, select_rank_ecv,
 from .errors import DegenerateError, DomainError
 from .graph import ProbabilityMatrix, average_density, degrees, sample_adjacency
 from .spectral import _er_assembly_eigvalsh, config_scores, er_scores, truncated_eigs
-from .synth import GraphonSpec, SynthConfig, generate_instance
+from .synth import GraphonSpec, SynthConfig, design_record, generate_instance
 
 __all__ = [
     "RocCurve",
@@ -210,11 +210,7 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
         raise DomainError("replicates must be >= 1")
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))
     result = ExperimentResult(
-        config={"graphon": graphon.kind, "n_core": cfg.n_core,
-                "n_periphery": cfg.n_periphery, "periphery": cfg.periphery,
-                "target_density": cfg.target_density,
-                "degree_ratio": cfg.degree_ratio, "seed": cfg.seed,
-                "rank_mode": rank_mode, "rank": rank},
+        config={**design_record(graphon, cfg), "rank_mode": rank_mode, "rank": rank},
         methods=methods,
         replicate_seeds=rep_seeds,
         aucs={m: [] for m in methods},
@@ -222,11 +218,7 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     )
     need_spectral = any(m in PROPOSED_METHODS for m in methods)
     for rep, rep_seed in enumerate(rep_seeds):
-        rep_cfg = SynthConfig(n_core=cfg.n_core, n_periphery=cfg.n_periphery,
-                              periphery=cfg.periphery,
-                              degree_ratio=cfg.degree_ratio,
-                              target_density=cfg.target_density, seed=rep_seed)
-        instance = generate_instance(graphon, rep_cfg)
+        instance = generate_instance(graphon, replace(cfg, seed=rep_seed))
         truth = instance.truth
         g = sample_adjacency(instance.p, instance.adjacency_seed)
         p_hat = average_density(g)

@@ -11,10 +11,11 @@ periphery second.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, ValidationError
 from .graph import ProbabilityMatrix
 
 __all__ = [
@@ -33,6 +34,9 @@ __all__ = [
     "definition2_residual",
     "periphery_product_residual",
     "generate_instance",
+    "DESIGN_FIELDS",
+    "design_record",
+    "read_design",
     "PRESET_SIZES",
 ]
 
@@ -78,6 +82,8 @@ class GraphonSpec:
     custom_fn: object = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise DomainError(f"graphon kind must be a string, got {self.kind!r}")
         if self.kind == "custom":
             if self.custom_fn is None:
                 raise DomainError("custom graphon needs custom_fn")
@@ -170,9 +176,15 @@ def sample_periphery_theta(core_p: ProbabilityMatrix, n_periphery: int,
     return lo + (hi - lo) * rng.random(n_periphery)
 
 
+def _is_number(value, kind) -> bool:
+    """True for an instance of the numbers ABC kind; bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """One synthetic design point."""
+    """One synthetic design point; construction checks every field's type
+    and range, and raises DomainError on any fault."""
 
     n_core: int
     n_periphery: int
@@ -182,20 +194,45 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_core < 1:
-            raise DomainError("n_core must be >= 1")
-        if self.n_periphery < 0:
-            raise DomainError("n_periphery must be >= 0")
+        for name, low in (("n_core", 2), ("n_periphery", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_number(value, Integral) or value < low:
+                raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.periphery not in ("er", "config"):
             raise DomainError("periphery must be 'er' or 'config'")
-        if not 0.0 < self.target_density < 1.0:
-            raise DomainError("target_density must lie in (0, 1)")
-        if self.degree_ratio <= 0.0:
-            raise DomainError("degree_ratio must be positive")
+        if not (_is_number(self.target_density, Real) and 0.0 < self.target_density < 1.0):
+            raise DomainError(f"target_density must lie in (0, 1), got {self.target_density!r}")
+        if not (_is_number(self.degree_ratio, Real) and 0.0 < self.degree_ratio < np.inf):
+            raise DomainError(f"degree_ratio must be finite and > 0, got {self.degree_ratio!r}")
 
     @property
     def n(self) -> int:
         return self.n_core + self.n_periphery
+
+
+DESIGN_FIELDS = ("graphon", "n_core", "n_periphery", "periphery", "target_density",
+                 "degree_ratio", "seed")
+
+
+def design_record(graphon: GraphonSpec, cfg: SynthConfig) -> dict:
+    """The design point as an ordered record: the head of meta.json and of
+    a bench setting's config."""
+    return {"graphon": graphon.kind, **{k: getattr(cfg, k) for k in DESIGN_FIELDS[1:]}}
+
+
+def read_design(record: dict) -> tuple[GraphonSpec, SynthConfig, float | None]:
+    """The graphon, config and optional ER level of a meta.json object.
+
+    A missing field raises ValidationError, a field of the wrong type or
+    range DomainError."""
+    missing = set(DESIGN_FIELDS) - set(record)
+    if missing:
+        raise ValidationError(f"meta.json missing fields: {sorted(missing)}")
+    er_level = record.get("er_level")
+    if er_level is not None and not _is_number(er_level, Real):
+        raise DomainError(f"er_level must be a number, got {er_level!r}")
+    cfg = SynthConfig(**{k: record[k] for k in DESIGN_FIELDS[1:]})
+    return GraphonSpec(kind=record["graphon"]), cfg, er_level
 
 
 @dataclass(frozen=True)
@@ -426,13 +463,7 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
     )
     core = graphon_core(graphon, cfg.n_core, latents_seed)
     meta = {
-        "graphon": graphon.kind,
-        "n_core": cfg.n_core,
-        "n_periphery": cfg.n_periphery,
-        "periphery": cfg.periphery,
-        "target_density": cfg.target_density,
-        "degree_ratio": cfg.degree_ratio,
-        "seed": cfg.seed,
+        **design_record(graphon, cfg),
         "latents_seed": latents_seed,
         "theta_seed": theta_seed,
         "adjacency_seed": adjacency_seed,

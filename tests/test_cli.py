@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corex.cli import main
 from corex.graph import read_truth_labels
+from corex.synth import DESIGN_FIELDS
 
 
 def run(args):
@@ -70,6 +74,22 @@ class TestGenerate:
                     "--out-dir", str(out)])
         assert code == 0
         assert read_truth_labels(out / "truth.csv").all()
+
+    def test_no_sizes_means_balanced(self, tmp_path):
+        assert run(["generate", "--graphon", "1", "--density", "0.005",
+                    "--out-dir", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert (meta["n_core"], meta["n_periphery"]) == (1000, 1000)
+
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    @pytest.mark.parametrize("sizes", [["--n-core", "20"], ["--n-periphery", "20"],
+                                       ["--preset-sizes", "small-core", "--n-core", "20",
+                                        "--n-periphery", "20"]],
+                             ids=["core-only", "periphery-only", "preset-and-both"])
+    def test_mixed_size_flags_are_data_error(self, tmp_path, command, sizes):
+        out = tmp_path / "mixed"
+        assert run([command, "--graphon", "1", *sizes, "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
 
 @pytest.fixture()
@@ -195,6 +215,27 @@ class TestBench:
         assert (out / "roc_ratio2_proposed_er.csv").exists()
         assert (out / "roc_ratio2_degree.csv").exists()
 
+    def test_honours_explicit_sizes(self, tmp_path):
+        assert run(["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+                    "--ratios", "1", "--replicates", "1", "--methods", "degree",
+                    "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        config = summary["settings"][0]["config"]
+        assert (config["n_core"], config["n_periphery"]) == (20, 20)
+        params = json.loads((tmp_path / "run.json").read_text())["parameters"]
+        assert (params["n_core"], params["n_periphery"]) == (20, 20)
+        assert "preset" not in params
+
+    @pytest.mark.parametrize("preset", ["fig2-g1", "balanced"])
+    def test_preset_flag_is_usage_error(self, tmp_path, preset):
+        # "balanced" would pass as --preset-sizes if flags matched by prefix
+        out = tmp_path / "preset"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--graphon", "1", "--preset", preset, "--ratios", "1",
+                  "--replicates", "1", "--methods", "degree", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_rerun_identical_summary(self, tmp_path):
         flags = ["bench", "--graphon", "2", "--periphery", "config",
                  "--n-core", "25", "--n-periphery", "25", "--ratios", "1.5",
@@ -261,11 +302,58 @@ class TestDiagnose:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_core", "abc"), ("n_core", 30.5), ("n_periphery", None), ("seed", 1.5),
+        ("degree_ratio", "3"), ("degree_ratio", float("nan")), ("target_density", "0.05"),
+        ("er_level", "x"), ("graphon", ["table1_g1"]),
+    ])
+    def test_meta_type_fault_is_data_error(self, generated, tmp_path, capsys, field, value):
+        meta = json.loads((generated / "meta.json").read_text())
+        meta[field] = value
+        bad = tmp_path / "meta.json"
+        bad.write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert run(["diagnose", "--truth-p", str(bad), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_mutually_exclusive_inputs(self, generated, tmp_path):
         code = run(["diagnose", "--truth-p", str(generated / "meta.json"),
                     "--input", str(generated / "edges.tsv"),
                     "--out-dir", str(tmp_path / "x")])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def valid_meta(tmp_path_factory):
+    out = tmp_path_factory.mktemp("meta")
+    assert run(GEN_FLAGS + ["--out-dir", str(out)]) == 0
+    return json.loads((out / "meta.json").read_text())
+
+
+JSON_KINDS = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
+              "float": st.floats(allow_nan=False, allow_infinity=False),
+              "str": st.text(max_size=8), "list": st.lists(st.integers(), max_size=2),
+              "dict": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)}
+# the JSON kinds each meta.json field holds in a valid record; int and float
+# are both JSON numbers, so a number field keeps its kind when given either
+FIELD_KINDS = {"graphon": {"str"}, "periphery": {"str"}, "n_core": {"int"},
+               "n_periphery": {"int"}, "seed": {"int"}, "target_density": {"int", "float"},
+               "degree_ratio": {"int", "float"}, "er_level": {"int", "float"}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), field=st.sampled_from(sorted(FIELD_KINDS)))
+def test_retyped_meta_field_exits_0_or_3(valid_meta, data, field):
+    assert set(FIELD_KINDS) == set(DESIGN_FIELDS) | {"er_level"}
+    kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - FIELD_KINDS[field])))
+    meta = {**valid_meta, field: data.draw(JSON_KINDS[kind])}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "meta.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        assert run(["diagnose", "--truth-p", path, "--rank", "3",
+                    "--out-dir", os.path.join(tmp, "out")]) in (0, 3)
 
 
 class TestExitCodes:
@@ -289,8 +377,16 @@ class TestExitCodes:
         (["identify", "--input", "{not_utf8}"], False),
         (["identify", "--input", "{directory}"], True),
         (["diagnose", "--input", "{directory}"], True),
+        (["generate", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--ratio", "nan"], True),
+        (["generate", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--ratio", "inf"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--ratios", "nan"], True),
+        (["generate", "--graphon", "1", "--n-core", "1", "--n-periphery", "20"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
-            "identify-dir", "diagnose-dir"])
+            "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
+            "one-core-node"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir"}
@@ -304,6 +400,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         if bad_args:  # rejected before any output is written
             assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["generate", "--graphon", "1", "--n-core", "20", "--n-periphery", "20"],
+        ["identify", "--input", "{edges}", "--rank", "3"],
+        ["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+         "--ratios", "1", "--replicates", "1", "--methods", "degree"],
+        ["diagnose", "--input", "{edges}", "--rank", "3"],
+    ], ids=["generate", "identify", "bench", "diagnose"])
+    def test_negative_seed_is_data_error(self, generated, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        edges = str(generated / "edges.tsv")
+        code = run([f.format(edges=edges) for f in flags]
+                   + ["--seed", "-1", "--out-dir", str(out)])
+        assert code == 3
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_is_solver_error(self, tmp_path):
         code = run(["generate", "--graphon", "1", "--n-core", "20",

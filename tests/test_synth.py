@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corex.errors import DomainError, InfeasibleError
+from corex.errors import DomainError, InfeasibleError, ValidationError
 from corex.graph import ProbabilityMatrix
 from corex.spectral import scores_from_truth
-from corex.synth import (PRESET_SIZES, GraphonSpec, SynthConfig, assemble_er,
-                         definition1_residual, definition2_residual, generate_instance,
-                         graphon_by_number, graphon_core, graphon_matrix, graphon_value,
-                         periphery_product_residual, sample_latents,
+from corex.synth import (DESIGN_FIELDS, PRESET_SIZES, GraphonSpec, SynthConfig,
+                         assemble_er, definition1_residual, definition2_residual,
+                         design_record, generate_instance, graphon_by_number,
+                         graphon_core, graphon_matrix, graphon_value,
+                         periphery_product_residual, read_design, sample_latents,
                          sample_periphery_theta)
 
 G1 = graphon_by_number(1)
@@ -301,6 +302,56 @@ class TestRescale:
         c_core, c_peri, scaled, clip_count = dense_rescale_oracle(G2, cfg, inst.meta)
         assert inst.meta["rescale_clip_count"] == clip_count == 49935
         np.testing.assert_allclose(inst.p.entries, scaled, rtol=1e-12, atol=0.0)
+
+
+VALID_DESIGN = dict(n_core=20, n_periphery=30, periphery="er", degree_ratio=2.0,
+                    target_density=0.05, seed=11)
+
+
+class TestDesignPoint:
+    @pytest.mark.parametrize("field, value", [
+        ("n_core", 1), ("n_core", True), ("n_core", 20.0), ("n_core", "20"),
+        ("n_periphery", -1), ("n_periphery", None), ("seed", -1), ("seed", 1.5),
+        ("seed", False), ("periphery", "dense"), ("degree_ratio", math.nan),
+        ("degree_ratio", math.inf), ("degree_ratio", 0.0), ("degree_ratio", "3"),
+        ("degree_ratio", True), ("target_density", 0.0), ("target_density", 1.0),
+        ("target_density", math.nan), ("target_density", "0.05"),
+    ])
+    def test_config_rejects_bad_field(self, field, value):
+        with pytest.raises(DomainError):
+            SynthConfig(**{**VALID_DESIGN, field: value})
+
+    def test_config_accepts_numpy_numbers(self):
+        cfg = SynthConfig(**{**VALID_DESIGN, "n_core": np.int64(20),
+                             "degree_ratio": np.float64(2.0)})
+        assert cfg.n == 50
+
+    def test_meta_head_is_the_design_record(self):
+        cfg = SynthConfig(**VALID_DESIGN)
+        meta = generate_instance(G1, cfg).meta
+        head = design_record(G1, cfg)
+        assert list(head) == list(DESIGN_FIELDS)
+        assert list(meta.items())[:len(head)] == list(head.items())
+
+    @pytest.mark.parametrize("er_level", [None, 0.03])
+    def test_read_design_inverts_the_record(self, er_level):
+        cfg = SynthConfig(**VALID_DESIGN)
+        record = {**design_record(G2, cfg), "latents_seed": 5, "er_level": er_level}
+        assert read_design(record) == (G2, cfg, er_level)
+
+    def test_read_design_names_missing_fields(self):
+        record = design_record(G1, SynthConfig(**VALID_DESIGN))
+        del record["seed"], record["periphery"]
+        with pytest.raises(ValidationError, match=r"\['periphery', 'seed'\]"):
+            read_design(record)
+
+    @pytest.mark.parametrize("field, value", [("graphon", ["table1_g1"]),
+                                              ("graphon", "custom"), ("er_level", "x"),
+                                              ("er_level", True), ("n_core", "abc")])
+    def test_read_design_rejects_bad_type(self, field, value):
+        record = {**design_record(G1, SynthConfig(**VALID_DESIGN)), field: value}
+        with pytest.raises(DomainError):
+            read_design(record)
 
 
 class TestGenerateInstance:
