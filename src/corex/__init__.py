@@ -25,8 +25,7 @@ from .graph import (ProbabilityMatrix, SparseGraph, average_density, degrees,
 from .spectral import (CoreScores, SpectralDecomposition, config_scores,
                        diagnostics, er_scores, scores_from_truth, truncated_eigs)
 from .synth import (GeneratedInstance, GraphonSpec, SynthConfig, assemble_er,
-                    definition1_residual, definition2_residual, generate_instance,
-                    graphon_by_number, graphon_core, graphon_matrix, graphon_value,
-                    periphery_product_residual, sample_latents, sample_periphery_theta)
+                    generate_instance, graphon_by_number, graphon_core, graphon_matrix,
+                    graphon_value, sample_latents, sample_periphery_theta)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from .graph import (average_density, degrees, load_edge_list, sample_adjacency,
 from .spectral import (config_scores, diagnostics, er_scores, truncated_eigs,
                        write_scores_csv)
 from .synth import (PRESET_SIZES, SynthConfig, generate_instance, graphon_by_number,
-                    graphon_core, read_design)
+                    read_design)
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -237,11 +237,10 @@ def cmd_diagnose(args) -> int:
     })
     if args.truth_p:
         instance = generate_instance(graphon, cfg, er_level=er_level)
-        report = diagnostics(instance.p, args.rank, core_labels=instance.truth)
+        report = diagnostics(instance.assembly, args.rank, core_labels=instance.truth)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes:
-            core = graphon_core(graphon, cfg.n_core, instance.meta["latents_seed"])
-            records = eigengap_profile(core, sizes, args.periphery_level)
+            records = eigengap_profile(instance.core, sizes, args.periphery_level)
             sweep_path = os.path.join(out_dir, "eigengap_sweep.csv")
             with open(sweep_path, "wt", encoding="utf-8", newline="\n") as fh:
                 fh.write("n_periphery,lambda_1,gap_3_4,normalized_gap\n")

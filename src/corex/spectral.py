@@ -243,33 +243,44 @@ def _er_assembly_eigvalsh(core: np.ndarray, n_periphery: int, level: float) -> n
     return np.concatenate([np.linalg.eigvalsh(reduced), np.full(n_periphery - 1, -level)])
 
 
-def _er_periphery_level(entries: np.ndarray, core_labels: np.ndarray) -> float | None:
-    """The level a when every periphery row is zero on the diagonal and a
-    everywhere else (Definition 1 with a single level), else None."""
-    periphery = ~core_labels
-    if not periphery.any():
-        return None
-    first = int(np.argmax(periphery))
-    level = entries[first, 1 if first == 0 else 0]
-    diagonal = np.diagonal(entries)
-    # off-diagonal entries equal to the level, counted per row
-    matches = np.count_nonzero(entries == level, axis=1) - (diagonal == level)
-    if np.all(diagonal[periphery] == 0.0) and np.all(matches[periphery] == entries.shape[0] - 1):
-        return float(level)
-    return None
+def _min_centered_row_norm(rows: np.ndarray, n_periphery: int, periphery_value: float) -> float:
+    """Smallest centered row norm over rows that continue with n_periphery
+    entries equal to periphery_value; centers `rows` in place."""
+    n = rows.shape[1] + n_periphery
+    mean = (rows.sum(axis=1) + n_periphery * periphery_value) / n
+    rows -= mean[:, np.newaxis]
+    sq = np.einsum("ij,ij->i", rows, rows) + n_periphery * (periphery_value - mean) ** 2
+    return float(np.sqrt(sq.min()))
 
 
-def diagnostics(p: ProbabilityMatrix, r: int, core_labels=None) -> DiagnosticReport:
+def _er_diagnostics(assembly):
+    """(eigenvalues, p_star, h_n, h'_n) of an ER-type assembly, from its
+    core block alone.
+
+    Each core row is the core block's row followed by n_p entries equal to
+    the level a, and each periphery row sums to a (n - 1).  So both minimum
+    core scores take O(n_c^2), and the spectrum comes from the
+    (n_c + 1)-square reduced matrix (see _er_assembly_eigvalsh)."""
+    core, npr, level = assembly.core_block(), assembly.n_periphery, assembly.level
+    eigvals = _er_assembly_eigvalsh(core, npr, level)
+    p_star = float(max(core.max(), level) if npr else core.max())
+    h_prime_n = None
+    deg = core.sum(axis=1) + npr * level
+    if np.all(deg > 0) and (npr == 0 or level > 0):
+        # a periphery column over its degree: a / (a (n - 1))
+        h_prime_n = _min_centered_row_norm(core / deg, npr, 1.0 / (assembly.n - 1))
+    return eigvals, p_star, _min_centered_row_norm(core, npr, level), h_prime_n
+
+
+def diagnostics(p, r: int, core_labels=None) -> DiagnosticReport:
     """Exact diagnostics: max entry, minimum core scores under both models
     (absent without core labels or with an empty core), the full
     magnitude-sorted spectrum, and the magnitude gap after rank r.
 
-    When core labels are given and the periphery is ER-type (every
-    periphery row zero on its diagonal and one level a everywhere else,
-    in any node order), the spectrum is -a with multiplicity n_p - 1 plus
-    the eigenvalues of the (n_c + 1)-square reduced matrix
-    [[C, a sqrt(n_p) 1], [a sqrt(n_p) 1^T, a (n_p - 1)]], C the core
-    block.  Any other input takes a dense eigvalsh of the whole matrix.
+    p is a dense ProbabilityMatrix, which takes a dense eigvalsh, or an
+    ER-type assembly (synth.ErAssembly), whose core is its first n_core
+    nodes, so it always has core scores, and whose diagnostics come from
+    its core block alone (see _er_diagnostics).
     """
     if core_labels is not None:
         core_labels = np.asarray(core_labels, dtype=bool)
@@ -277,25 +288,20 @@ def diagnostics(p: ProbabilityMatrix, r: int, core_labels=None) -> DiagnosticRep
             raise DomainError("core label length must match matrix")
     if not 1 <= r < p.n:
         raise DomainError(f"rank r={r} must satisfy 1 <= r < n={p.n}")
-    level = None if core_labels is None else _er_periphery_level(p.entries, core_labels)
-    if level is None:
+    if isinstance(p, ProbabilityMatrix):
         eigvals = np.linalg.eigvalsh(p.entries)
+        p_star, h_n, h_prime_n = float(p.entries.max()), None, None
+        if core_labels is not None and core_labels.any():
+            h_n = float(scores_from_truth(p, "er").values[core_labels].min())
+            if np.all(p.expected_degrees() > 0):
+                h_prime_n = float(scores_from_truth(p, "config").values[core_labels].min())
+    elif core_labels is None or np.array_equal(core_labels, np.arange(p.n) < p.core.n):
+        eigvals, p_star, h_n, h_prime_n = _er_diagnostics(p)
     else:
-        # the core block copy dies with the call, before the truth scores below
-        eigvals = _er_assembly_eigvalsh(p.entries[np.ix_(core_labels, core_labels)],
-                                        int(np.count_nonzero(~core_labels)), level)
-    order = np.lexsort((-eigvals, -np.abs(eigvals)))
-    eigvals = eigvals[order]
-    gap_r = float(np.abs(eigvals[r - 1]) - np.abs(eigvals[r]))
-    p_star = float(p.entries.max()) if p.n else 0.0
-    h_n = None
-    h_prime_n = None
-    if core_labels is not None and core_labels.any():
-        h_n = float(scores_from_truth(p, "er").values[core_labels].min())
-        if np.all(p.expected_degrees() > 0):
-            h_prime_n = float(scores_from_truth(p, "config").values[core_labels].min())
-    return DiagnosticReport(p_star=p_star, h_n=h_n, h_prime_n=h_prime_n,
-                            eigenvalues=eigvals, gap_r=gap_r)
+        raise DomainError("an ER assembly's core is its first n_core nodes")
+    eigvals = eigvals[np.lexsort((-eigvals, -np.abs(eigvals)))]
+    return DiagnosticReport(p_star=p_star, h_n=h_n, h_prime_n=h_prime_n, eigenvalues=eigvals,
+                            gap_r=float(np.abs(eigvals[r - 1]) - np.abs(eigvals[r])))
 
 
 def write_scores_csv(path, scores: CoreScores) -> None:

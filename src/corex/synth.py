@@ -11,6 +11,7 @@ periphery second.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -21,7 +22,7 @@ from .graph import ProbabilityMatrix
 __all__ = [
     "GraphonSpec",
     "SynthConfig",
-    "RescaleResult",
+    "ErAssembly",
     "GeneratedInstance",
     "graphon_by_number",
     "graphon_value",
@@ -30,17 +31,12 @@ __all__ = [
     "graphon_core",
     "assemble_er",
     "sample_periphery_theta",
-    "definition1_residual",
-    "definition2_residual",
-    "periphery_product_residual",
     "generate_instance",
     "DESIGN_FIELDS",
     "design_record",
     "read_design",
     "PRESET_SIZES",
 ]
-
-_DEFINITION2_MAX_ITER = 200  # fixed-point steps for the implied periphery degrees
 
 PRESET_SIZES = {
     "balanced": (1000, 1000),
@@ -229,40 +225,62 @@ def read_design(record: dict) -> tuple[GraphonSpec, SynthConfig, float | None]:
     if missing:
         raise ValidationError(f"meta.json missing fields: {sorted(missing)}")
     er_level = record.get("er_level")
-    if er_level is not None and not _is_number(er_level, Real):
-        raise DomainError(f"er_level must be a number, got {er_level!r}")
+    if er_level is not None and not (_is_number(er_level, Real) and 0.0 < er_level < 1.0):
+        raise DomainError(f"er_level must be a number in (0, 1), got {er_level!r}")
     cfg = SynthConfig(**{k: record[k] for k in DESIGN_FIELDS[1:]})
     return GraphonSpec(kind=record["graphon"]), cfg, er_level
 
 
 @dataclass(frozen=True)
-class RescaleResult:
-    matrix: ProbabilityMatrix
+class ErAssembly:
+    """An ER-type probability matrix kept as its parts, nodes core first:
+
+        [[min(c_core C, 1), a J], [a J, a (J - I)]]
+
+    with C the unscaled core block and a the level of every pair that
+    touches one of the n_periphery periphery nodes.  `dense` fills the
+    n x n matrix; everything else reads the n_core x n_core core block."""
+
+    core: ProbabilityMatrix  # C, unscaled
     c_core: float
-    c_periphery: float
-    clip_count: int
+    n_periphery: int
+    level: float  # a, already clipped to 1
+
+    @property
+    def n(self) -> int:
+        return self.core.n + self.n_periphery
+
+    def core_block(self, out=None) -> np.ndarray:
+        """The scaled, clipped core block min(c_core C, 1), written into
+        `out` when given."""
+        block = np.multiply(self.core.entries, self.c_core, out=out)
+        return np.minimum(block, 1.0, out=block)
+
+    def dense(self) -> ProbabilityMatrix:
+        p = np.full((self.n, self.n), self.level)
+        self.core_block(out=p[:self.core.n, :self.core.n])
+        np.fill_diagonal(p, 0.0)
+        return ProbabilityMatrix(p, _validated=True)
+
+    def off_diagonal_mean(self) -> float:
+        n, nc = self.n, self.core.n
+        touching = (n * n - n) - (nc * nc - nc)  # off-diagonal entries off the core block
+        return float((self.core_block().sum() + self.level * touching) / (n * n - n))
 
 
-def _clipped_result(scaled: np.ndarray, c_core: float, c_peri: float) -> RescaleResult:
-    """Clip a scaled matrix to [0, 1] in place; fail past 20% of pairs."""
-    n = scaled.shape[0]
-    # a block of rows at a time, so the comparison never needs n x n bytes
-    step = max(1, 2**20 // n)
-    clip_count = sum(int(np.count_nonzero(scaled[i:i + step] > 1.0))
-                     for i in range(0, n, step)) // 2
+def _checked_clip_count(entries_above_one: int, n: int) -> int:
+    """Clipped pairs of a symmetric n x n matrix; fail past 20% of pairs."""
+    clip_count = entries_above_one // 2
     if clip_count > 0.2 * ((n * n - n) // 2):
         raise InfeasibleError(
             f"rescale would clip {clip_count} pairs (> 20% of all pairs)"
         )
-    if clip_count:
-        np.clip(scaled, 0.0, 1.0, out=scaled)
-    return RescaleResult(matrix=ProbabilityMatrix(scaled, _validated=True),
-                         c_core=float(c_core), c_periphery=float(c_peri),
-                         clip_count=clip_count)
+    return clip_count
 
 
-def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig) -> RescaleResult:
-    """ER-type assembly that meets the density and degree ratio.
+def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
+    """ER-type assembly that meets the density and degree ratio, from the
+    core block alone: (ErAssembly, c_core, c_periphery, clip count).
 
     The core block is scaled by c_core and the constant periphery level a
     by c_periphery, so an unclipped instance meets Definition 1 exactly.
@@ -272,7 +290,9 @@ def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig) -> Resc
     = (R' (w_cp + w_pp) - w_cp) / w_cc, and the density fixes
     c_periphery = target / (k w_cc + 2 w_cp + w_pp), where target is the
     required sum of off-diagonal entries.  Without a periphery only c_core
-    is free, and c_periphery is 1.
+    is free, and c_periphery is 1.  The clipped pairs are those of the
+    scaled core block, plus every pair touching the periphery when the
+    scaled level is above 1.
     """
     nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
     target_sum = cfg.target_density * (n * n - n)
@@ -291,16 +311,18 @@ def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig) -> Resc
             )
         c_peri = target_sum / (k * w_cc + 2.0 * w_cp + w_pp)
         c_core = k * c_peri
-    p = np.full((n, n), c_peri * level)
-    np.multiply(core_p.entries, c_core, out=p[:nc, :nc])
-    np.fill_diagonal(p, 0.0)
-    return _clipped_result(p, c_core, c_peri)
+    touch = c_peri * level
+    above = int(np.count_nonzero(core_p.entries * c_core > 1.0))
+    if touch > 1.0:
+        above += (n * n - n) - (nc * nc - nc)
+    return (ErAssembly(core_p, float(c_core), npr, min(touch, 1.0)), float(c_core),
+            float(c_peri), _checked_clip_count(above, n))
 
 
-def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray,
-                  cfg: SynthConfig) -> RescaleResult:
+def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthConfig):
     """Configuration-type assembly that meets the density and degree ratio
-    while staying inside Definition 2.
+    while staying inside Definition 2: (ProbabilityMatrix, c_core,
+    c_periphery, clip count), clipped to [0, 1].
 
     The core block and core weights are scaled by a, the periphery weights
     by b = beta * a, and the matrix is assembled from the scaled weights, so
@@ -315,12 +337,12 @@ def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray,
     where target is the required sum of off-diagonal entries.  c_core is a
     and c_periphery is b.
     """
-    nc, npr = cfg.n_core, cfg.n_periphery
+    nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
     theta_core = core_p.expected_degrees()
     s0 = float(theta_core.sum())
     if s0 <= 0.0:
         raise DomainError("core block has zero total weight")
-    target_sum = cfg.target_density * (cfg.n * cfg.n - cfg.n)
+    target_sum = cfg.target_density * (n * n - n)
     u_sum = float(theta_peri.sum())
     u_cross = u_sum * u_sum - float(np.dot(theta_peri, theta_peri))
     if npr == 0:
@@ -342,100 +364,34 @@ def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray,
     p = np.outer(theta, theta) / (a * s0)
     p[:nc, :nc] = a * core_p.entries
     np.fill_diagonal(p, 0.0)
-    return _clipped_result(p, a, a * beta)
-
-
-def definition1_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
-    """Largest off-diagonal spread within any periphery row (0 means every
-    periphery row is exactly constant off the diagonal)."""
-    periphery = np.asarray(periphery, dtype=bool)
-    worst = 0.0
-    off = ~np.eye(p.n, dtype=bool)
-    for i in np.nonzero(periphery)[0]:
-        row = p.entries[i][off[i]]
-        if row.size:
-            worst = max(worst, float(row.max() - row.min()))
-    return worst
-
-
-def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
-    """Deviation of periphery-touching entries from d_i d_j / sum(d).
-
-    Degrees follow the ignoring-self-loops convention: the implied
-    diagonal d_i^2/sum(d) of a periphery node is added back to its row
-    sum, solved by fixed-point iteration from the observed row sums.
-    """
-    periphery = np.asarray(periphery, dtype=bool)
-    s = p.expected_degrees()
-    d = s.copy()
-    for _ in range(_DEFINITION2_MAX_ITER):
-        total = d.sum()
-        if total <= 0.0:
-            return 0.0 if not periphery.any() else float(np.abs(p.entries).max())
-        nxt = s.copy()
-        nxt[periphery] = s[periphery] + d[periphery] ** 2 / total
-        if np.max(np.abs(nxt - d)) <= 1e-15 * max(1.0, total):
-            d = nxt
-            break
-        d = nxt
-    total = d.sum()
-    model = np.outer(d, d) / total
-    touch = periphery[:, np.newaxis] | periphery[np.newaxis, :]
-    np.fill_diagonal(touch, False)
-    if not touch.any():
-        return 0.0
-    return float(np.abs(p.entries - model)[touch].max())
-
-
-def periphery_product_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
-    """Deviation of periphery-touching entries from an exact product form
-    phi_i * phi_j.
-
-    The product form is necessary for Definition 2 but not sufficient:
-    Definition 2 also needs phi proportional to the expected degrees,
-    which definition2_residual checks.  Scaling the core block and the
-    periphery-touching entries of a Definition-2 matrix by two different
-    constants keeps the product form and still leaves Definition 2.
-    """
-    periphery = np.asarray(periphery, dtype=bool)
-    peri_idx = np.nonzero(periphery)[0]
-    if peri_idx.size == 0:
-        return 0.0
-    touch = periphery[:, np.newaxis] | periphery[np.newaxis, :]
-    np.fill_diagonal(touch, False)
-    entries = p.entries
-    if entries[touch].max() <= 0.0:
-        return 0.0
-    if peri_idx.size == 1:
-        return 0.0  # a single row is always expressible as a product
-    # anchor at the periphery node with the heaviest row
-    a = int(peri_idx[np.argmax(entries[peri_idx].sum(axis=1))])
-    others = peri_idx[peri_idx != a]
-    b = int(others[np.argmax(entries[a, others])])
-    if entries[a, b] <= 0.0:
-        return float(np.abs(entries)[touch].max())
-    rest = np.setdiff1d(np.arange(p.n), [a, b])
-    if rest.size == 0:
-        return 0.0  # n = 2: a single entry is trivially a product
-    k = int(rest[np.argmax(entries[b, rest])])
-    if entries[b, k] <= 0.0:
-        return float(np.abs(entries)[touch].max())
-    phi_a = np.sqrt(entries[a, k] * entries[a, b] / entries[b, k])
-    if phi_a <= 0.0:
-        return float(np.abs(entries)[touch].max())
-    phi = entries[a] / phi_a
-    phi[a] = phi_a
-    return float(np.abs(entries - np.outer(phi, phi))[touch].max())
+    # a block of rows at a time, so the comparison never needs n x n bytes
+    step = max(1, 2**20 // n)
+    clip_count = _checked_clip_count(sum(int(np.count_nonzero(p[i:i + step] > 1.0))
+                                         for i in range(0, n, step)), n)
+    if clip_count:
+        np.clip(p, 0.0, 1.0, out=p)
+    return ProbabilityMatrix(p, _validated=True), float(a), float(a * beta), clip_count
 
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """A fully assembled design point ready for sampling."""
+    """A fully assembled design point ready for sampling.
 
-    p: ProbabilityMatrix
+    `assembly` is the probability matrix as it was built: an ErAssembly for
+    an ER-type periphery, a dense ProbabilityMatrix for a
+    configuration-type one.  `core` is the unscaled core block it was
+    built from."""
+
+    assembly: ProbabilityMatrix | ErAssembly
+    core: ProbabilityMatrix
     truth: np.ndarray  # bool, True = core
     adjacency_seed: int
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def p(self) -> ProbabilityMatrix:
+        """The dense n x n matrix; an ER-type instance fills it on first use."""
+        return self.assembly.dense() if isinstance(self.assembly, ErAssembly) else self.assembly
 
 
 def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
@@ -448,7 +404,8 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
 
     ER-type: the core block is scaled by c_core and the periphery level by
     c_periphery, both solved in closed form from the block masses (see
-    _scale_er), so an unclipped instance meets Definition 1 exactly.
+    _scale_er), so an unclipped instance meets Definition 1 exactly; the
+    n x n matrix is filled only when `p` is first read.
     Configuration-type: the core weights are scaled by c_core and the
     periphery weights by c_periphery before assembly (see _scale_config),
     so an unclipped instance meets Definition 2 exactly.  The periphery
@@ -473,16 +430,14 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
         if not 0.0 < level < 1.0:
             raise DomainError("ER periphery level must lie in (0, 1)")
         meta["er_level"] = level
-        result = _scale_er(core, level, cfg)
+        assembly, *scales = _scale_er(core, level, cfg)
     else:
         theta_peri = sample_periphery_theta(core, cfg.n_periphery, theta_seed)
-        result = _scale_config(core, theta_peri, cfg)
+        assembly, *scales = _scale_config(core, theta_peri, cfg)
         meta["theta_core_sum"] = float(core.expected_degrees().sum())
-    meta["c_core"] = result.c_core
-    meta["c_periphery"] = result.c_periphery
-    meta["rescale_clip_count"] = result.clip_count
-    meta["realized_density"] = result.matrix.off_diagonal_mean()
+    meta["c_core"], meta["c_periphery"], meta["rescale_clip_count"] = scales
+    meta["realized_density"] = assembly.off_diagonal_mean()
     truth = np.zeros(cfg.n, dtype=bool)
     truth[:cfg.n_core] = True
-    return GeneratedInstance(p=result.matrix, truth=truth,
+    return GeneratedInstance(assembly=assembly, core=core, truth=truth,
                              adjacency_seed=adjacency_seed, meta=meta)

@@ -6,8 +6,14 @@ different routes to the same quantity.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
+
+# one profile for every property test: examples of the dense oracles can
+# take longer than hypothesis's 200 ms default deadline on a busy machine
+settings.register_profile("corex", deadline=None)
+settings.load_profile("corex")
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -80,3 +86,86 @@ def brute_force_coreness(g: SparseGraph) -> np.ndarray:
             return core
         core[alive] = k
         k += 1
+
+
+def definition1_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
+    """Largest off-diagonal spread within any periphery row (0 means every
+    periphery row is exactly constant off the diagonal)."""
+    periphery = np.asarray(periphery, dtype=bool)
+    worst = 0.0
+    off = ~np.eye(p.n, dtype=bool)
+    for i in np.nonzero(periphery)[0]:
+        row = p.entries[i][off[i]]
+        if row.size:
+            worst = max(worst, float(row.max() - row.min()))
+    return worst
+
+
+def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
+    """Deviation of periphery-touching entries from d_i d_j / sum(d).
+
+    Degrees follow the ignoring-self-loops convention: the implied
+    diagonal d_i^2/sum(d) of a periphery node is added back to its row
+    sum, solved by fixed-point iteration from the observed row sums.
+    """
+    periphery = np.asarray(periphery, dtype=bool)
+    s = p.expected_degrees()
+    d = s.copy()
+    for _ in range(200):  # fixed-point steps for the implied periphery degrees
+        total = d.sum()
+        if total <= 0.0:
+            return 0.0 if not periphery.any() else float(np.abs(p.entries).max())
+        nxt = s.copy()
+        nxt[periphery] = s[periphery] + d[periphery] ** 2 / total
+        if np.max(np.abs(nxt - d)) <= 1e-15 * max(1.0, total):
+            d = nxt
+            break
+        d = nxt
+    total = d.sum()
+    model = np.outer(d, d) / total
+    touch = periphery[:, np.newaxis] | periphery[np.newaxis, :]
+    np.fill_diagonal(touch, False)
+    if not touch.any():
+        return 0.0
+    return float(np.abs(p.entries - model)[touch].max())
+
+
+def periphery_product_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
+    """Deviation of periphery-touching entries from an exact product form
+    phi_i * phi_j.
+
+    The product form is necessary for Definition 2 but not sufficient:
+    Definition 2 also needs phi proportional to the expected degrees,
+    which definition2_residual checks.  Scaling the core block and the
+    periphery-touching entries of a Definition-2 matrix by two different
+    constants keeps the product form and still leaves Definition 2.
+    """
+    periphery = np.asarray(periphery, dtype=bool)
+    peri_idx = np.nonzero(periphery)[0]
+    if peri_idx.size == 0:
+        return 0.0
+    touch = periphery[:, np.newaxis] | periphery[np.newaxis, :]
+    np.fill_diagonal(touch, False)
+    entries = p.entries
+    if entries[touch].max() <= 0.0:
+        return 0.0
+    if peri_idx.size == 1:
+        return 0.0  # a single row is always expressible as a product
+    # anchor at the periphery node with the heaviest row
+    a = int(peri_idx[np.argmax(entries[peri_idx].sum(axis=1))])
+    others = peri_idx[peri_idx != a]
+    b = int(others[np.argmax(entries[a, others])])
+    if entries[a, b] <= 0.0:
+        return float(np.abs(entries)[touch].max())
+    rest = np.setdiff1d(np.arange(p.n), [a, b])
+    if rest.size == 0:
+        return 0.0  # n = 2: a single entry is trivially a product
+    k = int(rest[np.argmax(entries[b, rest])])
+    if entries[b, k] <= 0.0:
+        return float(np.abs(entries)[touch].max())
+    phi_a = np.sqrt(entries[a, k] * entries[a, b] / entries[b, k])
+    if phi_a <= 0.0:
+        return float(np.abs(entries)[touch].max())
+    phi = entries[a] / phi_a
+    phi[a] = phi_a
+    return float(np.abs(entries - np.outer(phi, phi))[touch].max())

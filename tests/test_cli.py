@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corex import cli, synth
 from corex.cli import main
 from corex.graph import read_truth_labels
-from corex.synth import DESIGN_FIELDS
+from corex.synth import DESIGN_FIELDS, graphon_core
 
 
 def run(args):
@@ -305,7 +306,8 @@ class TestDiagnose:
     @pytest.mark.parametrize("field, value", [
         ("n_core", "abc"), ("n_core", 30.5), ("n_periphery", None), ("seed", 1.5),
         ("degree_ratio", "3"), ("degree_ratio", float("nan")), ("target_density", "0.05"),
-        ("er_level", "x"), ("graphon", ["table1_g1"]),
+        ("er_level", "x"), ("graphon", ["table1_g1"]), ("er_level", 1.5), ("er_level", 0),
+        ("er_level", -0.1),
     ])
     def test_meta_type_fault_is_data_error(self, generated, tmp_path, capsys, field, value):
         meta = json.loads((generated / "meta.json").read_text())
@@ -316,6 +318,20 @@ class TestDiagnose:
         assert run(["diagnose", "--truth-p", str(bad), "--out-dir", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_core_built_once(self, generated, tmp_path, monkeypatch):
+        # the sweep reuses the instance's unscaled core instead of sampling it again
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return graphon_core(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "graphon_core", counted)
+        monkeypatch.setattr(cli, "graphon_core", counted, raising=False)
+        assert run(["diagnose", "--truth-p", str(generated / "meta.json"), "--rank", "3",
+                    "--sweep", "0,20", "--out-dir", str(tmp_path / "once")]) == 0
+        assert len(calls) == 1
 
     def test_mutually_exclusive_inputs(self, generated, tmp_path):
         code = run(["diagnose", "--truth-p", str(generated / "meta.json"),
@@ -342,7 +358,7 @@ FIELD_KINDS = {"graphon": {"str"}, "periphery": {"str"}, "n_core": {"int"},
                "degree_ratio": {"int", "float"}, "er_level": {"int", "float"}}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), field=st.sampled_from(sorted(FIELD_KINDS)))
 def test_retyped_meta_field_exits_0_or_3(valid_meta, data, field):
     assert set(FIELD_KINDS) == set(DESIGN_FIELDS) | {"er_level"}

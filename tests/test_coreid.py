@@ -57,7 +57,7 @@ class TestTopK:
 
     @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), min_size=1, max_size=40),
            st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_ties_match_brute_force(self, values, data):
         # node i is core iff fewer than n_core nodes beat it, where j beats i
         # with a larger score, or an equal score and a smaller index
@@ -166,7 +166,7 @@ class TestKmeansSplit:
         with pytest.raises(DegenerateError):
             kmeans_split(er([0.0, 0.0, 0.0, 3.0]))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=60),
            st.integers(1, 20))
     def test_appended_zero_scores_change_no_label(self, values, zeros):
@@ -178,7 +178,7 @@ class TestKmeansSplit:
         assert np.array_equal(padded.labels[:len(values)], base.labels)
         assert not padded.labels[len(values):].any()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.lists(st.one_of(st.sampled_from([0.0, 1e-13, KMEANS_FLOOR, 0.5, 2.0, 7.0]),
                               st.floats(KMEANS_FLOOR, 1e6)), min_size=2, max_size=40))
     def test_no_split_of_sorted_scores_is_better(self, values):
@@ -275,14 +275,14 @@ def fold_sample(g, holdout_fraction, seed, fold):
 
 
 class TestTrianglePairs:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.integers(2, 120))
     def test_every_index_matches_triu_indices(self, n):
         i, j = _triangle_pairs(n, np.arange(n * (n - 1) // 2))
         iu, ju = np.triu_indices(n, k=1)
         assert np.array_equal(i, iu) and np.array_equal(j, ju)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(st.integers(90_000, 110_000), st.integers(10 ** 9, 2 * 10 ** 9)),
            st.data())
     def test_large_n_near_row_starts_and_the_end(self, n, data):
@@ -514,7 +514,7 @@ class TestCsvWriters:
         reference_scores_csv(tmp_path / "c.csv", values)
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(st.tuples(st.booleans(),
                               st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES),
                                         st.integers(-2 ** 60, 2 ** 60).map(float))),

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import mann_whitney_auc, random_graph
-from corex import evaluate
 from corex.baselines import coreness_scores
 from corex.coreid import identify_top_k, threshold_er
 from corex.errors import DomainError
@@ -55,7 +54,7 @@ class TestRoc:
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0, 1.5, 4.0]), st.booleans()),
                     min_size=2, max_size=50))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_ties_match_brute_force(self, pairs):
         values, truth = (np.array(col) for col in zip(*pairs))
         truth = truth.astype(bool)
@@ -172,6 +171,35 @@ class TestEigengapProfile:
             assert abs(rec["gap_3_4"] - (mags[2] - mags[3])) <= 1e-10 * mags[0]
             assert abs(rec["normalized_gap"] - (mags[2] - mags[3]) / mags[0]) <= 1e-10
 
+    @settings(max_examples=80)
+    @given(st.integers(4, 40), st.sampled_from(["random", "rounded", "blocks"]),
+           st.floats(1e-3, 0.999), st.integers(0, 2 ** 32 - 1))
+    def test_property_matches_dense_assembly(self, n_core, kind, level, seed):
+        # oracle: dense eigvalsh of the assembled n x n matrix, on cores with
+        # distinct eigenvalues, with exact multiplicities (a few rounded
+        # values), and block-constant ones (many eigenvalues equal, many
+        # eigenvectors orthogonal to the all-ones vector)
+        rng = np.random.default_rng(seed)
+        if kind == "blocks":
+            block = rng.integers(0, rng.integers(1, 4, endpoint=True), n_core)
+            levels = np.round(rng.random((4, 4)), 1)
+            entries = np.maximum(levels, levels.T)[block[:, None], block[None, :]]
+        else:
+            entries = rng.random((n_core, n_core))
+            if kind == "rounded":
+                entries = np.round(entries * 2.0) / 2.0
+            entries = np.triu(entries, 1) + np.triu(entries, 1).T
+        np.fill_diagonal(entries, 0.0)
+        core = ProbabilityMatrix(entries)
+        sizes = [0, 1, 2, n_core + int(rng.integers(1, 50))]
+        for rec in eigengap_profile(core, sizes, periphery_level=level):
+            mags = np.sort(np.abs(np.linalg.eigvalsh(
+                assemble_er(core, rec["n_periphery"], level).entries)))[::-1]
+            assert abs(rec["lambda_1"] - mags[0]) <= 1e-10 * mags[0]
+            assert abs(rec["gap_3_4"] - (mags[2] - mags[3])) <= 1e-10 * mags[0]
+            if mags[0] > 0:
+                assert abs(rec["normalized_gap"] - (mags[2] - mags[3]) / mags[0]) <= 1e-10
+
     @pytest.mark.parametrize("sizes, level", [([0, 10, -1], 0.05),
                                               ([0, 10], 0.0),
                                               ([0, 10], 1.0),
@@ -180,7 +208,7 @@ class TestEigengapProfile:
         def no_spectrum(*args, **kwargs):
             raise AssertionError("spectrum computed before the input was checked")
 
-        monkeypatch.setattr(evaluate, "_er_assembly_eigvalsh", no_spectrum)
+        monkeypatch.setattr(np.linalg, "eigh", no_spectrum)
         with pytest.raises(DomainError):
             eigengap_profile(rank3_core(), sizes, periphery_level=level)
 

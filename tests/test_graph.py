@@ -181,20 +181,20 @@ def edge_files(draw, faults=True):
 
 
 class TestBulkParserAgainstReference:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(text=edge_files())
     def test_same_graph_or_same_error(self, text):
         expected = outcome(lambda: reference_load(text))
         assert outcome(lambda: load_edge_list(text.encode("utf-8"))) == expected
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(text=edge_files())
     def test_path_source(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("edges") / "edges.tsv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(lambda: load_edge_list(path)) == outcome(lambda: reference_load(text))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(text=edge_files(faults=False))
     def test_parse_write_parse_round_trip(self, tmp_path_factory, text):
         g = load_edge_list(text.encode("utf-8"))
@@ -236,7 +236,7 @@ class TestBulkParserAgainstReference:
 
 
 class TestFromPairs:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_invariants_and_order_independence(self, data):
         n = data.draw(st.integers(2, 25))

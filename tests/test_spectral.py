@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,9 +10,9 @@ from conftest import (dense_config_scores, dense_er_scores, random_graph,
 from corex.errors import DomainError
 from corex.graph import ProbabilityMatrix, SparseGraph, degrees, load_edge_list
 from corex.spectral import (_TRUTH_ROW_BLOCK, DEFAULT_TOL, CoreScores, SpectralDecomposition,
-                            _er_periphery_level, config_scores, diagnostics, er_scores,
-                            scores_from_truth, truncated_eigs)
-from corex.synth import SynthConfig, generate_instance, graphon_by_number
+                            config_scores, diagnostics, er_scores, scores_from_truth,
+                            truncated_eigs)
+from corex.synth import ErAssembly, SynthConfig, generate_instance, graphon_by_number
 
 
 def dense_reference_eigs(matrix: np.ndarray, r: int):
@@ -223,7 +225,7 @@ class TestConfigScores:
 
     @given(st.integers(3, 40), st.integers(1, 6), st.integers(0, 2**32 - 1),
            st.floats(0.0, 1.0))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_zero_degree_nodes_match_brute_force(self, n, r, seed, zero_share):
         rng = np.random.default_rng(seed)
         r = min(r, n - 1)
@@ -366,12 +368,44 @@ def assert_spectrum_matches_dense(p: ProbabilityMatrix, report):
     assert np.all(mags[:-1] >= mags[1:])
 
 
-class TestReducedSpectrum:
-    """ER-type peripheries take the (n_c + 1)-square reduced spectrum;
-    everything else takes dense eigvalsh.  Dense eigvalsh of the whole
-    matrix is the oracle for both."""
+def filled_by_hand(assembly) -> ProbabilityMatrix:
+    """The n x n matrix of an ER assembly, built entry by entry."""
+    nc, n = assembly.core.n, assembly.n
+    entries = np.array([[0.0 if i == j else
+                         min(assembly.c_core * assembly.core.entries[i, j], 1.0)
+                         if i < nc and j < nc else assembly.level
+                         for j in range(n)] for i in range(n)])
+    return ProbabilityMatrix(entries)
 
-    @settings(max_examples=150, deadline=None)
+
+def assert_assembly_matches_dense(assembly, r=3):
+    """Oracle: dense diagnostics of the matrix filled by hand.  The
+    ER-assembly report must match it to 1e-12 |lambda_1| in the spectrum
+    and gap, to 1e-12 relative in h_n and h'_n, and exactly in p_star."""
+    labels = np.arange(assembly.n) < assembly.core.n
+    report = diagnostics(assembly, r, labels)
+    dense = diagnostics(filled_by_hand(assembly), r, labels)
+    scale = np.abs(dense.eigenvalues[0])
+    assert report.eigenvalues.shape == dense.eigenvalues.shape
+    assert np.max(np.abs(np.sort(report.eigenvalues) - np.sort(dense.eigenvalues)),
+                  initial=0.0) <= 1e-12 * scale
+    mags = np.abs(report.eigenvalues)
+    assert np.all(mags[:-1] >= mags[1:])
+    assert abs(report.gap_r - dense.gap_r) <= 1e-12 * scale
+    assert report.p_star == dense.p_star
+    for got, want in ((report.h_n, dense.h_n), (report.h_prime_n, dense.h_prime_n)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-12 * want
+    return report
+
+
+class TestReducedSpectrum:
+    """ER-type assemblies take the (n_c + 1)-square reduced spectrum and
+    core-block scores; dense matrices take dense eigvalsh.  Dense
+    diagnostics of the whole matrix are the oracle for both."""
+
+    @settings(max_examples=150)
     @given(st.integers(1, 8), st.integers(0, 12),
            st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
     def test_interleaved_er_assembly_matches_dense(self, n_core, n_periphery, level, seed):
@@ -379,53 +413,71 @@ class TestReducedSpectrum:
         assume(n >= 2)
         rng = np.random.default_rng(seed)
         core = np.triu(rng.random((n_core, n_core)), 1)
-        entries = np.full((n, n), level)
-        entries[:n_core, :n_core] = core + core.T
-        np.fill_diagonal(entries, 0.0)
+        assembly = ErAssembly(ProbabilityMatrix(core + core.T), 1.0, n_periphery, level)
         perm = rng.permutation(n)  # periphery interleaved with the core
-        p = ProbabilityMatrix(entries[np.ix_(perm, perm)])
+        p = ProbabilityMatrix(filled_by_hand(assembly).entries[np.ix_(perm, perm)])
         labels = perm < n_core
-        expected_level = level if n_periphery else None
-        assert _er_periphery_level(p.entries, labels) == expected_level
-        assert_spectrum_matches_dense(p, diagnostics(p, r=1, core_labels=labels))
+        dense = diagnostics(p, r=1, core_labels=labels)
+        assert_spectrum_matches_dense(p, dense)
+        report = assert_assembly_matches_dense(assembly, r=1)
+        assert np.max(np.abs(np.sort(report.eigenvalues) - np.sort(dense.eigenvalues))) <= \
+            1e-12 * np.abs(dense.eigenvalues[0])
 
-    def test_level_detection_edge_cases(self):
-        labels = np.arange(6) < 2
-        entries = np.full((6, 6), 0.3)
-        assert _er_periphery_level(entries, labels) is None  # nonzero diagonal
-        np.fill_diagonal(entries, 0.0)
-        assert _er_periphery_level(entries, labels) == 0.3
-        entries[2:, :] = entries[:, 2:] = 0.0  # isolated periphery: level 0
-        assert _er_periphery_level(entries, labels) == 0.0
-        entries[4, 0] = entries[0, 4] = 0.3  # one periphery row off level 0
-        assert _er_periphery_level(entries, labels) is None
-        assert _er_periphery_level(entries, np.ones(6, dtype=bool)) is None
+    def test_assembly_edge_cases(self):
+        core = ProbabilityMatrix(np.array([[0.0, 0.6, 0.2], [0.6, 0.0, 0.9],
+                                           [0.2, 0.9, 0.0]]))
+        for n_periphery, level in ((0, 0.3), (1, 0.3), (4, 1.0), (4, 0.95)):
+            assert_assembly_matches_dense(ErAssembly(core, 1.5, n_periphery, level), r=2)
+        # without a periphery the level is in no entry, so not in p_star
+        assert diagnostics(ErAssembly(core, 0.5, 0, 0.9), 2).p_star == 0.45
+        # a core row of zeros has degree 0: no config score, as in the dense path
+        isolated = ProbabilityMatrix(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0],
+                                               [0.0, 0.0, 0.0]]))
+        assert assert_assembly_matches_dense(ErAssembly(isolated, 1.0, 0, 0.3),
+                                             r=1).h_prime_n is None
+        with pytest.raises(DomainError):  # the assembly's core is its first nodes
+            diagnostics(ErAssembly(core, 1.0, 3, 0.3), 2, core_labels=np.arange(6) >= 3)
 
     def test_config_instance_takes_dense_path(self):
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="config",
                           degree_ratio=2.0, target_density=0.1, seed=4)
         inst = generate_instance(graphon_by_number(1), cfg)
-        assert _er_periphery_level(inst.p.entries, inst.truth) is None
-        assert_spectrum_matches_dense(inst.p, diagnostics(inst.p, 3, inst.truth))
+        assert inst.assembly is inst.p
+        assert_spectrum_matches_dense(inst.p, diagnostics(inst.assembly, 3, inst.truth))
 
     def test_one_ulp_off_er_instance_takes_dense_path(self):
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
                           degree_ratio=2.0, target_density=0.05, seed=4)
-        entries = generate_instance(graphon_by_number(1), cfg).p.entries.copy()
-        truth = np.arange(70) < 30
-        assert _er_periphery_level(entries, truth) is not None
+        inst = generate_instance(graphon_by_number(1), cfg)
+        assert inst.meta["rescale_clip_count"] == 0
+        assert_assembly_matches_dense(inst.assembly)
+        entries = inst.p.entries.copy()
         entries[50, 3] = entries[3, 50] = np.nextafter(entries[50, 3], 1.0)
         p = ProbabilityMatrix(entries)
-        assert _er_periphery_level(p.entries, truth) is None
-        assert_spectrum_matches_dense(p, diagnostics(p, 3, truth))
+        assert_spectrum_matches_dense(p, diagnostics(p, 3, inst.truth))
 
     def test_clipped_er_instance_takes_reduced_path(self):
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
                           degree_ratio=3.0, target_density=0.2, seed=1)
         inst = generate_instance(graphon_by_number(2), cfg)
         assert inst.meta["rescale_clip_count"] > 0
-        level = inst.meta["c_periphery"] * inst.meta["er_level"]
-        assert _er_periphery_level(inst.p.entries, inst.truth) == pytest.approx(level, rel=1e-15)
-        report = diagnostics(inst.p, 3, inst.truth)
+        assert inst.assembly.level == inst.meta["c_periphery"] * inst.meta["er_level"]
+        report = assert_assembly_matches_dense(inst.assembly)
         assert_spectrum_matches_dense(inst.p, report)
-        assert report.h_n == float(scores_from_truth(inst.p, "er").values[:30].min())
+        h_n = float(scores_from_truth(inst.p, "er").values[:30].min())
+        assert abs(report.h_n - h_n) <= 1e-12 * h_n
+
+    def test_er_diagnostics_need_no_dense_matrix(self):
+        # the dense path holds the n x n matrix (8 n^2 bytes); the assembly
+        # path holds the core block and O(n) vectors
+        n_core, n_periphery = 200, 4000
+        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
+                          degree_ratio=3.0, target_density=0.02, seed=0)
+        tracemalloc.start()
+        try:
+            inst = generate_instance(graphon_by_number(1), cfg)
+            diagnostics(inst.assembly, 3, inst.truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 8 * (n_core + n_periphery) ** 2

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import definition1_residual, definition2_residual, periphery_product_residual
 from corex.errors import DomainError, InfeasibleError, ValidationError
 from corex.graph import ProbabilityMatrix
 from corex.spectral import scores_from_truth
 from corex.synth import (DESIGN_FIELDS, PRESET_SIZES, GraphonSpec, SynthConfig,
-                         assemble_er, definition1_residual, definition2_residual,
-                         design_record, generate_instance, graphon_by_number,
-                         graphon_core, graphon_matrix, graphon_value,
-                         periphery_product_residual, read_design, sample_latents,
-                         sample_periphery_theta)
+                         assemble_er, design_record, generate_instance, graphon_by_number,
+                         graphon_core, graphon_matrix, graphon_value, read_design,
+                         sample_latents, sample_periphery_theta)
 
 G1 = graphon_by_number(1)
 G2 = graphon_by_number(2)
@@ -256,7 +255,7 @@ class TestRescale:
             er_instance(constant_graphon(0.0), 5, 5, ratio=1.0, density=0.05,
                         er_level=0.05)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(gnum=st.integers(1, 3), n_core=st.integers(2, 30),
            n_periphery=st.integers(0, 30),
            ratio=st.floats(1.0, 6.0), density=st.floats(0.005, 0.3),
@@ -293,6 +292,19 @@ class TestRescale:
         # counting clips over the whole matrix at once took an n x n boolean
         # (1.375 x 8 n^2 here); a block of rows at a time leaves about 1.31 x
         assert er_peak_in_dense_matrices(1000, 1000) < 1.35
+
+    def test_clipped_level_clips_every_touching_pair(self):
+        # a small periphery that must out-degree the core pushes c_periphery a
+        # above 1: all 20 * 2 + 1 pairs touching the periphery clip
+        graphon = constant_graphon(0.5)
+        cfg = SynthConfig(n_core=20, n_periphery=2, periphery="er",
+                          degree_ratio=0.3, target_density=0.5, seed=0)
+        inst = generate_instance(graphon, cfg, er_level=0.5)
+        c_core, c_peri, scaled, clip_count = dense_rescale_oracle(graphon, cfg, inst.meta)
+        assert c_peri * 0.5 > 1.0 and inst.assembly.level == 1.0
+        assert inst.meta["rescale_clip_count"] == clip_count == 41
+        assert np.array_equal(inst.p.entries, scaled)
+        assert abs(inst.meta["realized_density"] - scaled.sum() / (22 * 21)) <= 1e-15
 
     def test_clip_count_over_row_blocks(self):
         # n = 1400 spans two row blocks of the clip count
