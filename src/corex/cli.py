@@ -20,16 +20,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coreid import (identify_top_k, kmeans_split, select_rank_ecv,
-                     threshold_config, threshold_er, write_partition_csv)
 from .errors import (ConvergenceError, CorexError, DomainError, InfeasibleError,
                      ParseError, ValidationError)
-from .evaluate import (ALL_METHODS, eigengap_profile, roc, run_experiment,
-                       write_roc_csv)
-from .graph import (average_density, degrees, load_edge_list, sample_adjacency,
-                    write_edge_list, write_truth_labels)
-from .spectral import (config_scores, diagnostics, er_scores, truncated_eigs,
-                       write_scores_csv)
+from .graph import (average_density, degrees, load_edge_list, write_edge_list,
+                    write_truth_labels)
 from .synth import (PRESET_SIZES, SynthConfig, generate_instance, graphon_by_number,
                     read_design)
 
@@ -80,7 +74,7 @@ def cmd_generate(args) -> int:
         "ratio": args.ratio, "seed": args.seed, "out_dir": args.out_dir,
     })
     instance = generate_instance(graphon, cfg)
-    g = sample_adjacency(instance.p, instance.adjacency_seed)
+    g = instance.sample()
     write_edge_list(g, os.path.join(out_dir, "edges.tsv"))
     write_truth_labels(os.path.join(out_dir, "truth.csv"), instance.truth)
     meta = dict(instance.meta)
@@ -103,6 +97,9 @@ def _parse_select(spec: str):
 
 
 def cmd_identify(args) -> int:
+    from .coreid import (identify_top_k, kmeans_split, select_rank_ecv, threshold_config,
+                         threshold_er, write_partition_csv)
+    from .spectral import config_scores, er_scores, truncated_eigs, write_scores_csv
     if not os.path.isfile(args.input):
         raise ValidationError(f"input file not found: {args.input}")
     select_method, topk = _parse_select(args.select)
@@ -158,6 +155,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .evaluate import ALL_METHODS, roc, run_experiment, write_roc_csv
     try:
         ratios = tuple(map(float, args.ratios.split(","))) if args.ratios else DEFAULT_RATIOS
     except ValueError:
@@ -217,6 +215,7 @@ def _parse_sweep(spec: str) -> list[int]:
 
 
 def cmd_diagnose(args) -> int:
+    from .spectral import diagnostics, truncated_eigs
     if bool(args.truth_p) == bool(args.input):
         raise DomainError("give exactly one of --truth-p or --input")
     if args.input and args.sweep:
@@ -240,6 +239,7 @@ def cmd_diagnose(args) -> int:
         report = diagnostics(instance.assembly, args.rank, core_labels=instance.truth)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes:
+            from .evaluate import eigengap_profile
             records = eigengap_profile(instance.core, sizes, args.periphery_level)
             sweep_path = os.path.join(out_dir, "eigengap_sweep.csv")
             with open(sweep_path, "wt", encoding="utf-8", newline="\n") as fh:
@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the simulation benchmark")
     add_design(p_bench)
     p_bench.add_argument("--ratios", help="comma list, default 1,2,3")
-    p_bench.add_argument("--methods", help=f"comma list from {','.join(ALL_METHODS)}")
+    p_bench.add_argument("--methods", help="comma list from proposed_er,proposed_config,"
+                         "degree,pagerank,eigenvector,local_cc,kcore")
     p_bench.add_argument("--replicates", type=int, default=20)
     p_bench.add_argument("--rank", type=int, default=6)
     p_bench.add_argument("--rank-mode", choices=("fixed", "ecv"), default="fixed")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .graph import SparseGraph
+from .graph import SparseGraph, _triangle_pairs
 from .spectral import CoreScores, _eigs
 
 __all__ = [
@@ -147,35 +147,18 @@ def kmeans_split(scores) -> CorePartition:
         raise DegenerateError("fewer than two distinct scores above the floor; "
                               "no split exists")
     m = x.size
-    prefix = np.concatenate([[0.0], np.cumsum(x)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(x * x)])
-    total, total_sq = prefix[-1], prefix_sq[-1]
-    best_cost, best_k = np.inf, None
-    for k in range(1, m):
-        if x[k] == x[k - 1]:
-            continue  # equal values cannot straddle a 2-means boundary
-        left = prefix_sq[k] - prefix[k] ** 2 / k
-        right = (total_sq - prefix_sq[k]) - (total - prefix[k]) ** 2 / (m - k)
-        cost = left + right
-        if cost < best_cost:
-            best_cost, best_k = cost, k
-    cut_value = x[best_k]  # smallest log score in the core cluster
+    prefix = np.cumsum(x)
+    prefix_sq = np.cumsum(x * x)
+    # entry k - 1 is the cost of the split with x[:k] low, for k = 1 .. m - 1
+    k = np.arange(1, m)
+    left = prefix_sq[:-1] - prefix[:-1] ** 2 / k
+    right = (prefix_sq[-1] - prefix_sq[:-1]) - (prefix[-1] - prefix[:-1]) ** 2 / (m - k)
+    cost = left + right
+    cost[x[1:] == x[:-1]] = np.inf  # equal values cannot straddle a 2-means boundary
+    cut_value = x[int(np.argmin(cost)) + 1]  # smallest log score in the core cluster
     labels = logv >= cut_value
     return CorePartition(labels=labels, selection_method="kmeans",
                          cutoff=float(math.exp(cut_value)))
-
-
-def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode indices into the row-major upper triangle of an n x n matrix
-    (diagonal excluded) into (i, j) pairs with i < j; exact in int64 for
-    n up to 2e9."""
-    # count from the end, where row n - 2 - q holds q + 1 pairs: the square
-    # root of 8t + 1 then suffers no cancellation and is off by at most one
-    t = n * (n - 1) // 2 - 1 - index
-    q = np.floor((np.sqrt(8.0 * t + 1.0) - 1.0) / 2.0).astype(np.int64)
-    q = np.where(q * (q + 1) // 2 > t, q - 1, q)
-    q = np.where((q + 1) * (q + 2) // 2 <= t, q + 1, q)
-    return n - 2 - q, n - 1 - (t - q * (q + 1) // 2)
 
 
 def _edge_split(g: SparseGraph, edges: np.ndarray, keys: np.ndarray,

@@ -17,7 +17,7 @@ from . import baselines as bl
 from .coreid import (CorePartition, kmeans_split, select_rank_ecv,
                      threshold_config, threshold_er)
 from .errors import DegenerateError, DomainError
-from .graph import ProbabilityMatrix, average_density, degrees, sample_adjacency
+from .graph import ProbabilityMatrix, average_density, degrees
 from .spectral import config_scores, er_scores, truncated_eigs
 from .synth import GraphonSpec, SynthConfig, design_record, generate_instance
 
@@ -233,9 +233,10 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
                    eps: float = 0.01) -> ExperimentResult:
     """Replicate the simulation protocol for one design point.
 
-    Per replicate: draw the ground-truth matrix and one adjacency sample,
-    score the nodes with every requested method, collect AUCs and the
-    score and truth vectors, and record the operating points of the
+    Per replicate: build the instance, draw one adjacency sample through
+    GeneratedInstance.sample (so an ER-type instance never fills its n x n
+    matrix), score the nodes with every requested method, collect AUCs and
+    the score and truth vectors, and record the operating points of the
     threshold and 2-means selection rules (plus the k-core staircase).  In
     ECV mode the rank is chosen from ECV_CANDIDATES.  cfg.seed is the
     master seed; every replicate derives its own seed from it.
@@ -260,8 +261,8 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     for rep, rep_seed in enumerate(rep_seeds):
         instance = generate_instance(graphon, replace(cfg, seed=rep_seed))
         truth = instance.truth
-        g = sample_adjacency(instance.p, instance.adjacency_seed)
-        del instance  # its n x n matrix and core block are not needed past sampling
+        g = instance.sample()
+        del instance  # its core block, and a config instance's n x n matrix, end here
         p_hat = average_density(g)
         dec = None
         if need_spectral:
@@ -288,15 +289,9 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
                         operating_point(km, truth))
                 except DegenerateError:
                     pass
-            elif method == "degree":
-                values = bl.degree_scores(g).values
-            elif method == "pagerank":
-                values = bl.pagerank_scores(g).values
-            elif method == "eigenvector":
-                values = bl.eigenvector_scores(g).values
-            elif method == "local_cc":
-                values = bl.local_cc_scores(g).values
-            else:  # kcore
+            elif method != "kcore":  # degree, pagerank, eigenvector, local_cc
+                values = getattr(bl, f"{method}_scores")(g).values
+            else:
                 coreness = bl.coreness_scores(g)
                 values = coreness.values
                 result.operating_points.setdefault("kcore", []).extend(

@@ -3,8 +3,8 @@
 Graphs are simple (no self-loops, no multi-edges), undirected, and binary,
 on nodes 0..n-1, and stored as their adjacency matrix in CSR form.
 Probability matrices are dense symmetric float arrays with a zero diagonal;
-they stay dense because synthetic experiments run at desk scale (n up to a
-few thousand).
+only configuration-type instances need one, as ER-type instances are
+sampled from their parts (synth.ErAssembly.sample).
 """
 
 from __future__ import annotations
@@ -263,9 +263,12 @@ def load_edge_list(source) -> SparseGraph:
 
 def write_edge_list(g: SparseGraph, path) -> None:
     """Write a graph in the dialect understood by load_edge_list."""
+    # entry i is "i\t" and entry n + i is "i\n", so edge (i, j) is entries i, n + j
+    table = np.array([f"{i}\t" for i in range(g.n)] + [f"{i}\n" for i in range(g.n)],
+                     dtype=object)
     with open(path, "wt", encoding="utf-8", newline="\n") as fh:
         fh.write(f"n {g.n}\n")
-        fh.write(("%d\t%d\n" * g.m) % tuple(g.edge_array().ravel().tolist()))
+        fh.write("".join(table[(g.edge_array() + [0, g.n]).ravel()].tolist()))
 
 
 def degrees(g: SparseGraph) -> np.ndarray:
@@ -295,6 +298,19 @@ def sample_adjacency(p: ProbabilityMatrix, seed: int) -> SparseGraph:
     tails = np.repeat(np.arange(len(upper), dtype=np.int64), [hits.size for hits in upper])
     heads = np.concatenate([np.empty(0, dtype=np.int64), *upper])
     return SparseGraph.from_pairs(n, np.column_stack([tails, heads]))
+
+
+def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode indices into the row-major upper triangle of an n x n matrix
+    (diagonal excluded) into (i, j) pairs with i < j; exact in int64 for
+    n up to 2e9."""
+    # count from the end, where row n - 2 - q holds q + 1 pairs: the square
+    # root of 8t + 1 then suffers no cancellation and is off by at most one
+    t = n * (n - 1) // 2 - 1 - index
+    q = np.floor((np.sqrt(8.0 * t + 1.0) - 1.0) / 2.0).astype(np.int64)
+    q = np.where(q * (q + 1) // 2 > t, q - 1, q)
+    q = np.where((q + 1) * (q + 2) // 2 <= t, q + 1, q)
+    return n - 2 - q, n - 1 - (t - q * (q + 1) // 2)
 
 
 def read_truth_labels(path) -> np.ndarray:

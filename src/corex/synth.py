@@ -17,7 +17,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ValidationError
-from .graph import ProbabilityMatrix
+from .graph import ProbabilityMatrix, SparseGraph, _triangle_pairs, sample_adjacency
 
 __all__ = [
     "GraphonSpec",
@@ -29,7 +29,6 @@ __all__ = [
     "sample_latents",
     "graphon_matrix",
     "graphon_core",
-    "assemble_er",
     "sample_periphery_theta",
     "generate_instance",
     "DESIGN_FIELDS",
@@ -122,7 +121,9 @@ def sample_latents(n: int, seed: int) -> np.ndarray:
 def graphon_matrix(spec: GraphonSpec, xi: np.ndarray) -> ProbabilityMatrix:
     """Evaluate the graphon on a latent vector; zero diagonal enforced."""
     xi = np.asarray(xi, dtype=np.float64)
-    p = np.array(graphon_value(spec, xi[:, np.newaxis], xi[np.newaxis, :]))
+    p, step = np.empty((xi.size, xi.size)), max(1, 2**16 // max(1, xi.size))
+    for lo in range(0, xi.size, step):  # row blocks keep the graphon's temporaries small
+        p[lo:lo + step] = graphon_value(spec, xi[lo:lo + step, np.newaxis], xi[np.newaxis, :])
     np.fill_diagonal(p, 0.0)
     return ProbabilityMatrix(p)
 
@@ -136,22 +137,6 @@ def graphon_core(spec: GraphonSpec, n_core: int, seed: int) -> ProbabilityMatrix
     if n_core < 2:
         raise DomainError("core needs at least 2 nodes")
     return graphon_matrix(spec, sample_latents(n_core, seed))
-
-
-def assemble_er(core_p: ProbabilityMatrix, n_periphery: int,
-                periphery_level: float) -> ProbabilityMatrix:
-    """Attach an ER-type periphery: every pair touching a periphery node
-    gets the constant periphery_level."""
-    if not 0.0 < periphery_level < 1.0:
-        raise DomainError("periphery_level must lie in (0, 1)")
-    nc = core_p.n
-    n = nc + n_periphery
-    if n_periphery == 0:
-        return core_p
-    p = np.full((n, n), periphery_level, dtype=np.float64)
-    p[:nc, :nc] = core_p.entries
-    np.fill_diagonal(p, 0.0)
-    return ProbabilityMatrix(p, _validated=True)
 
 
 def sample_periphery_theta(core_p: ProbabilityMatrix, n_periphery: int,
@@ -261,6 +246,31 @@ class ErAssembly:
         self.core_block(out=p[:self.core.n, :self.core.n])
         np.fill_diagonal(p, 0.0)
         return ProbabilityMatrix(p, _validated=True)
+
+    def sample(self, seed: int) -> SparseGraph:
+        """One Bernoulli draw in O(n_core^2 + n + m) time and memory, with the
+        core-core edges of sample_adjacency(self.dense(), seed).  The pairs
+        touching the periphery (core-periphery, then the periphery triangle,
+        each row-major) are i.i.d. Bernoulli(a): the gaps between their edges
+        are geometric (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005)."""
+        nc, npr = self.core.n, self.n_periphery
+        core = sample_adjacency(ProbabilityMatrix(self.core_block(), _validated=True), seed)
+        touching, cross = nc * npr + npr * (npr - 1) // 2, nc * npr
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 0)))
+        chunks, last = [], -1
+        while last < touching - 1:
+            expected = (touching - 1 - last) * self.level
+            size = min(touching - 1 - last, int(expected + 4.0 * np.sqrt(expected)) + 16)
+            hits = last + np.cumsum(rng.geometric(self.level, size))
+            chunks.append(hits[hits < touching])
+            last = int(hits[-1])
+        hits = np.concatenate([np.empty(0, dtype=np.int64), *chunks])
+        i, j = _triangle_pairs(npr, hits[hits >= cross] - cross)
+        hits = hits[hits < cross]
+        pairs = np.concatenate([core.edge_array(), np.column_stack([hits // npr, nc + hits % npr]),
+                                np.column_stack([nc + i, nc + j])])
+        del chunks, hits, i, j  # the draws go before from_pairs makes its copies
+        return SparseGraph.from_pairs(self.n, pairs)
 
     def off_diagonal_mean(self) -> float:
         n, nc = self.n, self.core.n
@@ -380,7 +390,8 @@ class GeneratedInstance:
     `assembly` is the probability matrix as it was built: an ErAssembly for
     an ER-type periphery, a dense ProbabilityMatrix for a
     configuration-type one.  `core` is the unscaled core block it was
-    built from."""
+    built from.  `sample` draws the instance's adjacency; `p`, the dense
+    matrix, serves tests and dense oracles."""
 
     assembly: ProbabilityMatrix | ErAssembly
     core: ProbabilityMatrix
@@ -392,6 +403,13 @@ class GeneratedInstance:
     def p(self) -> ProbabilityMatrix:
         """The dense n x n matrix; an ER-type instance fills it on first use."""
         return self.assembly.dense() if isinstance(self.assembly, ErAssembly) else self.assembly
+
+    def sample(self) -> SparseGraph:
+        """The adjacency drawn from adjacency_seed; an ER-type instance never
+        fills its dense matrix."""
+        if isinstance(self.assembly, ErAssembly):
+            return self.assembly.sample(self.adjacency_seed)
+        return sample_adjacency(self.assembly, self.adjacency_seed)
 
 
 def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
@@ -405,7 +423,7 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
     ER-type: the core block is scaled by c_core and the periphery level by
     c_periphery, both solved in closed form from the block masses (see
     _scale_er), so an unclipped instance meets Definition 1 exactly; the
-    n x n matrix is filled only when `p` is first read.
+    n x n matrix is filled only when `p` is first read, never by `sample`.
     Configuration-type: the core weights are scaled by c_core and the
     periphery weights by c_periphery before assembly (see _scale_config),
     so an unclipped instance meets Definition 2 exactly.  The periphery

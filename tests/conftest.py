@@ -5,9 +5,13 @@ bucket peeling, trapezoid AUC) so the tests compare two genuinely
 different routes to the same quantity.
 """
 
+import math
+
 import numpy as np
 from hypothesis import settings
 
+from corex.coreid import KMEANS_FLOOR
+from corex.errors import DegenerateError
 from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
 
 # one profile for every property test: examples of the dense oracles can
@@ -48,6 +52,40 @@ def random_graph(n: int, p: float, seed: int) -> SparseGraph:
     entries = np.full((n, n), p)
     np.fill_diagonal(entries, 0.0)
     return sample_adjacency(ProbabilityMatrix(entries), seed)
+
+
+def dense_er(core: ProbabilityMatrix, n_periphery: int, level: float) -> np.ndarray:
+    """The ER-type assembly [[C, a J], [a J, a (J - I)]], filled entry by entry."""
+    p = np.full((core.n + n_periphery, core.n + n_periphery), level)
+    p[:core.n, :core.n] = core.entries
+    np.fill_diagonal(p, 0.0)
+    return p
+
+
+def kmeans_split_loop(values) -> tuple[np.ndarray, float]:
+    """2-means on log scores by a Python loop over every split of the sorted
+    live log scores, keeping the first of equal costs: (labels, cutoff).
+    Raises DegenerateError when no split exists."""
+    values = np.asarray(values, dtype=np.float64)
+    logv = np.full(values.size, -np.inf)
+    live = values > KMEANS_FLOOR
+    logv[live] = np.log(values[live])
+    x = np.sort(logv[live])
+    if x.size < 2 or x[0] == x[-1]:
+        raise DegenerateError("no split")
+    m = x.size
+    prefix = np.concatenate([[0.0], np.cumsum(x)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(x * x)])
+    best_cost, best_k = np.inf, None
+    for k in range(1, m):
+        if x[k] == x[k - 1]:
+            continue
+        left = prefix_sq[k] - prefix[k] ** 2 / k
+        right = (prefix_sq[-1] - prefix_sq[k]) - (prefix[-1] - prefix[k]) ** 2 / (m - k)
+        cost = left + right
+        if cost < best_cost:
+            best_cost, best_k = cost, k
+    return logv >= x[best_k], math.exp(x[best_k])
 
 
 def mann_whitney_auc(values, truth) -> float:

@@ -177,7 +177,7 @@ def test_criterion_03_exact_recovery_topk():
             f"[criterion 03] seed {s}: the noiseless P no longer supports "
             f"exact recovery: {sig}")
         t0 = time.time()
-        g = sample_adjacency(inst.p, inst.adjacency_seed)
+        g = inst.sample()
         scores = er_scores(truncated_eigs(g, 6, seed=s))
         part = identify_top_k(scores, cfg.n_core)
         elapsed += time.time() - t0
@@ -206,7 +206,7 @@ def test_criterion_04_threshold_selection():
             f"[criterion 04] ER seed {s}: the noiseless P no longer supports "
             f"exact recovery: {sig}")
         t0 = time.time()
-        g = sample_adjacency(inst.p, inst.adjacency_seed)
+        g = inst.sample()
         part = threshold_er(er_scores(truncated_eigs(g, 6, seed=s)),
                             average_density(g), g.n)
         elapsed += time.time() - t0

@@ -103,42 +103,60 @@ def generated(tmp_path):
 IMPORT_PROBE = textwrap.dedent("""
     import json, sys
     from pathlib import Path
-    out = Path(sys.argv[1])
-    scipy_modules = lambda: sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+    out, steps = Path(sys.argv[1]), sys.argv[2]
     loaded = {}
+
+    def record(step):
+        loaded[step] = {top: sorted(k for k in sys.modules if k.split(".")[0] == top)
+                        for top in ("scipy", "corex")}
+
     import corex
+    record("import corex")
     from corex.cli import main
-    loaded["import"] = scipy_modules()
-    for periphery in ("er", "config"):
+    record("import")
+    if steps == "identify":
+        assert main(["identify", "--input", str(out / "er" / "edges.tsv"), "--rank", "3",
+                     "--select", "threshold", "--out-dir", str(out / "id")]) == 0
+        record("identify")
+    for periphery in ("er", "config") if steps == "synth" else ():
         data = out / periphery
         assert main(["generate", "--graphon", "1", "--n-core", "30", "--n-periphery", "30",
                      "--periphery", periphery, "--density", "0.05", "--seed", "3",
                      "--out-dir", str(data)]) == 0
-        loaded["generate " + periphery] = scipy_modules()
+        record("generate " + periphery)
         assert main(["diagnose", "--truth-p", str(data / "meta.json"), "--rank", "3",
                      "--sweep", "0,20", "--out-dir", str(data / "diag")]) == 0
-        loaded["diagnose " + periphery] = scipy_modules()
-    assert main(["identify", "--input", str(out / "er" / "edges.tsv"), "--rank", "3",
-                 "--select", "threshold", "--out-dir", str(out / "id")]) == 0
-    loaded["identify"] = scipy_modules()
+        record("diagnose " + periphery)
     print(json.dumps(loaded))
 """)
 
 
-def test_scipy_loads_only_for_sparse_solves(tmp_path):
-    """`import corex`, `generate` and `diagnose --truth-p` never import
-    scipy; `identify` loads `scipy.sparse` on its first CSR matrix.  A fresh
-    interpreter, because this one has scipy loaded already."""
+def run_import_probe(out, steps):
+    """The scipy and corex modules loaded after each step of IMPORT_PROBE,
+    run in a fresh interpreter, because this one has them loaded already."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(out), steps], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_scipy_loads_only_for_sparse_solves(tmp_path):
+    """`import corex`, `generate` and `diagnose --truth-p` never import
+    scipy; `identify` loads `scipy.sparse` on its first CSR matrix.
+    `generate` loads only the modules it runs, and `identify` neither the
+    benchmark harness nor the baselines; each in a fresh interpreter."""
+    loaded = run_import_probe(tmp_path, "synth")
     for step in ("import", "generate er", "diagnose er", "generate config", "diagnose config"):
-        assert loaded[step] == [], (step, loaded[step][:5])
-    assert "scipy.sparse" in loaded["identify"]
+        assert loaded[step]["scipy"] == [], (step, loaded[step]["scipy"][:5])
+    assert loaded["import corex"]["corex"] == ["corex"]
+    assert loaded["generate er"]["corex"] == ["corex", "corex.cli", "corex.errors",
+                                              "corex.graph", "corex.synth"]
+    loaded = run_import_probe(tmp_path, "identify")
+    assert "scipy.sparse" in loaded["identify"]["scipy"]
+    assert not {"corex.evaluate", "corex.baselines"} & set(loaded["identify"]["corex"])
 
 
 class TestIdentify:
@@ -201,6 +219,13 @@ class TestIdentify:
 
 
 class TestBench:
+    def test_methods_help_names_every_method(self):
+        # the parser is built without importing evaluate, which defines the names
+        from corex.evaluate import ALL_METHODS
+        bench = cli.build_parser()._subparsers._group_actions[0].choices["bench"]
+        methods = next(a for a in bench._actions if a.dest == "methods")
+        assert methods.help == f"comma list from {','.join(ALL_METHODS)}"
+
     def test_small_explicit_bench(self, tmp_path):
         out = tmp_path / "bench"
         code = run(["bench", "--graphon", "1", "--periphery", "er",

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import kmeans_split_loop, random_graph
 from corex.coreid import (KMEANS_FLOOR, CorePartition, RankSelection, _edge_split, _fold_losses,
-                          _triangle_pairs, identify_top_k, kmeans_split,
-                          select_rank_ecv, threshold_config, threshold_er,
-                          write_partition_csv)
+                          identify_top_k, kmeans_split, select_rank_ecv, threshold_config,
+                          threshold_er, write_partition_csv)
 from corex.errors import DegenerateError, DomainError
 from corex.evaluate import RocCurve, write_roc_csv
 from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
@@ -178,6 +177,21 @@ class TestKmeansSplit:
         assert np.array_equal(padded.labels[:len(values)], base.labels)
         assert not padded.labels[len(values):].any()
 
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1e-13, KMEANS_FLOOR, 0.5, 2.0, 7.0]),
+                              st.floats(KMEANS_FLOOR, 1e6)), min_size=2, max_size=60))
+    def test_matches_loop_oracle(self, values):
+        # the vectorized split scan against a loop over every split: same
+        # labels and the same cutoff, bit for bit, ties and zeros included
+        try:
+            labels, cutoff = kmeans_split_loop(values)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                kmeans_split(er(values))
+            return
+        part = kmeans_split(er(values))
+        assert np.array_equal(part.labels, labels) and part.cutoff == cutoff
+
     @settings(max_examples=150)
     @given(st.lists(st.one_of(st.sampled_from([0.0, 1e-13, KMEANS_FLOOR, 0.5, 2.0, 7.0]),
                               st.floats(KMEANS_FLOOR, 1e6)), min_size=2, max_size=40))
@@ -272,42 +286,6 @@ def fold_sample(g, holdout_fraction, seed, fold):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
     held, kept, non_edges, weight = _edge_split(g, edges, keys, holdout_fraction, rng)
     return held, kept, non_edges, weight
-
-
-class TestTrianglePairs:
-    @settings(max_examples=80)
-    @given(st.integers(2, 120))
-    def test_every_index_matches_triu_indices(self, n):
-        i, j = _triangle_pairs(n, np.arange(n * (n - 1) // 2))
-        iu, ju = np.triu_indices(n, k=1)
-        assert np.array_equal(i, iu) and np.array_equal(j, ju)
-
-    @settings(max_examples=300)
-    @given(st.one_of(st.integers(90_000, 110_000), st.integers(10 ** 9, 2 * 10 ** 9)),
-           st.data())
-    def test_large_n_near_row_starts_and_the_end(self, n, data):
-        # exact integer inverse: index = row_start(i) + (j - i - 1), i < j < n.
-        # From n near 5e8 the float square root overshoots by one row next to
-        # many row ends, and the guard steps it back; a square root taken
-        # without counting from the end is many rows off near N at n = 1e9
-        n_pairs = n * (n - 1) // 2
-
-        def row_start(i):
-            return i * (2 * n - i - 1) // 2
-
-        row = data.draw(st.integers(0, n - 2))
-        near_end = data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=20))
-        index = [row_start(row), row_start(row + 1) - 1, max(row_start(row) - 1, 0)]
-        index += [n_pairs - 1 - k for k in near_end]
-        i, j = _triangle_pairs(n, np.array(index, dtype=np.int64))
-        for k, a, b in zip(index, i.tolist(), j.tolist()):
-            assert 0 <= a < b < n
-            assert row_start(a) + (b - a - 1) == k
-
-    def test_last_pair_at_n_1e5(self):
-        n = 100_000
-        i, j = _triangle_pairs(n, np.array([n * (n - 1) // 2 - 1, 0]))
-        assert i.tolist() == [n - 2, 0] and j.tolist() == [n - 1, 1]
 
 
 class TestEcvRecord:

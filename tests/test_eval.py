@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mann_whitney_auc, random_graph
+from conftest import dense_er, mann_whitney_auc, random_graph
 from corex.baselines import coreness_scores
 from corex.coreid import identify_top_k, threshold_er
 from corex.errors import DomainError
@@ -11,7 +11,7 @@ from corex.evaluate import (eigengap_profile, kcore_points, operating_point,
                             roc, run_experiment)
 from corex.graph import ProbabilityMatrix, load_edge_list
 from corex.spectral import CoreScores
-from corex.synth import SynthConfig, assemble_er, graphon_by_number
+from corex.synth import SynthConfig, graphon_by_number
 
 
 class TestRoc:
@@ -165,7 +165,7 @@ class TestEigengapProfile:
         records = eigengap_profile(core, sizes, periphery_level=level)
         for n_peri, rec in zip(sizes, records):
             mags = np.sort(np.abs(np.linalg.eigvalsh(
-                assemble_er(core, n_peri, level).entries)))[::-1]
+                dense_er(core, n_peri, level))))[::-1]
             assert rec["n_periphery"] == n_peri
             assert abs(rec["lambda_1"] - mags[0]) <= 1e-10 * mags[0]
             assert abs(rec["gap_3_4"] - (mags[2] - mags[3])) <= 1e-10 * mags[0]
@@ -194,7 +194,7 @@ class TestEigengapProfile:
         sizes = [0, 1, 2, n_core + int(rng.integers(1, 50))]
         for rec in eigengap_profile(core, sizes, periphery_level=level):
             mags = np.sort(np.abs(np.linalg.eigvalsh(
-                assemble_er(core, rec["n_periphery"], level).entries)))[::-1]
+                dense_er(core, rec["n_periphery"], level))))[::-1]
             assert abs(rec["lambda_1"] - mags[0]) <= 1e-10 * mags[0]
             assert abs(rec["gap_3_4"] - (mags[2] - mags[3])) <= 1e-10 * mags[0]
             if mags[0] > 0:

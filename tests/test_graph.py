@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corex.errors import DomainError, ParseError, RangeError, ValidationError
-from corex.graph import (ProbabilityMatrix, SparseGraph, average_density,
+from corex.graph import (ProbabilityMatrix, SparseGraph, _triangle_pairs, average_density,
                          degrees, load_edge_list, read_truth_labels,
                          sample_adjacency, write_edge_list, write_truth_labels)
 
@@ -471,3 +471,39 @@ class TestTruthLabels:
         path.write_text("node,core\n0,1\n")
         with pytest.raises(ParseError):
             read_truth_labels(path)
+
+
+class TestTrianglePairs:
+    @settings(max_examples=80)
+    @given(st.integers(2, 120))
+    def test_every_index_matches_triu_indices(self, n):
+        i, j = _triangle_pairs(n, np.arange(n * (n - 1) // 2))
+        iu, ju = np.triu_indices(n, k=1)
+        assert np.array_equal(i, iu) and np.array_equal(j, ju)
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.integers(90_000, 110_000), st.integers(10 ** 9, 2 * 10 ** 9)),
+           st.data())
+    def test_large_n_near_row_starts_and_the_end(self, n, data):
+        # exact integer inverse: index = row_start(i) + (j - i - 1), i < j < n.
+        # From n near 5e8 the float square root overshoots by one row next to
+        # many row ends, and the guard steps it back; a square root taken
+        # without counting from the end is many rows off near N at n = 1e9
+        n_pairs = n * (n - 1) // 2
+
+        def row_start(i):
+            return i * (2 * n - i - 1) // 2
+
+        row = data.draw(st.integers(0, n - 2))
+        near_end = data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=20))
+        index = [row_start(row), row_start(row + 1) - 1, max(row_start(row) - 1, 0)]
+        index += [n_pairs - 1 - k for k in near_end]
+        i, j = _triangle_pairs(n, np.array(index, dtype=np.int64))
+        for k, a, b in zip(index, i.tolist(), j.tolist()):
+            assert 0 <= a < b < n
+            assert row_start(a) + (b - a - 1) == k
+
+    def test_last_pair_at_n_1e5(self):
+        n = 100_000
+        i, j = _triangle_pairs(n, np.array([n * (n - 1) // 2 - 1, 0]))
+        assert i.tolist() == [n - 2, 0] and j.tolist() == [n - 1, 1]

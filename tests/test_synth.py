@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import definition1_residual, definition2_residual, periphery_product_residual
+from conftest import (definition1_residual, definition2_residual, dense_er,
+                      periphery_product_residual)
 from corex.errors import DomainError, InfeasibleError, ValidationError
-from corex.graph import ProbabilityMatrix
+from corex.graph import ProbabilityMatrix, sample_adjacency
 from corex.spectral import scores_from_truth
-from corex.synth import (DESIGN_FIELDS, PRESET_SIZES, GraphonSpec, SynthConfig,
-                         assemble_er, design_record, generate_instance, graphon_by_number,
+from corex.synth import (DESIGN_FIELDS, PRESET_SIZES, ErAssembly, GraphonSpec, SynthConfig,
+                         design_record, generate_instance, graphon_by_number,
                          graphon_core, graphon_matrix, graphon_value, read_design,
                          sample_latents, sample_periphery_theta)
 
@@ -107,6 +108,26 @@ class TestGraphonCore:
             p = graphon_core(spec, 30, seed=3)
             assert np.array_equal(p.entries, p.entries.T)
 
+    @pytest.mark.parametrize("spec", [G1, G2, G3], ids=["g1", "g2", "g3"])
+    def test_peak_memory_near_one_block(self, spec):
+        # evaluating the graphon on the whole square at once, then copying the
+        # result, peaked at 2.0-2.1 x the block's 8 n^2 bytes
+        tracemalloc.start()
+        try:
+            graphon_core(spec, 1000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 1000 ** 2
+
+    def test_row_blocks_match_one_evaluation(self):
+        # n = 300 spans two row blocks of graphon_matrix
+        xi = sample_latents(300, 8)
+        for spec in (G1, G2, G3):
+            whole = np.array(graphon_value(spec, xi[:, np.newaxis], xi[np.newaxis, :]))
+            np.fill_diagonal(whole, 0.0)
+            assert np.array_equal(graphon_matrix(spec, xi).entries, whole)
+
 
 def small_core(p=0.5, n=4):
     entries = np.full((n, n), p)
@@ -114,20 +135,21 @@ def small_core(p=0.5, n=4):
     return ProbabilityMatrix(entries)
 
 
-class TestAssembleEr:
-    def test_no_periphery_passthrough(self):
-        core = small_core()
-        assert assemble_er(core, 0, 0.1) is core
+def er_dense(core, n_periphery, level):
+    """ErAssembly.dense of an unscaled core."""
+    return ErAssembly(core, 1.0, n_periphery, level).dense()
 
+
+class TestAssembleEr:
     def test_explicit_three_by_three(self):
         core = small_core(p=0.5, n=2)
-        p = assemble_er(core, 1, 0.1)
+        p = er_dense(core, 1, 0.1)
         assert np.array_equal(p.entries[2], [0.1, 0.1, 0.0])
         assert p.entries[0, 1] == 0.5
 
     def test_definition1_membership_exact(self):
         core = graphon_core(G1, 20, seed=1)
-        p = assemble_er(core, 15, 0.07)
+        p = er_dense(core, 15, 0.07)
         periphery = np.zeros(35, dtype=bool)
         periphery[20:] = True
         assert definition1_residual(p, periphery) == 0.0
@@ -135,7 +157,7 @@ class TestAssembleEr:
     def test_truth_scores_constant(self):
         core = graphon_core(G2, 12, seed=2)
         level = 0.05
-        p = assemble_er(core, 10, level)
+        p = er_dense(core, 10, level)
         n = p.n
         values = scores_from_truth(p, "er").values
         expected = level * np.sqrt((n - 1) / n)
@@ -174,7 +196,7 @@ def dense_rescale_oracle(graphon, cfg, meta):
     solution."""
     nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
     core = graphon_core(graphon, nc, meta["latents_seed"])
-    dense = assemble_er(core, npr, meta["er_level"]).entries
+    dense = dense_er(core, npr, meta["er_level"])
     w_cc = dense[:nc, :nc].sum()
     w_cp = dense[:nc, nc:].sum()
     w_pp = dense[nc:, nc:].sum()
@@ -195,6 +217,85 @@ def dense_rescale_oracle(graphon, cfg, meta):
     if clip_count > 0.2 * ((n * n - n) // 2):
         return None
     return c_core, c_peri, np.minimum(scaled, 1.0), clip_count
+
+
+def edge_set(g):
+    return set(map(tuple, g.edge_array().tolist()))
+
+
+class TestErSample:
+    """ErAssembly.sample: the core block as sample_adjacency samples it, the
+    pairs touching the periphery by geometric skipping."""
+
+    def test_core_edges_match_sample_adjacency(self):
+        inst = er_instance(G1, 40, 60, ratio=3.0, density=0.1, seed=2)
+        nc, seed = 40, inst.adjacency_seed
+        core = {e for e in edge_set(inst.sample()) if e[1] < nc}
+        block = ProbabilityMatrix(inst.assembly.core_block(), _validated=True)
+        assert core == edge_set(sample_adjacency(block, seed))
+        assert core == {e for e in edge_set(sample_adjacency(inst.p, seed)) if e[1] < nc}
+
+    def test_touching_pairs_are_iid_bernoulli(self):
+        # n_c = 4, n_p = 5: 20 core-periphery pairs and 10 periphery pairs
+        nc, npr, level, runs = 4, 5, 0.3, 2000
+        assembly = ErAssembly(small_core(p=0.5, n=nc), 1.0, npr, level)
+        touching = [(i, j) for i in range(nc + npr) for j in range(max(i + 1, nc), nc + npr)]
+        hits = np.zeros((runs, len(touching)), dtype=bool)
+        for seed in range(runs):
+            edges = edge_set(assembly.sample(seed))
+            hits[seed] = [pair in edges for pair in touching]
+        sigma = math.sqrt(level * (1 - level) / runs)
+        assert np.abs(hits.mean(axis=0) - level).max() <= 5 * sigma
+        # the touching-edge count is Binomial(30, a), whose fourth central
+        # moment is N a (1 - a) (1 + 3 (N - 2) a (1 - a))
+        counts, n_pairs = hits.sum(axis=1), len(touching)
+        mean, var = n_pairs * level, n_pairs * level * (1 - level)
+        mu4 = var * (1 + 3 * (n_pairs - 2) * level * (1 - level))
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / runs)
+        assert abs(counts.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var ** 2) / runs)
+
+    @pytest.mark.parametrize("npr", [0, 1, 5])
+    def test_level_one_joins_every_touching_pair(self, npr):
+        core = graphon_core(G2, 6, seed=1)
+        g = ErAssembly(core, 1.0, npr, 1.0).sample(3)
+        n = 6 + npr
+        expected = {(i, j) for i in range(n) for j in range(max(i + 1, 6), n)}
+        expected |= edge_set(sample_adjacency(core, 3))
+        assert g.n == n and edge_set(g) == expected
+
+    @pytest.mark.parametrize("npr", [0, 1])
+    def test_tiny_periphery(self, npr):
+        core = graphon_core(G1, 8, seed=2)
+        g = ErAssembly(core, 1.0, npr, 0.4).sample(5)
+        assert g.n == 8 + npr
+        assert {e for e in edge_set(g) if e[1] < 8} == edge_set(sample_adjacency(core, 5))
+        if npr == 0:
+            assert edge_set(g) == edge_set(sample_adjacency(core, 5))
+
+    def test_deterministic_per_seed(self):
+        assembly = ErAssembly(graphon_core(G3, 10, seed=0), 1.0, 30, 0.2)
+        a, b, c = assembly.sample(9), assembly.sample(9), assembly.sample(10)
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert edge_set(a) != edge_set(c)
+
+    def test_peak_memory_far_below_dense(self):
+        # filling the n x n matrix takes 8 n^2 bytes; the sampler needs O(m)
+        inst = er_instance(G1, 200, 4000, ratio=3.0, density=0.02, seed=1)
+        tracemalloc.start()
+        try:
+            inst.sample()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * 4200 ** 2
+
+    def test_config_instance_samples_its_dense_matrix(self):
+        cfg = SynthConfig(n_core=20, n_periphery=30, periphery="config",
+                          degree_ratio=2.0, target_density=0.1, seed=4)
+        inst = generate_instance(G1, cfg)
+        g = inst.sample()
+        ref = sample_adjacency(inst.p, inst.adjacency_seed)
+        assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
 
 
 class TestAssembleConfig:
