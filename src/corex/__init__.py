@@ -17,15 +17,15 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "baselines": "BaselineScores coreness_scores degree_scores eigenvector_scores "
-                 "local_cc_scores pagerank_scores",
+    "baselines": "coreness_scores degree_scores eigenvector_scores local_cc_scores "
+                 "pagerank_scores",
     "coreid": "CorePartition RankSelection identify_top_k kmeans_split select_rank_ecv "
               "threshold_config threshold_er",
     "errors": "ConvergenceError CorexError DegenerateError DomainError InfeasibleError "
               "ParseError RangeError ValidationError",
     "evaluate": "RocCurve eigengap_profile kcore_points operating_point roc run_experiment",
     "graph": "ProbabilityMatrix SparseGraph average_density degrees load_edge_list "
-             "read_truth_labels sample_adjacency write_edge_list write_truth_labels",
+             "sample_adjacency write_edge_list write_truth_labels",
     "spectral": "CoreScores SpectralDecomposition config_scores diagnostics er_scores "
                 "scores_from_truth truncated_eigs",
     "synth": "GeneratedInstance GraphonSpec SynthConfig generate_instance graphon_by_number "

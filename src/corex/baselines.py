@@ -1,11 +1,10 @@
 """Reference core-scoring methods used as comparison curves.
 
-All scorers return one real value per node; larger means more core-like.
+All scorers return a float64 array with one value per node; larger means
+more core-like.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +12,6 @@ from .errors import ConvergenceError, DomainError
 from .graph import SparseGraph, degrees
 
 __all__ = [
-    "BaselineScores",
     "degree_scores",
     "pagerank_scores",
     "eigenvector_scores",
@@ -28,16 +26,11 @@ EIGENVECTOR_TOL = 1e-10  # on the Euclidean change of one iteration
 EIGENVECTOR_MAX_ITER = 20000
 
 
-@dataclass(frozen=True)
-class BaselineScores:
-    values: np.ndarray
+def degree_scores(g: SparseGraph) -> np.ndarray:
+    return degrees(g).astype(np.float64)
 
 
-def degree_scores(g: SparseGraph) -> BaselineScores:
-    return BaselineScores(values=degrees(g).astype(np.float64))
-
-
-def pagerank_scores(g: SparseGraph) -> BaselineScores:
+def pagerank_scores(g: SparseGraph) -> np.ndarray:
     """Power iteration for PageRank on the undirected graph.
 
     Each undirected edge acts as two directed edges; isolated (dangling)
@@ -60,12 +53,12 @@ def pagerank_scores(g: SparseGraph) -> BaselineScores:
         delta = float(np.abs(nxt - pr).sum())
         pr = nxt
         if delta <= PAGERANK_TOL:
-            return BaselineScores(values=pr)
+            return pr
     raise ConvergenceError(f"pagerank did not converge in {PAGERANK_MAX_ITER} iterations",
                            residual=delta)
 
 
-def eigenvector_scores(g: SparseGraph) -> BaselineScores:
+def eigenvector_scores(g: SparseGraph) -> np.ndarray:
     """Entrywise-nonnegative leading eigenvector of the adjacency matrix,
     unit Euclidean norm, by power iteration from the all-ones vector.
 
@@ -86,14 +79,14 @@ def eigenvector_scores(g: SparseGraph) -> BaselineScores:
         x = y
         if delta <= EIGENVECTOR_TOL:
             x = np.abs(x)  # Perron vector: fix the sign convention
-            return BaselineScores(values=x / np.linalg.norm(x))
+            return x / np.linalg.norm(x)
     raise ConvergenceError(
         f"eigenvector centrality did not converge in {EIGENVECTOR_MAX_ITER} iterations",
         residual=delta,
     )
 
 
-def local_cc_scores(g: SparseGraph) -> BaselineScores:
+def local_cc_scores(g: SparseGraph) -> np.ndarray:
     """Local clustering coefficient 2 T_i / (d_i (d_i - 1)); nodes of
     degree below 2 score 0."""
     n = g.n
@@ -107,10 +100,10 @@ def local_cc_scores(g: SparseGraph) -> BaselineScores:
         eligible = deg >= 2
         denom = deg * (deg - 1.0)
         values[eligible] = 2.0 * tri[eligible] / denom[eligible]
-    return BaselineScores(values=values)
+    return values
 
 
-def coreness_scores(g: SparseGraph) -> BaselineScores:
+def coreness_scores(g: SparseGraph) -> np.ndarray:
     """Core number of every node by bucket peeling (Batagelj & Zaversnik,
     "An O(m) algorithm for cores decomposition of networks", 2003).
 
@@ -120,7 +113,7 @@ def coreness_scores(g: SparseGraph) -> BaselineScores:
     n = g.n
     deg = degrees(g)
     if n == 0:
-        return BaselineScores(values=np.zeros(0))
+        return np.zeros(0)
     # nodes in buckets of equal degree, ascending; bin_ptr[d] starts bucket d
     vert = np.argsort(deg, kind="stable")
     node_pos = np.empty(n, dtype=np.int64)
@@ -142,4 +135,4 @@ def coreness_scores(g: SparseGraph) -> BaselineScores:
                     node_pos[u], node_pos[w] = pw, pu
                 bin_ptr[du] += 1
                 cur[u] -= 1
-    return BaselineScores(values=np.array(cur, dtype=np.float64))
+    return np.array(cur, dtype=np.float64)

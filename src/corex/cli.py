@@ -1,9 +1,9 @@
 """Command-line front end: generate / identify / bench / diagnose.
 
-Every subcommand writes a run.json echoing its resolved parameters before
-any heavy computation starts, and all randomness flows from --seed
-(default 0, never wall-clock), so reruns with identical flags are
-byte-identical.
+Every subcommand writes a run.json echoing all of its flags, resolved
+values in place of raw ones, before any heavy computation starts, and
+all randomness flows from --seed (default 0, never wall-clock), so reruns
+with identical flags are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence or
 infeasibility error.
@@ -32,6 +32,7 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 
 DEFAULT_RATIOS = (1.0, 2.0, 3.0)
+RANK_HELP = "approximating rank, or 'auto' for edge cross-validation"
 
 
 def _write_json(path, payload) -> None:
@@ -40,10 +41,12 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_run_record(out_dir, subcommand, params) -> None:
+def _write_run_record(out_dir, args, **resolved) -> None:
+    """run.json: every flag of the subcommand; `resolved` values replace raw ones."""
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     _write_json(os.path.join(out_dir, "run.json"),
-                {"subcommand": subcommand, "version": __version__,
-                 "parameters": params})
+                {"subcommand": args.subcommand, "version": __version__,
+                 "parameters": {**params, **resolved}})
 
 
 def _ensure_out_dir(path) -> str:
@@ -68,11 +71,7 @@ def cmd_generate(args) -> int:
     cfg, = _design(args, [args.ratio])
     graphon = graphon_by_number(args.graphon)
     out_dir = _ensure_out_dir(args.out_dir)
-    _write_run_record(out_dir, "generate", {
-        "graphon": args.graphon, "n_core": cfg.n_core, "n_periphery": cfg.n_periphery,
-        "periphery": args.periphery, "density": args.density,
-        "ratio": args.ratio, "seed": args.seed, "out_dir": args.out_dir,
-    })
+    _write_run_record(out_dir, args, n_core=cfg.n_core, n_periphery=cfg.n_periphery)
     instance = generate_instance(graphon, cfg)
     g = instance.sample()
     write_edge_list(g, os.path.join(out_dir, "edges.tsv"))
@@ -96,36 +95,45 @@ def _parse_select(spec: str):
     raise DomainError("--select must be topk:<N>, threshold, or kmeans")
 
 
+def _parse_rank(spec: str):
+    """--rank: a positive integer, or "auto" for edge cross-validation."""
+    if spec == "auto":
+        return spec
+    try:
+        rank = int(spec)
+    except ValueError:
+        rank = 0  # reported below, with the values that are not positive
+    if rank < 1:
+        raise DomainError(f"--rank must be a positive integer or 'auto', got {spec!r}")
+    return rank
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"--eps must lie in (0, 1), got {eps}")
+
+
 def cmd_identify(args) -> int:
-    from .coreid import (identify_top_k, kmeans_split, select_rank_ecv, threshold_config,
-                         threshold_er, write_partition_csv)
+    from .coreid import (identify_top_k, kmeans_split, rank_candidates, select_rank_ecv,
+                         threshold_config, threshold_er, write_partition_csv)
     from .spectral import config_scores, er_scores, truncated_eigs, write_scores_csv
     if not os.path.isfile(args.input):
         raise ValidationError(f"input file not found: {args.input}")
     select_method, topk = _parse_select(args.select)
-    rank_auto = args.rank == "auto"
-    if not rank_auto:
-        try:
-            rank_fixed = int(args.rank)
-        except ValueError:
-            raise DomainError("--rank must be an integer or 'auto'") from None
+    rank = _parse_rank(args.rank)
+    _check_eps(args.eps)
     out_dir = _ensure_out_dir(args.out_dir)
-    _write_run_record(out_dir, "identify", {
-        "input": args.input, "model": args.model, "rank": args.rank,
-        "select": args.select, "eps": args.eps, "seed": args.seed,
-        "out_dir": args.out_dir,
-    })
+    _write_run_record(out_dir, args, rank=rank)
     g = load_edge_list(args.input)
     if g.n == 0 or g.m == 0:
         raise ValidationError("input graph has no edges; nothing to identify")
     info = {"model": args.model, "rank_requested": args.rank}
-    if rank_auto:
-        candidates = [r for r in range(1, 11) if r < g.n]
-        selection = select_rank_ecv(g, candidates, seed=args.seed)
-        rank_fixed = selection.chosen_r
+    if rank == "auto":
+        selection = select_rank_ecv(g, rank_candidates(g.n), seed=args.seed)
+        rank = selection.chosen_r
         info["rank_selection"] = selection.to_json_dict()
-    info["rank_used"] = rank_fixed
-    dec = truncated_eigs(g, rank_fixed, seed=args.seed)
+    info["rank_used"] = rank
+    dec = truncated_eigs(g, rank, seed=args.seed)
     if args.model == "er":
         scores = er_scores(dec)
     else:
@@ -163,25 +171,20 @@ def cmd_bench(args) -> int:
     cfgs = _design(args, ratios)
     if args.replicates < 1:
         raise DomainError("--replicates must be >= 1")
+    rank = _parse_rank(args.rank)
+    _check_eps(args.eps)
     methods = tuple(args.methods.split(",")) if args.methods else ALL_METHODS
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
     graphon = graphon_by_number(args.graphon)
     out_dir = _ensure_out_dir(args.out_dir)
-    _write_run_record(out_dir, "bench", {
-        "graphon": args.graphon, "periphery": args.periphery,
-        "n_core": cfgs[0].n_core, "n_periphery": cfgs[0].n_periphery, "ratios": list(ratios),
-        "methods": list(methods), "replicates": args.replicates,
-        "rank": args.rank, "rank_mode": args.rank_mode, "density": args.density,
-        "eps": args.eps, "seed": args.seed, "out_dir": args.out_dir,
-    })
+    _write_run_record(out_dir, args, n_core=cfgs[0].n_core, n_periphery=cfgs[0].n_periphery,
+                      ratios=list(ratios), methods=list(methods), rank=rank)
     summary = {"settings": [], "methods": list(methods)}
     for ratio, cfg in zip(ratios, cfgs):
         result = run_experiment(graphon, cfg, methods=methods,
-                                replicates=args.replicates,
-                                rank_mode=args.rank_mode, rank=args.rank,
-                                eps=args.eps)
+                                replicates=args.replicates, rank=rank, eps=args.eps)
         pooled_truth = np.concatenate(result.truth_vectors)
         ratio_tag = f"{ratio:g}".replace(".", "p")
         for method in methods:
@@ -229,11 +232,7 @@ def cmd_diagnose(args) -> int:
     if args.truth_p:
         graphon, cfg, er_level = _read_meta(args.truth_p)
     out_dir = _ensure_out_dir(args.out_dir)
-    _write_run_record(out_dir, "diagnose", {
-        "truth_p": args.truth_p, "input": args.input, "rank": args.rank,
-        "sweep": args.sweep, "periphery_level": args.periphery_level,
-        "seed": args.seed, "out_dir": args.out_dir,
-    })
+    _write_run_record(out_dir, args)
     if args.truth_p:
         instance = generate_instance(graphon, cfg, er_level=er_level)
         report = diagnostics(instance.assembly, args.rank, core_labels=instance.truth)
@@ -299,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identify", help="score a graph and extract its core")
     p_id.add_argument("--input", required=True, help="edge-list file")
     p_id.add_argument("--model", choices=("er", "config"), default="er")
-    p_id.add_argument("--rank", default="auto",
-                      help="approximating rank, or 'auto' for cross-validation")
+    p_id.add_argument("--rank", default="auto", help=RANK_HELP)
     p_id.add_argument("--select", default="kmeans",
                       help="topk:<N> | threshold | kmeans")
     p_id.add_argument("--eps", type=float, default=0.01,
@@ -314,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", help="comma list from proposed_er,proposed_config,"
                          "degree,pagerank,eigenvector,local_cc,kcore")
     p_bench.add_argument("--replicates", type=int, default=20)
-    p_bench.add_argument("--rank", type=int, default=6)
-    p_bench.add_argument("--rank-mode", choices=("fixed", "ecv"), default="fixed")
+    p_bench.add_argument("--rank", default="6", help=RANK_HELP)
     p_bench.add_argument("--eps", type=float, default=0.01,
                          help="threshold exponent slack")
     add_common(p_bench)

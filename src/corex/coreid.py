@@ -25,6 +25,7 @@ __all__ = [
     "threshold_er",
     "threshold_config",
     "kmeans_split",
+    "rank_candidates",
     "select_rank_ecv",
     "write_partition_csv",
 ]
@@ -211,6 +212,11 @@ def _fold_losses(vals: np.ndarray, vecs: np.ndarray, held: np.ndarray,
         sums += weights[block] @ (np.clip(partial[:, cols], 0.0, 1.0) - truth[block, None]) ** 2
     total = weights.sum()
     return sums / total if total > 0 else np.zeros(len(cands))
+
+
+def rank_candidates(n: int) -> list[int]:
+    """The ranks `--rank auto` chooses from on an n-node graph: 1..10, each below n."""
+    return [r for r in range(1, 11) if r < n]
 
 
 def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,

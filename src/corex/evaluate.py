@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines as bl
-from .coreid import (CorePartition, kmeans_split, select_rank_ecv,
+from .coreid import (CorePartition, kmeans_split, rank_candidates, select_rank_ecv,
                      threshold_config, threshold_er)
 from .errors import DegenerateError, DomainError
 from .graph import ProbabilityMatrix, average_density, degrees
@@ -38,7 +38,6 @@ __all__ = [
 PROPOSED_METHODS = ("proposed_er", "proposed_config")
 BASELINE_METHODS = ("degree", "pagerank", "eigenvector", "local_cc", "kcore")
 ALL_METHODS = PROPOSED_METHODS + BASELINE_METHODS
-ECV_CANDIDATES = (1, 2, 3, 4, 5, 6, 7, 8)  # ranks run_experiment's ECV mode chooses from
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,7 @@ def operating_point(partition: CorePartition, truth) -> tuple[float, float]:
 
 def kcore_points(coreness, truth) -> list[tuple[float, float]]:
     """One ROC-plane point per pruning level k = 0 .. max coreness + 1."""
-    if isinstance(coreness, bl.BaselineScores):
-        values = coreness.values
-    else:
-        values = np.asarray(coreness, dtype=np.float64)
+    values = np.asarray(coreness, dtype=np.float64)
     truth = np.asarray(truth, dtype=bool)
     n_core = int(truth.sum())
     n_peri = int((~truth).sum())
@@ -229,7 +225,7 @@ def _replicate_seed(master_seed: int, replicate: int) -> int:
 
 
 def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
-                   replicates: int = 20, rank_mode: str = "fixed", rank: int = 6,
+                   replicates: int = 20, rank: int | str = 6,
                    eps: float = 0.01) -> ExperimentResult:
     """Replicate the simulation protocol for one design point.
 
@@ -237,21 +233,20 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     GeneratedInstance.sample (so an ER-type instance never fills its n x n
     matrix), score the nodes with every requested method, collect AUCs and
     the score and truth vectors, and record the operating points of the
-    threshold and 2-means selection rules (plus the k-core staircase).  In
-    ECV mode the rank is chosen from ECV_CANDIDATES.  cfg.seed is the
-    master seed; every replicate derives its own seed from it.
+    threshold and 2-means selection rules (plus the k-core staircase).  With
+    rank "auto" each replicate's rank is chosen by select_rank_ecv from
+    rank_candidates(n).  cfg.seed is the master seed; every replicate
+    derives its own seed from it.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
-    if rank_mode not in ("fixed", "ecv"):
-        raise DomainError("rank_mode must be 'fixed' or 'ecv'")
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))
     result = ExperimentResult(
-        config={**design_record(graphon, cfg), "rank_mode": rank_mode, "rank": rank},
+        config={**design_record(graphon, cfg), "rank": rank},
         methods=methods,
         replicate_seeds=rep_seeds,
         aucs={m: [] for m in methods},
@@ -267,9 +262,8 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
         dec = None
         if need_spectral:
             r = rank
-            if rank_mode == "ecv":
-                selection = select_rank_ecv(g, ECV_CANDIDATES, seed=rep_seed)
-                r = selection.chosen_r
+            if rank == "auto":
+                r = select_rank_ecv(g, rank_candidates(g.n), seed=rep_seed).chosen_r
                 result.chosen_ranks.append(r)
             dec = truncated_eigs(g, r, seed=rep_seed)
         result.truth_vectors.append(truth)
@@ -290,12 +284,11 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
                 except DegenerateError:
                     pass
             elif method != "kcore":  # degree, pagerank, eigenvector, local_cc
-                values = getattr(bl, f"{method}_scores")(g).values
+                values = getattr(bl, f"{method}_scores")(g)
             else:
-                coreness = bl.coreness_scores(g)
-                values = coreness.values
+                values = bl.coreness_scores(g)
                 result.operating_points.setdefault("kcore", []).extend(
-                    kcore_points(coreness, truth))
+                    kcore_points(values, truth))
             result.aucs[method].append(roc(values, truth).auc)
             result.score_vectors.setdefault(method, []).append(values)
     return result

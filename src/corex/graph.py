@@ -28,7 +28,6 @@ __all__ = [
     "degrees",
     "average_density",
     "sample_adjacency",
-    "read_truth_labels",
     "write_truth_labels",
 ]
 
@@ -120,9 +119,6 @@ class SparseGraph:
             self._csr = sparse.csr_matrix((np.ones(self.indices.size), self.indices,
                                            self.indptr), shape=(self.n, self.n))
         return self._csr
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
 
     def __repr__(self) -> str:
         return f"SparseGraph(n={self.n}, m={self.m})"
@@ -311,36 +307,6 @@ def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.where(q * (q + 1) // 2 > t, q - 1, q)
     q = np.where((q + 1) * (q + 2) // 2 <= t, q + 1, q)
     return n - 2 - q, n - 1 - (t - q * (q + 1) // 2)
-
-
-def read_truth_labels(path) -> np.ndarray:
-    """Read the ground-truth CSV `node_id,is_core` into a boolean array."""
-    rows = {}
-    with open(path, "rt", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "node_id,is_core":
-            raise ParseError(f"expected header 'node_id,is_core', got {header!r}", 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError("expected two comma-separated fields", lineno)
-            try:
-                node, flag = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer field in {line!r}", lineno) from None
-            if flag not in (0, 1):
-                raise ParseError("is_core must be 0 or 1", lineno)
-            rows[node] = bool(flag)
-    n = max(rows) + 1 if rows else 0
-    if set(rows) != set(range(n)):
-        raise ValidationError("truth file must cover node ids 0..n-1 exactly")
-    labels = np.zeros(n, dtype=bool)
-    for node, flag in rows.items():
-        labels[node] = flag
-    return labels
 
 
 def write_truth_labels(path, labels) -> None:

@@ -20,54 +20,54 @@ PATH3 = ["0 1", "1 2"]
 class TestDegree:
     def test_star(self):
         g = load_edge_list(STAR)
-        assert list(degree_scores(g).values) == [3, 1, 1, 1]
+        assert list(degree_scores(g)) == [3, 1, 1, 1]
 
     def test_empty(self):
         g = SparseGraph.from_pairs(4, [])
-        assert np.all(degree_scores(g).values == 0)
+        assert np.all(degree_scores(g) == 0)
 
     def test_triangle_pendant(self):
         g = load_edge_list(TRIANGLE_PENDANT)
-        assert list(degree_scores(g).values) == [2, 2, 3, 1]
+        assert list(degree_scores(g)) == [2, 2, 3, 1]
 
 
 class TestPagerank:
     def test_triangle_uniform(self):
-        values = pagerank_scores(load_edge_list(TRIANGLE)).values
+        values = pagerank_scores(load_edge_list(TRIANGLE))
         assert np.allclose(values, 1 / 3, atol=1e-10)
 
     def test_star_hand_solved(self):
-        values = pagerank_scores(load_edge_list(STAR)).values
+        values = pagerank_scores(load_edge_list(STAR))
         assert values[0] == pytest.approx(STAR_CENTER, abs=1e-6)
         assert np.allclose(values[1:], STAR_LEAF, atol=1e-6)
 
     def test_single_edge(self):
-        values = pagerank_scores(load_edge_list(["0 1"])).values
+        values = pagerank_scores(load_edge_list(["0 1"]))
         assert np.allclose(values, 0.5, atol=1e-10)
 
     def test_sums_to_one(self):
         g = random_graph(60, 0.1, seed=1)
-        values = pagerank_scores(g).values
+        values = pagerank_scores(g)
         assert abs(values.sum() - 1.0) <= 1e-10
         assert np.all(values > 0)
 
     def test_dangling_nodes(self):
         g = load_edge_list(["n 4", "0 1"])  # nodes 2, 3 isolated
-        values = pagerank_scores(g).values
+        values = pagerank_scores(g)
         assert abs(values.sum() - 1.0) <= 1e-10
 
 
 class TestEigenvector:
     def test_triangle(self):
-        values = eigenvector_scores(load_edge_list(TRIANGLE)).values
+        values = eigenvector_scores(load_edge_list(TRIANGLE))
         assert np.allclose(values, 1 / np.sqrt(3), atol=1e-8)
 
     def test_single_edge(self):
-        values = eigenvector_scores(load_edge_list(["0 1"])).values
+        values = eigenvector_scores(load_edge_list(["0 1"]))
         assert np.allclose(values, 1 / np.sqrt(2), atol=1e-8)
 
     def test_path3_matches_dense_solve(self):
-        values = eigenvector_scores(load_edge_list(PATH3)).values
+        values = eigenvector_scores(load_edge_list(PATH3))
         assert np.allclose(values, [0.5, 1 / np.sqrt(2), 0.5], atol=1e-8)
 
     def test_needs_an_edge(self):
@@ -76,22 +76,22 @@ class TestEigenvector:
 
     def test_unit_norm_nonnegative(self):
         g = random_graph(40, 0.15, seed=2)
-        values = eigenvector_scores(g).values
+        values = eigenvector_scores(g)
         assert values.min() >= 0
         assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestLocalCC:
     def test_triangle(self):
-        assert np.allclose(local_cc_scores(load_edge_list(TRIANGLE)).values, 1.0)
+        assert np.allclose(local_cc_scores(load_edge_list(TRIANGLE)), 1.0)
 
     def test_path(self):
-        assert np.all(local_cc_scores(load_edge_list(PATH3)).values == 0.0)
+        assert np.all(local_cc_scores(load_edge_list(PATH3)) == 0.0)
 
     def test_k4_minus_edge(self):
         # edges: K4 without 2-3; nodes 0,1 have degree 3 and 2 triangles
         g = load_edge_list(["0 1", "0 2", "0 3", "1 2", "1 3"])
-        values = local_cc_scores(g).values
+        values = local_cc_scores(g)
         assert values[0] == pytest.approx(2 / 3)
         assert values[1] == pytest.approx(2 / 3)
         assert values[2] == pytest.approx(1.0)
@@ -99,8 +99,8 @@ class TestLocalCC:
 
     def test_triangle_counts_against_enumeration(self):
         g = random_graph(30, 0.3, seed=5)
-        values = local_cc_scores(g).values
-        dense = g.to_dense()
+        values = local_cc_scores(g)
+        dense = g.to_csr().toarray()
         for i in range(g.n):
             nbrs = g.adjacency[i]
             tri = 0
@@ -114,27 +114,27 @@ class TestLocalCC:
 
 class TestCoreness:
     def test_triangle_pendant(self):
-        values = coreness_scores(load_edge_list(TRIANGLE_PENDANT)).values
+        values = coreness_scores(load_edge_list(TRIANGLE_PENDANT))
         assert list(values) == [2, 2, 2, 1]
 
     def test_tree(self):
         g = load_edge_list(["0 1", "1 2", "1 3", "3 4"])
-        assert np.all(coreness_scores(g).values == 1)
+        assert np.all(coreness_scores(g) == 1)
 
     def test_k5(self):
         edges = [f"{i} {j}" for i in range(5) for j in range(i + 1, 5)]
-        assert np.all(coreness_scores(load_edge_list(edges)).values == 4)
+        assert np.all(coreness_scores(load_edge_list(edges)) == 4)
 
     def test_matches_brute_force(self):
         for s in range(8):
             g = random_graph(30, 0.12, seed=50 + s)
-            fast = coreness_scores(g).values
+            fast = coreness_scores(g)
             slow = brute_force_coreness(g)
             assert np.array_equal(fast, slow)
 
     def test_thresholded_set_is_k_core(self):
         g = random_graph(40, 0.15, seed=9)
-        values = coreness_scores(g).values
+        values = coreness_scores(g)
         for k in range(int(values.max()) + 1):
             keep = values >= k
             # every retained node has at least k retained neighbors
@@ -152,6 +152,6 @@ class TestPermutationEquivariance:
             g.n, [(perm[i], perm[j]) for i, j in g.edge_array()])
         for scorer, tol in ((degree_scores, 0), (local_cc_scores, 1e-12),
                             (coreness_scores, 0), (pagerank_scores, 1e-9)):
-            base = scorer(g).values
-            mapped = scorer(relabeled).values
+            base = scorer(g)
+            mapped = scorer(relabeled)
             assert np.allclose(mapped[perm], base, atol=tol)

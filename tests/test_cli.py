@@ -13,12 +13,16 @@ from hypothesis import strategies as st
 
 from corex import cli, synth
 from corex.cli import main
-from corex.graph import read_truth_labels
-from corex.synth import DESIGN_FIELDS, graphon_core
+from corex.coreid import rank_candidates, select_rank_ecv
+from corex.synth import DESIGN_FIELDS, SynthConfig, generate_instance, graphon_core
 
 
 def run(args):
     return main(args)
+
+
+def read_truth(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)[:, 1].astype(bool)
 
 
 def read_bytes_map(directory):
@@ -39,7 +43,7 @@ class TestGenerate:
         assert run(GEN_FLAGS + ["--out-dir", str(out)]) == 0
         for name in ("run.json", "edges.tsv", "truth.csv", "meta.json"):
             assert (out / name).exists()
-        truth = read_truth_labels(out / "truth.csv")
+        truth = read_truth(out / "truth.csv")
         assert truth.sum() == 30 and truth.size == 60
         meta = json.loads((out / "meta.json").read_text())
         assert meta["graphon"] == "table1_g1"
@@ -74,7 +78,7 @@ class TestGenerate:
                     "--n-periphery", "0", "--density", "0.1", "--seed", "1",
                     "--out-dir", str(out)])
         assert code == 0
-        assert read_truth_labels(out / "truth.csv").all()
+        assert read_truth(out / "truth.csv").all()
 
     def test_no_sizes_means_balanced(self, tmp_path):
         assert run(["generate", "--graphon", "1", "--density", "0.005",
@@ -262,6 +266,33 @@ class TestBench:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_core, n_periphery, density", [(30, 30, 0.08), (4, 4, 0.4)],
+                             ids=["30-30", "n-8"])
+    def test_rank_auto_uses_the_identify_candidates(self, tmp_path, n_core, n_periphery,
+                                                    density):
+        # n = 8 has fewer candidate ranks than ten: the rule caps them below n
+        assert run(["bench", "--graphon", "1", "--n-core", str(n_core),
+                    "--n-periphery", str(n_periphery), "--ratios", "2",
+                    "--density", str(density), "--methods", "proposed_er",
+                    "--replicates", "1", "--rank", "auto", "--seed", "4",
+                    "--out-dir", str(tmp_path)]) == 0
+        setting = json.loads((tmp_path / "summary.json").read_text())["settings"][0]
+        assert setting["config"]["rank"] == "auto" and "rank_mode" not in setting["config"]
+        rep_seed, = setting["replicate_seeds"]
+        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
+                          degree_ratio=2.0, target_density=density, seed=rep_seed)
+        g = generate_instance(synth.graphon_by_number(1), cfg).sample()
+        expected = select_rank_ecv(g, rank_candidates(g.n), seed=rep_seed).chosen_r
+        assert setting["chosen_ranks"] == [expected]
+
+    def test_rank_mode_flag_is_usage_error(self, tmp_path):
+        out = tmp_path / "ecv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+                  "--rank-mode", "ecv", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_rerun_identical_summary(self, tmp_path):
         flags = ["bench", "--graphon", "2", "--periphery", "config",
                  "--n-core", "25", "--n-periphery", "25", "--ratios", "1.5",
@@ -397,6 +428,30 @@ def test_retyped_meta_field_exits_0_or_3(valid_meta, data, field):
                     "--out-dir", os.path.join(tmp, "out")]) in (0, 3)
 
 
+# one small run of every subcommand, for the run.json guard below
+RUN_RECORD_FLAGS = {
+    "generate": GEN_FLAGS[1:],
+    "identify": ["--input", "{edges}", "--rank", "3"],
+    "bench": ["--graphon", "1", "--n-core", "20", "--n-periphery", "20", "--ratios", "1",
+              "--replicates", "1", "--methods", "degree"],
+    "diagnose": ["--input", "{edges}", "--rank", "3"],
+}
+
+
+def test_run_record_names_every_flag(generated, tmp_path):
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(RUN_RECORD_FLAGS)
+    edges = str(generated / "edges.tsv")
+    for name, sub in subparsers.items():
+        out = tmp_path / name
+        flags = [f.format(edges=edges) for f in RUN_RECORD_FLAGS[name]]
+        assert run([name, *flags, "--out-dir", str(out)]) == 0
+        record = json.loads((out / "run.json").read_text())
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert record["subcommand"] == name
+        assert set(record["parameters"]) == dests - {"func", "subcommand"}
+
+
 class TestExitCodes:
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -425,12 +480,24 @@ class TestExitCodes:
         (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
           "--ratios", "nan"], True),
         (["generate", "--graphon", "1", "--n-core", "1", "--n-periphery", "20"], True),
+        (["identify", "--input", "{edges}", "--rank", "0"], True),
+        (["identify", "--input", "{edges}", "--rank", "-3"], True),
+        (["identify", "--input", "{edges}", "--select", "threshold", "--eps", "2"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--rank", "0"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--rank", "x"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--eps", "0"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
-            "one-core-node"])
+            "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
+            "bench-rank-0", "bench-rank-word", "bench-eps"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
-                 "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir"}
+                 "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",
+                 "edges": tmp_path / "triangle.tsv"}
+        files["edges"].write_text("0 1\n1 2\n0 2\n")
         files["not_json"].write_text("n 3\n0 1\n")
         files["not_object"].write_text("3\n")
         files["not_utf8"].write_bytes(b"0 1\n1 \xff2\n")

@@ -371,12 +371,12 @@ class TestEcvLossOracle:
         for seed in range(8):
             g = random_graph(n, p, seed=50 + seed)
             sel = select_rank_ecv(g, cands, holdout_fraction=holdout, seed=seed)
-            adj = g.to_dense()
+            adj = g.to_csr().toarray()
             iu, ju = np.triu_indices(n, k=1)
             for fold in range(sel.folds):
                 held, kept, non_edges, weight = fold_sample(g, holdout, seed, fold)
                 # the held-out edges are edges of g and never of the kept graph
-                kept_adj = kept.to_dense()
+                kept_adj = kept.to_csr().toarray()
                 assert np.all(adj[held[:, 0], held[:, 1]] == 1)
                 assert not np.any(kept_adj[held[:, 0], held[:, 1]])
                 assert np.array_equal(kept_adj + _sym(n, held), adj)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from corex.errors import DomainError, ParseError, RangeError, ValidationError
 from corex.graph import (ProbabilityMatrix, SparseGraph, _triangle_pairs, average_density,
-                         degrees, load_edge_list, read_truth_labels,
-                         sample_adjacency, write_edge_list, write_truth_labels)
+                         degrees, load_edge_list, sample_adjacency, write_edge_list,
+                         write_truth_labels)
 
 _ID = re.compile(r"-?[0-9]+")
 
@@ -245,7 +245,7 @@ class TestFromPairs:
         g = SparseGraph.from_pairs(n, pairs)
         for i, row in enumerate(g.adjacency):
             assert np.all(np.diff(row) > 0) and i not in row
-        dense = g.to_dense()
+        dense = g.to_csr().toarray()
         assert np.array_equal(dense, dense.T)
         expected = sorted({(min(p), max(p)) for p in pairs})
         assert g.m == len(expected)
@@ -453,24 +453,12 @@ class TestSampleAdjacency:
 
 
 class TestTruthLabels:
-    def test_round_trip(self, tmp_path):
-        labels = np.array([True, False, True, True, False])
-        path = tmp_path / "truth.csv"
-        write_truth_labels(path, labels)
-        assert np.array_equal(read_truth_labels(path), labels)
-
     def test_file_format(self, tmp_path):
         labels = np.array([False, True, True, False] * 3)
         path = tmp_path / "truth.csv"
         write_truth_labels(path, labels)
         expected = "node_id,is_core\n" + "".join(f"{i},{int(f)}\n" for i, f in enumerate(labels))
         assert path.read_bytes() == expected.encode("ascii")
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "truth.csv"
-        path.write_text("node,core\n0,1\n")
-        with pytest.raises(ParseError):
-            read_truth_labels(path)
 
 
 class TestTrianglePairs:
