@@ -89,9 +89,12 @@ def _parse_select(spec: str):
         return spec, None
     if spec.startswith("topk:"):
         try:
-            return "topk", int(spec.split(":", 1)[1])
+            count = int(spec.split(":", 1)[1])
         except ValueError:
-            raise DomainError(f"bad top-k count in {spec!r}") from None
+            count = -1  # reported below, with the negative counts
+        if count < 0:
+            raise DomainError(f"top-k count must be a nonnegative integer, got {spec!r}")
+        return "topk", count
     raise DomainError("--select must be topk:<N>, threshold, or kmeans")
 
 
@@ -172,6 +175,8 @@ def cmd_bench(args) -> int:
     if args.replicates < 1:
         raise DomainError("--replicates must be >= 1")
     rank = _parse_rank(args.rank)
+    if rank != "auto" and rank >= cfgs[0].n:
+        raise DomainError(f"--rank {rank} must be below n = {cfgs[0].n}")
     _check_eps(args.eps)
     methods = tuple(args.methods.split(",")) if args.methods else ALL_METHODS
     unknown = set(methods) - set(ALL_METHODS)

@@ -3,8 +3,8 @@
 Graphs are simple (no self-loops, no multi-edges), undirected, and binary,
 on nodes 0..n-1, and stored as their adjacency matrix in CSR form.
 Probability matrices are dense symmetric float arrays with a zero diagonal;
-only configuration-type instances need one, as ER-type instances are
-sampled from their parts (synth.ErAssembly.sample).
+synthetic instances are sampled from their parts (synth), so only the
+core block and the dense oracles need one.
 """
 
 from __future__ import annotations
@@ -161,6 +161,8 @@ class ProbabilityMatrix:
         return f"ProbabilityMatrix(n={self.n})"
 
 
+_SAMPLE_BLOCK = 2**18  # matrix entries per row block in sample_adjacency
+
 # what is left of the data lines after deleting these characters is a fault
 _NOT_DATA = str.maketrans("", "", "0123456789 \t\n")
 
@@ -282,18 +284,23 @@ def average_density(g: SparseGraph) -> float:
 def sample_adjacency(p: ProbabilityMatrix, seed: int) -> SparseGraph:
     """Draw one Bernoulli realization of the probability matrix.
 
-    Each unordered pair i<j is sampled once and mirrored.  Row i uses its
-    own counter-based RNG stream derived from (seed, i), so the output is
-    identical regardless of how rows might be partitioned across workers.
+    Each unordered pair i<j is sampled once and mirrored, from one random
+    stream derived from seed that runs over the upper triangle in row-major
+    order.  The rows are drawn a block at a time, so temporaries stay near
+    _SAMPLE_BLOCK entries; the output does not depend on the block size.
     """
     n = p.n
-    upper = []  # upper[i]: the neighbours j > i of node i
-    for i in range(n - 1):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        upper.append(np.flatnonzero(rng.random(n - i - 1) < p.entries[i, i + 1:]) + (i + 1))
-    tails = np.repeat(np.arange(len(upper), dtype=np.int64), [hits.size for hits in upper])
-    heads = np.concatenate([np.empty(0, dtype=np.int64), *upper])
-    return SparseGraph.from_pairs(n, np.column_stack([tails, heads]))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE0,)))
+    step, pairs = max(1, _SAMPLE_BLOCK // max(n, 1)), [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, n - 1, step):
+        rows = np.arange(lo, min(n - 1, lo + step))
+        # offsets[r]: where row lo + r starts among the block's pairs j > i
+        offsets = np.concatenate([[0], np.cumsum(n - 1 - rows)])
+        upper = np.concatenate([p.entries[i, i + 1:] for i in rows.tolist()])
+        hits = np.flatnonzero(rng.random(upper.size) < upper)
+        r = np.searchsorted(offsets, hits, side="right") - 1
+        pairs.append(np.column_stack([rows[r], rows[r] + 1 + hits - offsets[r]]))
+    return SparseGraph.from_pairs(n, np.concatenate(pairs))
 
 
 def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

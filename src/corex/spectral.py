@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .graph import ProbabilityMatrix, SparseGraph
+from .synth import ConfigAssembly
 
 __all__ = [
     "SpectralDecomposition",
@@ -277,10 +278,12 @@ def diagnostics(p, r: int, core_labels=None) -> DiagnosticReport:
     (absent without core labels or with an empty core), the full
     magnitude-sorted spectrum, and the magnitude gap after rank r.
 
-    p is a dense ProbabilityMatrix, which takes a dense eigvalsh, or an
-    ER-type assembly (synth.ErAssembly), whose core is its first n_core
-    nodes, so it always has core scores, and whose diagnostics come from
-    its core block alone (see _er_diagnostics).
+    p is a dense ProbabilityMatrix, which takes a dense eigvalsh; a
+    configuration-type assembly (synth.ConfigAssembly), which is filled
+    and takes the same path; or an ER-type assembly (synth.ErAssembly),
+    whose core is its first n_core nodes, so it always has core scores,
+    and whose diagnostics come from its core block alone (see
+    _er_diagnostics).
     """
     if core_labels is not None:
         core_labels = np.asarray(core_labels, dtype=bool)
@@ -288,6 +291,8 @@ def diagnostics(p, r: int, core_labels=None) -> DiagnosticReport:
             raise DomainError("core label length must match matrix")
     if not 1 <= r < p.n:
         raise DomainError(f"rank r={r} must satisfy 1 <= r < n={p.n}")
+    if isinstance(p, ConfigAssembly):
+        p = p.dense()
     if isinstance(p, ProbabilityMatrix):
         eigvals = np.linalg.eigvalsh(p.entries)
         p_star, h_n, h_prime_n = float(p.entries.max()), None, None

@@ -23,6 +23,7 @@ __all__ = [
     "GraphonSpec",
     "SynthConfig",
     "ErAssembly",
+    "ConfigAssembly",
     "GeneratedInstance",
     "graphon_by_number",
     "graphon_value",
@@ -42,6 +43,8 @@ PRESET_SIZES = {
     "small-core": (700, 1300),
     "large-core": (1300, 700),
 }
+_ROW_BLOCK = 2**16  # matrix entries per row block where a pass over rows needs temporaries
+_SKIP_CHUNK = 2**16  # candidate pairs per chunk of the touching-pair sampler
 
 
 def _g1(mu, nu):
@@ -121,7 +124,7 @@ def sample_latents(n: int, seed: int) -> np.ndarray:
 def graphon_matrix(spec: GraphonSpec, xi: np.ndarray) -> ProbabilityMatrix:
     """Evaluate the graphon on a latent vector; zero diagonal enforced."""
     xi = np.asarray(xi, dtype=np.float64)
-    p, step = np.empty((xi.size, xi.size)), max(1, 2**16 // max(1, xi.size))
+    p, step = np.empty((xi.size, xi.size)), max(1, _ROW_BLOCK // max(1, xi.size))
     for lo in range(0, xi.size, step):  # row blocks keep the graphon's temporaries small
         p[lo:lo + step] = graphon_value(spec, xi[lo:lo + step, np.newaxis], xi[np.newaxis, :])
     np.fill_diagonal(p, 0.0)
@@ -217,19 +220,17 @@ def read_design(record: dict) -> tuple[GraphonSpec, SynthConfig, float | None]:
 
 
 @dataclass(frozen=True)
-class ErAssembly:
-    """An ER-type probability matrix kept as its parts, nodes core first:
-
-        [[min(c_core C, 1), a J], [a J, a (J - I)]]
-
-    with C the unscaled core block and a the level of every pair that
-    touches one of the n_periphery periphery nodes.  `dense` fills the
-    n x n matrix; everything else reads the n_core x n_core core block."""
+class _Assembly:
+    """A probability matrix kept as its parts, nodes core first: the scaled,
+    clipped core block min(c_core C, 1) of the unscaled core block C, and
+    the pairs touching one of the n_periphery periphery nodes, whose
+    probabilities the periphery type sets through `bound` (the largest of
+    them) and `touching_p` (those of given pairs, or None when all equal
+    the bound)."""
 
     core: ProbabilityMatrix  # C, unscaled
     c_core: float
     n_periphery: int
-    level: float  # a, already clipped to 1
 
     @property
     def n(self) -> int:
@@ -241,41 +242,135 @@ class ErAssembly:
         block = np.multiply(self.core.entries, self.c_core, out=out)
         return np.minimum(block, 1.0, out=block)
 
+    def sample(self, seed: int) -> SparseGraph:
+        """One Bernoulli draw in O(n_core^2 + n + m) time and memory.
+
+        The core block is sampled by sample_adjacency.  The pairs touching
+        the periphery (core-periphery, then the periphery triangle, each
+        row-major) are visited by geometric skipping at the bound q, the
+        largest touching probability (Batagelj & Brandes, Phys. Rev. E 71,
+        036113, 2005), and each candidate is kept with probability p_ij / q
+        by a uniform from a stream of its own (Miller & Hagberg, WAW 2011).
+        Where every touching pair has probability q (ER-type), no such
+        uniform is drawn.  The draws go a chunk of candidates at a time,
+        and the output does not depend on the chunk size."""
+        nc, npr = self.core.n, self.n_periphery
+        core = sample_adjacency(ProbabilityMatrix(self.core_block(), _validated=True), seed)
+        touching, cross, bound = nc * npr + npr * (npr - 1) // 2, nc * npr, self.bound()
+        skips = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 0)))
+        thin = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 1)))
+        chunks, last = [core.edge_array()], -1
+        while last < touching - 1:
+            expected = (touching - 1 - last) * bound
+            size = min(touching - 1 - last, int(expected + 4.0 * np.sqrt(expected)) + 16,
+                       _SKIP_CHUNK)
+            hits = last + np.cumsum(skips.geometric(bound, size))
+            last = int(hits[-1])
+            hits = hits[hits < touching]
+            i, j = _triangle_pairs(npr, hits[hits >= cross] - cross)
+            hits = hits[hits < cross]
+            pairs = np.concatenate([np.column_stack([hits // npr, nc + hits % npr]),
+                                    np.column_stack([nc + i, nc + j])])
+            p = self.touching_p(pairs[:, 0], pairs[:, 1])
+            chunks.append(pairs if p is None else pairs[thin.random(p.size) < p / bound])
+        pairs = np.concatenate(chunks)
+        del chunks  # the draws go before from_pairs makes its copies
+        return SparseGraph.from_pairs(self.n, pairs)
+
+
+@dataclass(frozen=True)
+class ErAssembly(_Assembly):
+    """An ER-type probability matrix kept as its parts:
+
+        [[min(c_core C, 1), a J], [a J, a (J - I)]]
+
+    with a the level of every pair that touches the periphery.  `dense`
+    fills the n x n matrix; everything else reads the core block."""
+
+    level: float  # a, already clipped to 1
+
+    def bound(self) -> float:
+        return self.level
+
+    def touching_p(self, i, j) -> None:
+        return None  # every touching pair has the bound's probability
+
     def dense(self) -> ProbabilityMatrix:
         p = np.full((self.n, self.n), self.level)
         self.core_block(out=p[:self.core.n, :self.core.n])
         np.fill_diagonal(p, 0.0)
         return ProbabilityMatrix(p, _validated=True)
 
-    def sample(self, seed: int) -> SparseGraph:
-        """One Bernoulli draw in O(n_core^2 + n + m) time and memory, with the
-        core-core edges of sample_adjacency(self.dense(), seed).  The pairs
-        touching the periphery (core-periphery, then the periphery triangle,
-        each row-major) are i.i.d. Bernoulli(a): the gaps between their edges
-        are geometric (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005)."""
-        nc, npr = self.core.n, self.n_periphery
-        core = sample_adjacency(ProbabilityMatrix(self.core_block(), _validated=True), seed)
-        touching, cross = nc * npr + npr * (npr - 1) // 2, nc * npr
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 0)))
-        chunks, last = [], -1
-        while last < touching - 1:
-            expected = (touching - 1 - last) * self.level
-            size = min(touching - 1 - last, int(expected + 4.0 * np.sqrt(expected)) + 16)
-            hits = last + np.cumsum(rng.geometric(self.level, size))
-            chunks.append(hits[hits < touching])
-            last = int(hits[-1])
-        hits = np.concatenate([np.empty(0, dtype=np.int64), *chunks])
-        i, j = _triangle_pairs(npr, hits[hits >= cross] - cross)
-        hits = hits[hits < cross]
-        pairs = np.concatenate([core.edge_array(), np.column_stack([hits // npr, nc + hits % npr]),
-                                np.column_stack([nc + i, nc + j])])
-        del chunks, hits, i, j  # the draws go before from_pairs makes its copies
-        return SparseGraph.from_pairs(self.n, pairs)
 
-    def off_diagonal_mean(self) -> float:
-        n, nc = self.n, self.core.n
-        touching = (n * n - n) - (nc * nc - nc)  # off-diagonal entries off the core block
-        return float((self.core_block().sum() + self.level * touching) / (n * n - n))
+@dataclass(frozen=True)
+class ConfigAssembly(_Assembly):
+    """A configuration-type probability matrix kept as its parts: the
+    scaled core block, and min(theta_i theta_j / norm, 1) on every pair
+    that touches the periphery, with theta the scaled weights of all n
+    nodes.  `dense` fills the n x n matrix; sampling never does."""
+
+    theta: np.ndarray
+    norm: float
+
+    def bound(self) -> float:
+        nc = self.core.n
+        top = np.sort(self.theta[nc:])[-2:]  # the two largest periphery weights
+        if top.size == 0:
+            return 1.0  # no touching pairs
+        # the largest product pairs the top periphery weight with the top
+        # core weight or with the second periphery weight
+        product = max(self.theta[:nc].max(), top[0] if top.size == 2 else 0.0) * top[-1]
+        return min(product / self.norm, 1.0)
+
+    def touching_p(self, i, j) -> np.ndarray:
+        return np.minimum(self.theta[i] * self.theta[j] / self.norm, 1.0)
+
+    def dense(self) -> ProbabilityMatrix:
+        p = np.outer(self.theta, self.theta)
+        p /= self.norm
+        self.core_block(out=p[:self.core.n, :self.core.n])
+        np.fill_diagonal(p, 0.0)
+        np.minimum(p, 1.0, out=p)
+        return ProbabilityMatrix(p, _validated=True)
+
+
+def _core_block_stats(core: ProbabilityMatrix, c_core: float) -> tuple[int, float]:
+    """(entries above 1, sum after clipping at 1) of the scaled core block
+    c_core C, a block of rows at a time, so no second n_c x n_c array is made."""
+    above, total, step = 0, 0.0, max(1, _ROW_BLOCK // core.n)
+    for lo in range(0, core.n, step):
+        rows = np.multiply(core.entries[lo:lo + step], c_core)
+        above += int(np.count_nonzero(rows > 1.0))
+        total += float(np.minimum(rows, 1.0, out=rows).sum())
+    return above, total
+
+
+def _touching_stats(theta: np.ndarray, n_core: int, norm: float) -> tuple[int, float]:
+    """(entries above 1, sum after clipping at 1) of the entries
+    theta_i theta_j / norm of the n x n matrix, diagonal excluded, that
+    touch the periphery (nodes n_core on), in O(n log n).
+
+    Row i's entries above 1 are those of its largest periphery weights.
+    Bisection over the sorted periphery weights finds where they start with
+    the same floating expression as ConfigAssembly.dense, which is monotone
+    in the weight, so the count equals the dense count exactly."""
+    peri = np.sort(theta[n_core:])
+    npr = peri.size
+    lo, hi = np.zeros(theta.size, dtype=np.int64), np.full(theta.size, npr)
+    for _ in range(npr.bit_length()):  # each step at least halves hi - lo
+        mid = (lo + hi) // 2
+        above = theta * peri[np.minimum(mid, npr - 1)] / norm > 1.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, np.minimum(mid + 1, hi))
+    # row i over the periphery columns: lo entries below 1, then npr - lo at 1
+    rows_above = npr - lo
+    row_sums = theta * np.concatenate([[0.0], np.cumsum(peri)])[lo] / norm + rows_above
+    diag = theta[n_core:] * theta[n_core:] / norm  # periphery rows' own entries
+    # the core-periphery block appears twice, the periphery block once
+    above = 2 * int(rows_above[:n_core].sum()) + int(rows_above[n_core:].sum())
+    total = 2.0 * float(row_sums[:n_core].sum()) + float(row_sums[n_core:].sum())
+    return (above - int(np.count_nonzero(diag > 1.0)),
+            total - float(np.minimum(diag, 1.0).sum()))
 
 
 def _checked_clip_count(entries_above_one: int, n: int) -> int:
@@ -290,7 +385,8 @@ def _checked_clip_count(entries_above_one: int, n: int) -> int:
 
 def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
     """ER-type assembly that meets the density and degree ratio, from the
-    core block alone: (ErAssembly, c_core, c_periphery, clip count).
+    core block alone: (ErAssembly, c_core, c_periphery, clip count,
+    realized density).
 
     The core block is scaled by c_core and the constant periphery level a
     by c_periphery, so an unclipped instance meets Definition 1 exactly.
@@ -321,18 +417,19 @@ def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
             )
         c_peri = target_sum / (k * w_cc + 2.0 * w_cp + w_pp)
         c_core = k * c_peri
-    touch = c_peri * level
-    above = int(np.count_nonzero(core_p.entries * c_core > 1.0))
+    touch, touching = c_peri * level, (n * n - n) - (nc * nc - nc)  # entries off the core block
+    above, core_sum = _core_block_stats(core_p, float(c_core))
     if touch > 1.0:
-        above += (n * n - n) - (nc * nc - nc)
+        above += touching
     return (ErAssembly(core_p, float(c_core), npr, min(touch, 1.0)), float(c_core),
-            float(c_peri), _checked_clip_count(above, n))
+            float(c_peri), _checked_clip_count(above, n),
+            (core_sum + min(touch, 1.0) * touching) / (n * n - n))
 
 
 def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthConfig):
     """Configuration-type assembly that meets the density and degree ratio
-    while staying inside Definition 2: (ProbabilityMatrix, c_core,
-    c_periphery, clip count), clipped to [0, 1].
+    while staying inside Definition 2: (ConfigAssembly, c_core,
+    c_periphery, clip count, realized density), clipped to [0, 1].
 
     The core block and core weights are scaled by a, the periphery weights
     by b = beta * a, and the matrix is assembled from the scaled weights, so
@@ -345,7 +442,9 @@ def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthC
 
     and the density fixes a = target / (S0 + 2 beta U + beta^2 (U^2 - Q) / S0),
     where target is the required sum of off-diagonal entries.  c_core is a
-    and c_periphery is b.
+    and c_periphery is b.  A pair touching the periphery then has
+    probability theta_i theta_j / (a S0) for the scaled weights theta; the
+    clips and the density are counted without the n x n matrix.
     """
     nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
     theta_core = core_p.expected_degrees()
@@ -371,29 +470,23 @@ def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthC
         beta = 2.0 * s0 / denom
     a = target_sum / (s0 + 2.0 * beta * u_sum + beta * beta * u_cross / s0)
     theta = np.concatenate([a * theta_core, (a * beta) * theta_peri])
-    p = np.outer(theta, theta) / (a * s0)
-    p[:nc, :nc] = a * core_p.entries
-    np.fill_diagonal(p, 0.0)
-    # a block of rows at a time, so the comparison never needs n x n bytes
-    step = max(1, 2**20 // n)
-    clip_count = _checked_clip_count(sum(int(np.count_nonzero(p[i:i + step] > 1.0))
-                                         for i in range(0, n, step)), n)
-    if clip_count:
-        np.clip(p, 0.0, 1.0, out=p)
-    return ProbabilityMatrix(p, _validated=True), float(a), float(a * beta), clip_count
+    assembly = ConfigAssembly(core_p, float(a), npr, theta, float(a * s0))
+    core_above, core_sum = _core_block_stats(core_p, assembly.c_core)
+    touch_above, touch_sum = _touching_stats(theta, nc, assembly.norm)
+    return (assembly, float(a), float(a * beta), _checked_clip_count(core_above + touch_above, n),
+            (core_sum + touch_sum) / (n * n - n))
 
 
 @dataclass(frozen=True)
 class GeneratedInstance:
     """A fully assembled design point ready for sampling.
 
-    `assembly` is the probability matrix as it was built: an ErAssembly for
-    an ER-type periphery, a dense ProbabilityMatrix for a
-    configuration-type one.  `core` is the unscaled core block it was
-    built from.  `sample` draws the instance's adjacency; `p`, the dense
-    matrix, serves tests and dense oracles."""
+    `assembly` is the probability matrix kept as its parts: an ErAssembly
+    or a ConfigAssembly.  `core` is the unscaled core block it was built
+    from.  `sample` draws the instance's adjacency without the n x n
+    matrix; `p`, the dense matrix, serves tests and dense oracles."""
 
-    assembly: ProbabilityMatrix | ErAssembly
+    assembly: ErAssembly | ConfigAssembly
     core: ProbabilityMatrix
     truth: np.ndarray  # bool, True = core
     adjacency_seed: int
@@ -401,15 +494,12 @@ class GeneratedInstance:
 
     @cached_property
     def p(self) -> ProbabilityMatrix:
-        """The dense n x n matrix; an ER-type instance fills it on first use."""
-        return self.assembly.dense() if isinstance(self.assembly, ErAssembly) else self.assembly
+        """The dense n x n matrix, filled on first use."""
+        return self.assembly.dense()
 
     def sample(self) -> SparseGraph:
-        """The adjacency drawn from adjacency_seed; an ER-type instance never
-        fills its dense matrix."""
-        if isinstance(self.assembly, ErAssembly):
-            return self.assembly.sample(self.adjacency_seed)
-        return sample_adjacency(self.assembly, self.adjacency_seed)
+        """The adjacency drawn from adjacency_seed."""
+        return self.assembly.sample(self.adjacency_seed)
 
 
 def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
@@ -422,15 +512,16 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
 
     ER-type: the core block is scaled by c_core and the periphery level by
     c_periphery, both solved in closed form from the block masses (see
-    _scale_er), so an unclipped instance meets Definition 1 exactly; the
-    n x n matrix is filled only when `p` is first read, never by `sample`.
+    _scale_er), so an unclipped instance meets Definition 1 exactly.
     Configuration-type: the core weights are scaled by c_core and the
     periphery weights by c_periphery before assembly (see _scale_config),
     so an unclipped instance meets Definition 2 exactly.  The periphery
     weights are drawn on the sample_periphery_theta range and then scaled
     by c_periphery / c_core relative to the core weights; that factor is
     set by the degree ratio, so the final periphery weights are not
-    confined to (0.5 min, 1.5 max) of the final core weights.
+    confined to (0.5 min, 1.5 max) of the final core weights.  Either way
+    the n x n matrix is filled only when `p` is first read, never by
+    `sample`.
     """
     root = np.random.SeedSequence(cfg.seed)
     latents_seed, theta_seed, adjacency_seed = (
@@ -453,8 +544,8 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
         theta_peri = sample_periphery_theta(core, cfg.n_periphery, theta_seed)
         assembly, *scales = _scale_config(core, theta_peri, cfg)
         meta["theta_core_sum"] = float(core.expected_degrees().sum())
-    meta["c_core"], meta["c_periphery"], meta["rescale_clip_count"] = scales
-    meta["realized_density"] = assembly.off_diagonal_mean()
+    (meta["c_core"], meta["c_periphery"], meta["rescale_clip_count"],
+     meta["realized_density"]) = scales
     truth = np.zeros(cfg.n, dtype=bool)
     truth[:cfg.n_core] = True
     return GeneratedInstance(assembly=assembly, core=core, truth=truth,

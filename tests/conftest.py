@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import settings
 
 from corex.coreid import KMEANS_FLOOR
-from corex.errors import DegenerateError
+from corex.errors import DegenerateError, DomainError, InfeasibleError
 from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
 
 # one profile for every property test: examples of the dense oracles can
@@ -60,6 +60,39 @@ def dense_er(core: ProbabilityMatrix, n_periphery: int, level: float) -> np.ndar
     p[:core.n, :core.n] = core.entries
     np.fill_diagonal(p, 0.0)
     return p
+
+
+def dense_config(core: ProbabilityMatrix, theta_peri: np.ndarray, cfg):
+    """The configuration-type assembly as the whole n x n matrix, built the
+    way synth did before it kept the parts: (entries, c_core, c_periphery,
+    clip count).  Raises DomainError for a core of zero weight and
+    InfeasibleError where the ratio is unreachable or over 20% of the pairs
+    clip."""
+    nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
+    theta_core = core.expected_degrees()
+    s0 = float(theta_core.sum())
+    if s0 <= 0.0:
+        raise DomainError("core block has zero total weight")
+    u_sum = float(theta_peri.sum())
+    u_cross = u_sum * u_sum - float(np.dot(theta_peri, theta_peri))
+    beta = 0.0
+    if npr:
+        ratio = cfg.degree_ratio * nc / npr
+        qb = (ratio - 1.0) * u_sum
+        denom = qb + np.sqrt(qb * qb + 4.0 * (ratio * u_cross / s0) * s0)
+        if not denom > 0.0:
+            raise InfeasibleError("degree ratio unreachable")
+        beta = 2.0 * s0 / denom
+    a = cfg.target_density * (n * n - n) / (s0 + 2.0 * beta * u_sum
+                                            + beta * beta * u_cross / s0)
+    theta = np.concatenate([a * theta_core, (a * beta) * theta_peri])
+    p = np.outer(theta, theta) / (a * s0)
+    p[:nc, :nc] = a * core.entries
+    np.fill_diagonal(p, 0.0)
+    clip_count = int(np.count_nonzero(p > 1.0)) // 2
+    if clip_count > 0.2 * ((n * n - n) // 2):
+        raise InfeasibleError("over 20% of the pairs clip")
+    return np.clip(p, 0.0, 1.0), float(a), float(a * beta), clip_count
 
 
 def kmeans_split_loop(values) -> tuple[np.ndarray, float]:

@@ -222,7 +222,7 @@ def test_criterion_04_threshold_selection():
         # scale, whatever the ratio (see ledger)
         cfg_sigs.append(noiseless_signal(inst, 6, "config"))
         t0 = time.time()
-        g = sample_adjacency(inst.p, inst.adjacency_seed)
+        g = inst.sample()
         part = threshold_config(
             config_scores(truncated_eigs(g, 6, seed=s), degrees(g)),
             average_density(g), g.n)

@@ -122,15 +122,15 @@ IMPORT_PROBE = textwrap.dedent("""
         assert main(["identify", "--input", str(out / "er" / "edges.tsv"), "--rank", "3",
                      "--select", "threshold", "--out-dir", str(out / "id")]) == 0
         record("identify")
-    for periphery in ("er", "config") if steps == "synth" else ():
-        data = out / periphery
+    if steps in ("er", "config"):
+        data = out / steps
         assert main(["generate", "--graphon", "1", "--n-core", "30", "--n-periphery", "30",
-                     "--periphery", periphery, "--density", "0.05", "--seed", "3",
+                     "--periphery", steps, "--density", "0.05", "--seed", "3",
                      "--out-dir", str(data)]) == 0
-        record("generate " + periphery)
+        record("generate")
         assert main(["diagnose", "--truth-p", str(data / "meta.json"), "--rank", "3",
                      "--sweep", "0,20", "--out-dir", str(data / "diag")]) == 0
-        record("diagnose " + periphery)
+        record("diagnose")
     print(json.dumps(loaded))
 """)
 
@@ -150,14 +150,16 @@ def run_import_probe(out, steps):
 def test_scipy_loads_only_for_sparse_solves(tmp_path):
     """`import corex`, `generate` and `diagnose --truth-p` never import
     scipy; `identify` loads `scipy.sparse` on its first CSR matrix.
-    `generate` loads only the modules it runs, and `identify` neither the
-    benchmark harness nor the baselines; each in a fresh interpreter."""
-    loaded = run_import_probe(tmp_path, "synth")
-    for step in ("import", "generate er", "diagnose er", "generate config", "diagnose config"):
-        assert loaded[step]["scipy"] == [], (step, loaded[step]["scipy"][:5])
-    assert loaded["import corex"]["corex"] == ["corex"]
-    assert loaded["generate er"]["corex"] == ["corex", "corex.cli", "corex.errors",
-                                              "corex.graph", "corex.synth"]
+    `generate` loads only the modules it runs, the same ones for either
+    periphery type, and `identify` neither the benchmark harness nor the
+    baselines; each in a fresh interpreter."""
+    for periphery in ("er", "config"):
+        loaded = run_import_probe(tmp_path, periphery)
+        for step in ("import", "generate", "diagnose"):
+            assert loaded[step]["scipy"] == [], (periphery, step, loaded[step]["scipy"][:5])
+        assert loaded["import corex"]["corex"] == ["corex"]
+        assert loaded["generate"]["corex"] == ["corex", "corex.cli", "corex.errors",
+                                               "corex.graph", "corex.synth"], periphery
     loaded = run_import_probe(tmp_path, "identify")
     assert "scipy.sparse" in loaded["identify"]["scipy"]
     assert not {"corex.evaluate", "corex.baselines"} & set(loaded["identify"]["corex"])
@@ -489,10 +491,15 @@ class TestExitCodes:
           "--rank", "x"], True),
         (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
           "--eps", "0"], True),
+        (["identify", "--input", "{edges}", "--rank", "1", "--select", "topk:-1"], True),
+        (["identify", "--input", "{edges}", "--rank", "1", "--select", "topk:x"], True),
+        (["bench", "--graphon", "1", "--n-core", "3", "--n-periphery", "3",
+          "--density", "0.4", "--rank", "6"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
-            "bench-rank-0", "bench-rank-word", "bench-eps"])
+            "bench-rank-0", "bench-rank-word", "bench-eps", "identify-topk-negative",
+            "identify-topk-word", "bench-rank-at-n"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",

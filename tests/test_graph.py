@@ -419,19 +419,32 @@ class TestSampleAdjacency:
         g = sample_adjacency(ProbabilityMatrix(entries), seed=11)
         check_invariants(g)
 
-    def test_matches_per_row_reference(self):
-        # row i draws from its own stream (seed, i) and keeps the hits j > i
+    def test_matches_single_stream_reference(self):
+        # one stream runs over the row-major upper triangle, and pair k is an
+        # edge when the stream's k-th uniform falls below its probability
         rng = np.random.default_rng(6)
         raw = rng.random((40, 40)) * 0.4
         entries = (raw + raw.T) / 2
         np.fill_diagonal(entries, 0.0)
-        expected = []
-        for i in range(39):
-            row_rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(i,)))
-            hits = np.nonzero(row_rng.random(39 - i) < entries[i, i + 1:])[0] + i + 1
-            expected += [[i, int(j)] for j in hits]
+        i, j = np.triu_indices(40, 1)
+        stream = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0xE0,)))
+        keep = stream.random(i.size) < entries[i, j]
         g = sample_adjacency(ProbabilityMatrix(entries), seed=21)
-        assert g.edge_array().tolist() == expected
+        assert g.edge_array().tolist() == np.column_stack([i[keep], j[keep]]).tolist()
+
+    @pytest.mark.parametrize("block", [1, 82, 150, 600, 2**18],
+                             ids=["1-row", "2-rows", "3-rows", "14-rows", "whole"])
+    def test_independent_of_block_size(self, monkeypatch, block):
+        rng = np.random.default_rng(9)
+        raw = rng.random((41, 41)) * 0.5
+        entries = (raw + raw.T) / 2
+        np.fill_diagonal(entries, 0.0)
+        p = ProbabilityMatrix(entries)
+        whole = sample_adjacency(p, seed=4)
+        monkeypatch.setattr("corex.graph._SAMPLE_BLOCK", block)
+        g = sample_adjacency(p, seed=4)
+        assert np.array_equal(g.indptr, whole.indptr)
+        assert np.array_equal(g.indices, whole.indices)
 
     def test_expected_degrees(self):
         # mean observed degree over replicates approaches the row sums

@@ -12,7 +12,8 @@ from corex.graph import ProbabilityMatrix, SparseGraph, degrees, load_edge_list
 from corex.spectral import (_TRUTH_ROW_BLOCK, DEFAULT_TOL, CoreScores, SpectralDecomposition,
                             config_scores, diagnostics, er_scores, scores_from_truth,
                             truncated_eigs)
-from corex.synth import ErAssembly, SynthConfig, generate_instance, graphon_by_number
+from corex.synth import (ConfigAssembly, ErAssembly, SynthConfig, generate_instance,
+                         graphon_by_number)
 
 
 def dense_reference_eigs(matrix: np.ndarray, r: int):
@@ -442,8 +443,10 @@ class TestReducedSpectrum:
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="config",
                           degree_ratio=2.0, target_density=0.1, seed=4)
         inst = generate_instance(graphon_by_number(1), cfg)
-        assert inst.assembly is inst.p
-        assert_spectrum_matches_dense(inst.p, diagnostics(inst.assembly, 3, inst.truth))
+        assert isinstance(inst.assembly, ConfigAssembly)
+        report = diagnostics(inst.assembly, 3, inst.truth)
+        assert_spectrum_matches_dense(inst.p, report)
+        assert report.to_json_dict() == diagnostics(inst.p, 3, inst.truth).to_json_dict()
 
     def test_one_ulp_off_er_instance_takes_dense_path(self):
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (definition1_residual, definition2_residual, dense_er,
+from conftest import (definition1_residual, definition2_residual, dense_config, dense_er,
                       periphery_product_residual)
 from corex.errors import DomainError, InfeasibleError, ValidationError
 from corex.graph import ProbabilityMatrix, sample_adjacency
 from corex.spectral import scores_from_truth
-from corex.synth import (DESIGN_FIELDS, PRESET_SIZES, ErAssembly, GraphonSpec, SynthConfig,
+from corex.synth import (DESIGN_FIELDS, PRESET_SIZES, ConfigAssembly, ErAssembly, GraphonSpec,
+                         SynthConfig,
                          design_record, generate_instance, graphon_by_number,
                          graphon_core, graphon_matrix, graphon_value, read_design,
                          sample_latents, sample_periphery_theta)
@@ -233,7 +234,6 @@ class TestErSample:
         core = {e for e in edge_set(inst.sample()) if e[1] < nc}
         block = ProbabilityMatrix(inst.assembly.core_block(), _validated=True)
         assert core == edge_set(sample_adjacency(block, seed))
-        assert core == {e for e in edge_set(sample_adjacency(inst.p, seed)) if e[1] < nc}
 
     def test_touching_pairs_are_iid_bernoulli(self):
         # n_c = 4, n_p = 5: 20 core-periphery pairs and 10 periphery pairs
@@ -289,13 +289,95 @@ class TestErSample:
             tracemalloc.stop()
         assert peak < 0.1 * 8 * 4200 ** 2
 
-    def test_config_instance_samples_its_dense_matrix(self):
-        cfg = SynthConfig(n_core=20, n_periphery=30, periphery="config",
-                          degree_ratio=2.0, target_density=0.1, seed=4)
-        inst = generate_instance(G1, cfg)
+
+def config_instance(graphon, n_core, n_periphery, ratio, density, seed=0):
+    cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="config",
+                      degree_ratio=ratio, target_density=density, seed=seed)
+    return generate_instance(graphon, cfg)
+
+
+def same_graph(a, b):
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+class TestConfigSample:
+    """ConfigAssembly.sample: the core block as sample_adjacency samples it,
+    the pairs touching the periphery by skipping at the largest touching
+    probability and thinning each candidate to its own."""
+
+    def test_core_edges_match_sample_adjacency(self):
+        inst = config_instance(G1, 40, 60, ratio=3.0, density=0.1, seed=2)
+        core = {e for e in edge_set(inst.sample()) if e[1] < 40}
+        block = ProbabilityMatrix(inst.assembly.core_block(), _validated=True)
+        assert core == edge_set(sample_adjacency(block, inst.adjacency_seed))
+
+    @pytest.mark.parametrize("norm", [14.0, 10.0], ids=["bound-below-one", "clipped"])
+    def test_touching_pairs_are_iid_bernoulli(self, norm):
+        # n_c = 4, n_p = 5: 20 core-periphery pairs and 10 periphery pairs, of
+        # probability min(theta_i theta_j / norm, 1); at norm 10 the pairs of
+        # weights 4 x 3 and 4 x 2.5 clip at 1
+        nc, npr, runs = 4, 5, 2000
+        theta = np.array([1.0, 2.0, 3.0, 4.0, 0.5, 1.0, 1.5, 2.5, 3.0])
+        assembly = ConfigAssembly(small_core(p=0.5, n=nc), 1.0, npr, theta, norm)
+        touching = [(i, j) for i in range(nc + npr) for j in range(max(i + 1, nc), nc + npr)]
+        p = np.array([min(theta[i] * theta[j] / norm, 1.0) for i, j in touching])
+        hits = np.zeros((runs, len(touching)), dtype=bool)
+        for seed in range(runs):
+            edges = edge_set(assembly.sample(seed))
+            hits[seed] = [pair in edges for pair in touching]
+        assert hits[:, p == 1.0].all()
+        free = p < 1.0
+        sigma = np.sqrt(p * (1 - p) / runs)
+        assert np.all(np.abs(hits.mean(axis=0) - p)[free] <= 5 * sigma[free])
+        # per-pair chi-square over the unclipped pairs, df = their count
+        chi2 = float(np.sum((hits.sum(axis=0) - runs * p)[free] ** 2
+                            / (runs * p * (1 - p))[free]))
+        df = int(free.sum())
+        assert abs(chi2 - df) <= 5 * math.sqrt(2 * df)
+        # the touching-edge count is Poisson-binomial: its variance is
+        # sum p (1 - p), and its fourth central moment is
+        # sum p (1 - p) (1 - 6 p (1 - p)) + 3 var^2
+        counts = hits.sum(axis=1)
+        var = float(np.sum(p * (1 - p)))
+        mu4 = float(np.sum(p * (1 - p) * (1 - 6 * p * (1 - p)))) + 3 * var ** 2
+        assert abs(counts.mean() - p.sum()) <= 5 * math.sqrt(var / runs)
+        assert abs(counts.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var ** 2) / runs)
+
+    @pytest.mark.parametrize("periphery", ["er", "config"])
+    @pytest.mark.parametrize("chunk", [1, 7, 10 ** 12])
+    def test_independent_of_chunk_size(self, monkeypatch, periphery, chunk):
+        # an unbounded chunk is the single draw of the ER sampler before thinning
+        # came in, so ER touching edges keep that layout
+        cfg = SynthConfig(n_core=30, n_periphery=50, periphery=periphery,
+                          degree_ratio=3.0, target_density=0.1, seed=6)
+        inst = generate_instance(G2, cfg)
+        whole = inst.sample()
+        monkeypatch.setattr("corex.synth._SKIP_CHUNK", chunk)
+        assert same_graph(inst.sample(), whole)
+
+    def test_deterministic_per_seed(self):
+        assembly = config_instance(G3, 10, 30, ratio=2.0, density=0.2).assembly
+        a, b, c = assembly.sample(9), assembly.sample(9), assembly.sample(10)
+        assert same_graph(a, b) and edge_set(a) != edge_set(c)
+
+    @pytest.mark.parametrize("npr", [0, 1, 2])
+    def test_tiny_periphery(self, npr):
+        inst = config_instance(G1, 8, npr, ratio=1.0, density=0.3, seed=1)
         g = inst.sample()
-        ref = sample_adjacency(inst.p, inst.adjacency_seed)
-        assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
+        block = ProbabilityMatrix(inst.assembly.core_block(), _validated=True)
+        assert g.n == 8 + npr
+        assert {e for e in edge_set(g) if e[1] < 8} == edge_set(
+            sample_adjacency(block, inst.adjacency_seed))
+
+    def test_peak_memory_far_below_dense(self):
+        # generating and sampling never build the 8 n^2-byte matrix
+        tracemalloc.start()
+        try:
+            config_instance(G1, 200, 4000, ratio=3.0, density=0.02, seed=1).sample()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * 4200 ** 2
 
 
 class TestAssembleConfig:
@@ -312,6 +394,52 @@ class TestAssembleConfig:
                           degree_ratio=1.0, target_density=0.05, seed=0)
         with pytest.raises(DomainError):
             generate_instance(constant_graphon(0.0), cfg)
+
+    @settings(max_examples=80)
+    @given(gnum=st.integers(1, 3), n_core=st.integers(2, 30),
+           n_periphery=st.integers(0, 30), ratio=st.floats(0.1, 20.0),
+           density=st.floats(0.005, 0.6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_parts_match_dense_oracle(self, gnum, n_core, n_periphery, ratio, density, seed):
+        # dense() and the clip count are bit for bit those of the dense
+        # assembly; the density is counted in another order
+        graphon = graphon_by_number(gnum)
+        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="config",
+                          degree_ratio=ratio, target_density=density, seed=seed)
+        latents_seed, theta_seed, _ = (int(w) for w in
+                                       np.random.SeedSequence(seed).generate_state(3))
+        core = graphon_core(graphon, n_core, latents_seed)
+        theta_peri = sample_periphery_theta(core, n_periphery, theta_seed)
+        try:
+            entries, c_core, c_peri, clip_count = dense_config(core, theta_peri, cfg)
+        except (DomainError, InfeasibleError) as exc:
+            with pytest.raises(type(exc)):
+                generate_instance(graphon, cfg)
+            return
+        inst = generate_instance(graphon, cfg)
+        assert np.array_equal(inst.p.entries, entries)
+        assert inst.meta["rescale_clip_count"] == clip_count
+        assert (inst.meta["c_core"], inst.meta["c_periphery"]) == (c_core, c_peri)
+        n = cfg.n
+        assert inst.meta["realized_density"] == pytest.approx(entries.sum() / (n * n - n),
+                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("n_core, n_periphery, ratio, density, clip_count", [
+        (30, 40, 2.0, 0.1, 43), (600, 800, 3.0, 0.2, 24664), (20, 3, 0.4, 0.5, 49),
+        (10, 30, 0.3, 0.3, 34),
+    ], ids=["core", "core-row-blocks", "core-and-touching", "touching"])
+    def test_clip_count_matches_dense_oracle(self, n_core, n_periphery, ratio, density,
+                                             clip_count):
+        # clips in the core block only (over several of its row blocks), in
+        # both parts, and off the core block only, where periphery rows whose
+        # own diagonal entry would exceed 1 must not count it
+        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="config",
+                          degree_ratio=ratio, target_density=density, seed=4)
+        inst = generate_instance(G1, cfg)
+        core = graphon_core(G1, n_core, inst.meta["latents_seed"])
+        theta_peri = sample_periphery_theta(core, n_periphery, inst.meta["theta_seed"])
+        entries, *_, oracle_count = dense_config(core, theta_peri, cfg)
+        assert inst.meta["rescale_clip_count"] == oracle_count == clip_count
+        assert np.array_equal(inst.p.entries, entries)
 
 
 class TestRescale:
@@ -393,6 +521,17 @@ class TestRescale:
         # counting clips over the whole matrix at once took an n x n boolean
         # (1.375 x 8 n^2 here); a block of rows at a time leaves about 1.31 x
         assert er_peak_in_dense_matrices(1000, 1000) < 1.35
+
+    def test_peak_memory_one_core_block(self):
+        # the clip count and the density each scaled a copy of the whole core
+        # block, 2.2 x its 8 n_c^2 bytes; a block of rows at a time leaves one
+        tracemalloc.start()
+        try:
+            er_instance(G1, 1000, 2000, ratio=3.0, density=0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * 1000 ** 2
 
     def test_clipped_level_clips_every_touching_pair(self):
         # a small periphery that must out-degree the core pushes c_periphery a
