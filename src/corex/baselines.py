@@ -22,8 +22,8 @@ __all__ = [
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-12  # on the L1 change of one iteration
 PAGERANK_MAX_ITER = 1000
-EIGENVECTOR_TOL = 1e-10  # on the Euclidean change of one iteration
-EIGENVECTOR_MAX_ITER = 20000
+EIGENVECTOR_TOL = 1e-10  # ARPACK's relative accuracy of each Perron root
+EIGENVECTOR_TIE = 1e-9  # Perron roots this close, relatively, count as shared
 
 
 def degree_scores(g: SparseGraph) -> np.ndarray:
@@ -60,30 +60,33 @@ def pagerank_scores(g: SparseGraph) -> np.ndarray:
 
 def eigenvector_scores(g: SparseGraph) -> np.ndarray:
     """Entrywise-nonnegative leading eigenvector of the adjacency matrix,
-    unit Euclidean norm, by power iteration from the all-ones vector.
-
-    Iterates on A + I so that bipartite eigenvalue pairs of equal
-    magnitude cannot stall the iteration; the leading eigenvector is the
-    same.
-    """
+    unit norm: the all-ones vector projected onto the leading eigenspace,
+    which power iteration from it converges to.  Each connected component
+    takes its own ARPACK Lanczos solve (`eigsh`; "LA" is the Perron root, so
+    bipartite graphs need no shift).  One solve over the whole graph would
+    mix the Perron vectors of components that share the largest root: ARPACK
+    goes on from random vectors once the all-ones Krylov space is exhausted."""
     if g.m == 0:
         raise DomainError("eigenvector centrality needs at least one edge")
-    n = g.n
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     adj = g.to_csr()
-    x = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(EIGENVECTOR_MAX_ITER):
-        y = adj @ x + x
-        norm = float(np.linalg.norm(y))
-        y /= norm
-        delta = float(np.linalg.norm(y - x))
-        x = y
-        if delta <= EIGENVECTOR_TOL:
-            x = np.abs(x)  # Perron vector: fix the sign convention
-            return x / np.linalg.norm(x)
-    raise ConvergenceError(
-        f"eigenvector centrality did not converge in {EIGENVECTOR_MAX_ITER} iterations",
-        residual=delta,
-    )
+    labels = connected_components(adj, directed=False)[1]
+    sizes = np.bincount(labels)
+    order, ends = np.argsort(labels, kind="stable"), np.cumsum(sizes)
+    roots, x = np.zeros(sizes.size), np.zeros(g.n)
+    for c in np.flatnonzero(sizes > 1):  # isolated nodes score 0
+        nodes = order[ends[c] - sizes[c]:ends[c]]
+        sub = adj[nodes][:, nodes] if nodes.size < g.n else adj  # connected: no copy
+        try:
+            val, vec = eigsh(sub, k=1, which="LA", v0=np.ones(nodes.size), tol=EIGENVECTOR_TOL)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"eigenvector centrality did not converge: {exc}") from None
+        vec = np.abs(vec[:, 0])  # the unit Perron vector: fix the sign convention
+        roots[c], x[nodes] = val[0], vec * vec.sum()  # the all-ones vector projected onto it
+    x[roots[labels] < roots.max() * (1.0 - EIGENVECTOR_TIE)] = 0.0
+    return x / np.linalg.norm(x)
 
 
 def local_cc_scores(g: SparseGraph) -> np.ndarray:
@@ -112,8 +115,6 @@ def coreness_scores(g: SparseGraph) -> np.ndarray:
     """
     n = g.n
     deg = degrees(g)
-    if n == 0:
-        return np.zeros(0)
     # nodes in buckets of equal degree, ascending; bin_ptr[d] starts bucket d
     vert = np.argsort(deg, kind="stable")
     node_pos = np.empty(n, dtype=np.int64)

@@ -78,7 +78,7 @@ def cmd_generate(args) -> int:
     write_truth_labels(os.path.join(out_dir, "truth.csv"), instance.truth)
     meta = dict(instance.meta)
     meta["sampled_edges"] = g.m
-    meta["sampled_density"] = average_density(g) if g.n >= 2 else 0.0
+    meta["sampled_density"] = average_density(g)
     _write_json(os.path.join(out_dir, "meta.json"), meta)
     print(f"wrote edges.tsv ({g.m} edges), truth.csv, meta.json to {out_dir}")
     return EXIT_OK
@@ -128,7 +128,7 @@ def cmd_identify(args) -> int:
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, args, rank=rank)
     g = load_edge_list(args.input)
-    if g.n == 0 or g.m == 0:
+    if g.m == 0:
         raise ValidationError("input graph has no edges; nothing to identify")
     info = {"model": args.model, "rank_requested": args.rank}
     if rank == "auto":
@@ -182,6 +182,8 @@ def cmd_bench(args) -> int:
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
+    if len(set(methods)) < len(methods):
+        raise DomainError(f"--methods names a method twice: {args.methods!r}")
     graphon = graphon_by_number(args.graphon)
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, args, n_core=cfgs[0].n_core, n_periphery=cfgs[0].n_periphery,
@@ -214,11 +216,13 @@ def _read_meta(meta_path):
     return read_design(meta)
 
 
-def _parse_sweep(spec: str) -> list[int]:
+def _parse_sweep(spec: str, periphery_level: float) -> list[int]:
     sizes = spec.split(",")
     if not all(s.strip().isdecimal() for s in sizes):
         raise DomainError(f"--sweep must be a comma list of nonnegative integers, "
                           f"got {spec!r}")
+    if not 0.0 < periphery_level < 1.0:
+        raise DomainError(f"--periphery-level must lie in (0, 1), got {periphery_level}")
     return [int(s) for s in sizes]
 
 
@@ -230,12 +234,16 @@ def cmd_diagnose(args) -> int:
         raise DomainError("the eigengap sweep needs --truth-p (a known core model)")
     if args.rank < 1:
         raise DomainError(f"--rank must be >= 1, got {args.rank}")
-    sizes = _parse_sweep(args.sweep) if args.sweep else None
+    sizes = _parse_sweep(args.sweep, args.periphery_level) if args.sweep else None
     source = args.truth_p or args.input
     if not os.path.isfile(source):
         raise ValidationError(f"input file not found: {source}")
     if args.truth_p:
         graphon, cfg, er_level = _read_meta(args.truth_p)
+        if args.rank >= cfg.n:
+            raise DomainError(f"--rank {args.rank} must be below n = {cfg.n}")
+        if sizes and cfg.n_core < 4:
+            raise DomainError(f"the eigengap sweep needs n_core >= 4, got {cfg.n_core}")
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, args)
     if args.truth_p:
@@ -244,7 +252,7 @@ def cmd_diagnose(args) -> int:
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes:
             from .evaluate import eigengap_profile
-            records = eigengap_profile(instance.core, sizes, args.periphery_level)
+            records = eigengap_profile(instance.assembly.core, sizes, args.periphery_level)
             sweep_path = os.path.join(out_dir, "eigengap_sweep.csv")
             with open(sweep_path, "wt", encoding="utf-8", newline="\n") as fh:
                 fh.write("n_periphery,lambda_1,gap_3_4,normalized_gap\n")

@@ -242,6 +242,8 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
+    if len(set(methods)) < len(methods):
+        raise DomainError(f"methods name a method twice: {list(methods)}")
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))

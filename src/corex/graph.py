@@ -120,9 +120,6 @@ class SparseGraph:
                                            self.indptr), shape=(self.n, self.n))
         return self._csr
 
-    def __repr__(self) -> str:
-        return f"SparseGraph(n={self.n}, m={self.m})"
-
 
 class ProbabilityMatrix:
     """Dense symmetric edge-probability matrix with a zero diagonal."""
@@ -156,9 +153,6 @@ class ProbabilityMatrix:
         if self.n < 2:
             raise DomainError("off-diagonal mean requires n >= 2")
         return float(self.entries.sum() / (self.n * self.n - self.n))
-
-    def __repr__(self) -> str:
-        return f"ProbabilityMatrix(n={self.n})"
 
 
 _SAMPLE_BLOCK = 2**18  # matrix entries per row block in sample_adjacency

@@ -176,9 +176,7 @@ def config_scores(dec: SpectralDecomposition, deg: np.ndarray) -> CoreScores:
     inv[positive] = 1.0 / deg[positive]
     v = dec.eigenvectors * inv[:, np.newaxis]
     values = _gram_scores(dec.eigenvectors, dec.eigenvalues, v, dec.source_n)
-    if excluded:
-        values = values.copy()
-        values[list(excluded)] = 0.0
+    values[list(excluded)] = 0.0
     return CoreScores(values=values, model="config", excluded=excluded)
 
 

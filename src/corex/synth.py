@@ -101,7 +101,7 @@ def graphon_by_number(number: int) -> GraphonSpec:
 
 
 def graphon_value(spec: GraphonSpec, mu, nu):
-    """Evaluate the graphon; scalar in, scalar out; arrays broadcast."""
+    """Evaluate the graphon on broadcast arrays."""
     mu_a = np.asarray(mu, dtype=np.float64)
     nu_a = np.asarray(nu, dtype=np.float64)
     if np.any(mu_a < 0) or np.any(mu_a > 1) or np.any(nu_a < 0) or np.any(nu_a > 1):
@@ -110,8 +110,6 @@ def graphon_value(spec: GraphonSpec, mu, nu):
     out = np.broadcast_to(out, np.broadcast_shapes(mu_a.shape, nu_a.shape))
     if out.size and (out.min() < 0.0 or out.max() > 1.0):
         raise DomainError("graphon returned a value outside [0, 1]")
-    if np.isscalar(mu) and np.isscalar(nu):
-        return float(out)
     return out
 
 
@@ -482,12 +480,10 @@ class GeneratedInstance:
     """A fully assembled design point ready for sampling.
 
     `assembly` is the probability matrix kept as its parts: an ErAssembly
-    or a ConfigAssembly.  `core` is the unscaled core block it was built
-    from.  `sample` draws the instance's adjacency without the n x n
-    matrix; `p`, the dense matrix, serves tests and dense oracles."""
+    or a ConfigAssembly.  `sample` draws the instance's adjacency without
+    the n x n matrix; `p`, the dense matrix, serves tests and dense oracles."""
 
     assembly: ErAssembly | ConfigAssembly
-    core: ProbabilityMatrix
     truth: np.ndarray  # bool, True = core
     adjacency_seed: int
     meta: dict = field(default_factory=dict)
@@ -548,5 +544,5 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
      meta["realized_density"]) = scales
     truth = np.zeros(cfg.n, dtype=bool)
     truth[:cfg.n_core] = True
-    return GeneratedInstance(assembly=assembly, core=core, truth=truth,
-                             adjacency_seed=adjacency_seed, meta=meta)
+    return GeneratedInstance(assembly=assembly, truth=truth, adjacency_seed=adjacency_seed,
+                             meta=meta)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import brute_force_coreness, random_graph
+from conftest import brute_force_coreness, dense_eigenvector_centrality, random_graph
 from corex.baselines import (coreness_scores, degree_scores, eigenvector_scores,
                              local_cc_scores, pagerank_scores)
 from corex.errors import DomainError
@@ -79,6 +81,29 @@ class TestEigenvector:
         values = eigenvector_scores(g)
         assert values.min() >= 0
         assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-10)
+
+
+@st.composite
+def repeated_components(draw):
+    """Disjoint copies of one random connected graph on 2..7 nodes (a
+    random tree plus extra edges), plus 0..3 isolated nodes, with the
+    node ids shuffled; copies share the leading eigenvalue."""
+    size = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, size)}
+    extra = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                          max_size=12))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    copies = draw(st.integers(1, 3))
+    n = copies * size + draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(n)))
+    return SparseGraph.from_pairs(n, [(ids[c * size + a], ids[c * size + b])
+                                      for c in range(copies) for a, b in edges])
+
+
+@given(repeated_components())
+def test_eigenvector_matches_dense_projection(g):
+    assert np.allclose(eigenvector_scores(g), dense_eigenvector_centrality(g),
+                       rtol=0.0, atol=1e-8)
 
 
 class TestLocalCC:

@@ -344,7 +344,7 @@ class TestDiagnose:
         code = run(["diagnose", "--truth-p", str(generated / "meta.json"),
                     "--rank", "3", "--out-dir", str(out)] + flags)
         assert code == 3
-        assert not (out / "eigengap_sweep.csv").exists()
+        assert not out.exists()
 
     def test_malformed_path_no_partial_files(self, tmp_path):
         out = tmp_path / "nothing"
@@ -495,15 +495,27 @@ class TestExitCodes:
         (["identify", "--input", "{edges}", "--rank", "1", "--select", "topk:x"], True),
         (["bench", "--graphon", "1", "--n-core", "3", "--n-periphery", "3",
           "--density", "0.4", "--rank", "6"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--methods", "degree,degree"], True),
+        (["diagnose", "--truth-p", "{meta}", "--rank", "40"], True),
+        (["diagnose", "--truth-p", "{meta}", "--rank", "3", "--sweep", "0,20",
+          "--periphery-level", "1"], True),
+        (["diagnose", "--truth-p", "{small_meta}", "--rank", "3", "--sweep", "0,20"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
             "bench-rank-0", "bench-rank-word", "bench-eps", "identify-topk-negative",
-            "identify-topk-word", "bench-rank-at-n"])
+            "identify-topk-word", "bench-rank-at-n", "bench-methods-twice",
+            "diagnose-rank-at-n", "sweep-level", "sweep-small-core"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",
-                 "edges": tmp_path / "triangle.tsv"}
+                 "edges": tmp_path / "triangle.tsv", "meta": tmp_path / "design.json",
+                 "small_meta": tmp_path / "small_design.json"}
+        design = {"graphon": "table1_g1", "n_core": 20, "n_periphery": 20, "periphery": "er",
+                  "target_density": 0.1, "degree_ratio": 2.0, "seed": 0}
+        files["meta"].write_text(json.dumps(design))
+        files["small_meta"].write_text(json.dumps({**design, "n_core": 3}))
         files["edges"].write_text("0 1\n1 2\n0 2\n")
         files["not_json"].write_text("n 3\n0 1\n")
         files["not_object"].write_text("3\n")
@@ -531,6 +543,26 @@ class TestExitCodes:
         assert code == 3
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eigenvector_no_convergence_is_solver_error(self, tmp_path, monkeypatch, capsys):
+        from scipy.sparse import linalg
+
+        from corex.baselines import eigenvector_scores
+        from corex.errors import ConvergenceError
+        from corex.graph import SparseGraph
+
+        def no_convergence(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("ARPACK error -1: no convergence",
+                                             np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        with pytest.raises(ConvergenceError):
+            eigenvector_scores(SparseGraph.from_pairs(3, [(0, 1), (1, 2)]))
+        code = run(["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+                    "--ratios", "1", "--replicates", "1", "--methods", "eigenvector",
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        assert "eigenvector centrality did not converge" in capsys.readouterr().err
 
     def test_infeasible_is_solver_error(self, tmp_path):
         code = run(["generate", "--graphon", "1", "--n-core", "20",

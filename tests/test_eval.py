@@ -249,3 +249,9 @@ class TestRunExperiment:
                           degree_ratio=1.0, target_density=0.1, seed=0)
         with pytest.raises(DomainError):
             run_experiment(graphon_by_number(1), cfg, methods=("nope",))
+
+    def test_repeated_method_rejected(self):
+        cfg = SynthConfig(n_core=10, n_periphery=10, periphery="er",
+                          degree_ratio=1.0, target_density=0.1, seed=0)
+        with pytest.raises(DomainError, match="twice"):
+            run_experiment(graphon_by_number(1), cfg, methods=("degree", "degree"))
