@@ -6,7 +6,7 @@ all randomness flows from --seed (default 0, never wall-clock), so reruns
 with identical flags are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence or
-infeasibility error.
+infeasibility error, or out of memory.
 """
 
 from __future__ import annotations
@@ -171,6 +171,11 @@ def cmd_bench(args) -> int:
         ratios = tuple(map(float, args.ratios.split(","))) if args.ratios else DEFAULT_RATIOS
     except ValueError:
         raise DomainError(f"--ratios must be a comma list of numbers: {args.ratios!r}") from None
+    # ROC file tags; perfbench/run.py builds the same tag to find a file
+    ratio_tags = [f"{ratio:g}".replace(".", "p") for ratio in ratios]
+    if len(set(ratio_tags)) < len(ratio_tags):
+        raise DomainError(f"--ratios must differ in their first 6 significant digits: "
+                          f"{args.ratios!r}")
     cfgs = _design(args, ratios)
     if args.replicates < 1:
         raise DomainError("--replicates must be >= 1")
@@ -189,11 +194,10 @@ def cmd_bench(args) -> int:
     _write_run_record(out_dir, args, n_core=cfgs[0].n_core, n_periphery=cfgs[0].n_periphery,
                       ratios=list(ratios), methods=list(methods), rank=rank)
     summary = {"settings": [], "methods": list(methods)}
-    for ratio, cfg in zip(ratios, cfgs):
+    for ratio, ratio_tag, cfg in zip(ratios, ratio_tags, cfgs):
         result = run_experiment(graphon, cfg, methods=methods,
                                 replicates=args.replicates, rank=rank, eps=args.eps)
         pooled_truth = np.concatenate(result.truth_vectors)
-        ratio_tag = f"{ratio:g}".replace(".", "p")
         for method in methods:
             pooled = np.concatenate(result.score_vectors[method])
             write_roc_csv(os.path.join(out_dir, f"roc_ratio{ratio_tag}_{method}.csv"),
@@ -353,6 +357,9 @@ def main(argv=None) -> int:
     except CorexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER if isinstance(exc, (ConvergenceError, InfeasibleError)) else EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -254,9 +254,8 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
     for fold in range(folds):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
         held, kept, non_edges, weight = _edge_split(g, edges, keys, holdout_fraction, rng)
-        # predictions tolerate loose eigenpairs; never abort a fold
         vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout_fraction)), r_max,
-                              tol=1e-6, seed=seed + 7919 * (fold + 1), strict=False)
+                              tol=1e-6, seed=seed + 7919 * (fold + 1))
         losses[fold] = _fold_losses(vals, vecs, held, non_edges, weight, cands)
         held_counts.append(len(held))
         non_edge_counts.append(len(non_edges))

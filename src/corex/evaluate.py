@@ -93,14 +93,11 @@ def kcore_points(coreness, truth) -> list[tuple[float, float]]:
     n_peri = int((~truth).sum())
     if n_core == 0 or n_peri == 0:
         raise DomainError("truth must contain both classes")
-    points = []
-    max_k = int(values.max()) if values.size else 0
-    for k in range(max_k + 2):
-        keep = values >= k
-        tp = int((keep & truth).sum())
-        fp = int((keep & ~truth).sum())
-        points.append((fp / n_peri, tp / n_core))
-    return points
+    levels = np.arange(int(values.max()) + 2)
+    # nodes of a class at level k or above: its size less those below k
+    tpr = (n_core - np.searchsorted(np.sort(values[truth]), levels)) / n_core
+    fpr = (n_peri - np.searchsorted(np.sort(values[~truth]), levels)) / n_peri
+    return list(zip(fpr.tolist(), tpr.tolist()))
 
 
 def _arrowhead_extremes(lam: np.ndarray, z: np.ndarray, beta: float, delta: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -227,10 +228,8 @@ def load_edge_list(source) -> SparseGraph:
     parses the text whole; only after it finds a fault are the lines
     rescanned, to report the first bad one.
     """
-    text = body = _read_text(source)
-    if "#" in body:
-        body = "\n".join(line for line in body.split("\n")
-                         if not line.lstrip(" \t").startswith("#"))
+    text = _read_text(source)
+    body = re.sub(r"(?m)^[ \t]*#.*(?:\n|\Z)", "", text) if "#" in text else text
     body = body.lstrip(" \t\n")
     declared_n = None
     if body.startswith("n"):  # only the header, the first data line, may hold an "n"

@@ -81,17 +81,15 @@ def _residual(mat, vals: np.ndarray, vecs: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
 
 
-def _eigs(mat, r: int, tol: float, seed: int, strict: bool = True):
+def _eigs(mat, r: int, tol: float, seed: int):
     """Top-r eigenpairs by magnitude of the symmetric sparse n x n matrix
     `mat`, 1 <= r < n.
 
     ARPACK's implicitly restarted Lanczos method (`eigsh`) does the work,
     started from a seeded vector so results are deterministic; dense
     `eigh` takes over where ARPACK cannot run (r >= n - 1).  Returns
-    (vals, vecs, residual) with residual = max ||A u - lam u||.  In strict
-    mode a residual above tol * max(1, |lam_1|), or an ARPACK failure,
-    raises ConvergenceError; otherwise an ARPACK failure falls back to
-    the dense solve.
+    (vals, vecs, residual) with residual = max ||A u - lam u||; an ARPACK
+    failure or a residual above tol * max(1, |lam_1|) raises ConvergenceError.
     """
     # imported on first solve, like scipy.sparse in `SparseGraph.to_csr`:
     # `generate` and `diagnose --truth-p` never load scipy
@@ -101,29 +99,26 @@ def _eigs(mat, r: int, tol: float, seed: int, strict: bool = True):
     if mat.nnz == 0:
         # zero matrix: every eigenvalue is 0, any orthonormal set works
         return np.zeros(r), np.eye(n, r), 0.0
-    dense = r >= n - 1
-    if not dense:
+    if r >= n - 1:
+        vals, vecs = np.linalg.eigh(mat.toarray())
+    else:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE1,)))
         v0 = rng.standard_normal(n)
         try:
             vals, vecs = eigsh(mat, k=r, which="LM", tol=tol, v0=v0)
         except ArpackNoConvergence as exc:
-            if strict:
-                vals, vecs = exc.eigenvalues, exc.eigenvectors
-                if vals.size == 0:
-                    # nothing converged: report the start vector's Rayleigh pair
-                    u = v0 / np.linalg.norm(v0)
-                    vals, vecs = np.array([u @ (mat @ u)]), u[:, np.newaxis]
-                raise ConvergenceError(f"eigensolver did not converge to tol={tol}: {exc}",
-                                       residual=_residual(mat, vals, vecs)) from None
-            dense = True
-    if dense:
-        vals, vecs = np.linalg.eigh(mat.toarray())
+            vals, vecs = exc.eigenvalues, exc.eigenvectors
+            if vals.size == 0:
+                # nothing converged: report the start vector's Rayleigh pair
+                u = v0 / np.linalg.norm(v0)
+                vals, vecs = np.array([u @ (mat @ u)]), u[:, np.newaxis]
+            raise ConvergenceError(f"eigensolver did not converge to tol={tol}: {exc}",
+                                   residual=_residual(mat, vals, vecs)) from None
     # stable tiebreak: larger magnitude first, then larger signed value
     idx = np.lexsort((-vals, -np.abs(vals)))[:r]
     vals, vecs = vals[idx], vecs[:, idx]
     residual = _residual(mat, vals, vecs)
-    if strict and residual > tol * max(1.0, float(np.abs(vals).max())):
+    if residual > tol * max(1.0, float(np.abs(vals).max())):
         raise ConvergenceError(f"eigenpair residual {residual:.3g} above tol={tol}",
                                residual=residual)
     return vals, vecs, residual

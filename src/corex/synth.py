@@ -223,8 +223,7 @@ class _Assembly:
     clipped core block min(c_core C, 1) of the unscaled core block C, and
     the pairs touching one of the n_periphery periphery nodes, whose
     probabilities the periphery type sets through `bound` (the largest of
-    them) and `touching_p` (those of given pairs, or None when all equal
-    the bound)."""
+    them) and `touching_p` (those of given pairs)."""
 
     core: ProbabilityMatrix  # C, unscaled
     c_core: float
@@ -249,9 +248,9 @@ class _Assembly:
         largest touching probability (Batagelj & Brandes, Phys. Rev. E 71,
         036113, 2005), and each candidate is kept with probability p_ij / q
         by a uniform from a stream of its own (Miller & Hagberg, WAW 2011).
-        Where every touching pair has probability q (ER-type), no such
-        uniform is drawn.  The draws go a chunk of candidates at a time,
-        and the output does not depend on the chunk size."""
+        An ER-type candidate has p_ij / q exactly 1, so it is always kept.
+        The draws go a chunk of candidates at a time, and the output does
+        not depend on the chunk size."""
         nc, npr = self.core.n, self.n_periphery
         core = sample_adjacency(ProbabilityMatrix(self.core_block(), _validated=True), seed)
         touching, cross, bound = nc * npr + npr * (npr - 1) // 2, nc * npr, self.bound()
@@ -270,7 +269,7 @@ class _Assembly:
             pairs = np.concatenate([np.column_stack([hits // npr, nc + hits % npr]),
                                     np.column_stack([nc + i, nc + j])])
             p = self.touching_p(pairs[:, 0], pairs[:, 1])
-            chunks.append(pairs if p is None else pairs[thin.random(p.size) < p / bound])
+            chunks.append(pairs[thin.random(p.size) < p / bound])
         pairs = np.concatenate(chunks)
         del chunks  # the draws go before from_pairs makes its copies
         return SparseGraph.from_pairs(self.n, pairs)
@@ -290,8 +289,8 @@ class ErAssembly(_Assembly):
     def bound(self) -> float:
         return self.level
 
-    def touching_p(self, i, j) -> None:
-        return None  # every touching pair has the bound's probability
+    def touching_p(self, i, j) -> np.ndarray:
+        return np.full(i.size, self.level)
 
     def dense(self) -> ProbabilityMatrix:
         p = np.full((self.n, self.n), self.level)

@@ -501,12 +501,17 @@ class TestExitCodes:
         (["diagnose", "--truth-p", "{meta}", "--rank", "3", "--sweep", "0,20",
           "--periphery-level", "1"], True),
         (["diagnose", "--truth-p", "{small_meta}", "--rank", "3", "--sweep", "0,20"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--ratios", "2,2.0000001"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--ratios", "2,2"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
             "bench-rank-0", "bench-rank-word", "bench-eps", "identify-topk-negative",
             "identify-topk-word", "bench-rank-at-n", "bench-methods-twice",
-            "diagnose-rank-at-n", "sweep-level", "sweep-small-core"])
+            "diagnose-rank-at-n", "sweep-level", "sweep-small-core", "ratios-same-tag",
+            "ratios-twice"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",
@@ -563,6 +568,19 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "o")])
         assert code == 4
         assert "eigenvector centrality did not converge" in capsys.readouterr().err
+
+    def test_out_of_memory_is_solver_error(self, tmp_path, monkeypatch, capsys):
+        # a real allocation this large could get the process killed under
+        # overcommit, so the loader only reports the failure
+        def out_of_memory(source):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("n 999999999999\n0 1\n")
+        monkeypatch.setattr(cli, "load_edge_list", out_of_memory)
+        code = run(["identify", "--input", str(edges), "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
     def test_infeasible_is_solver_error(self, tmp_path):
         code = run(["generate", "--graphon", "1", "--n-core", "20",

@@ -388,7 +388,7 @@ class TestEcvLossOracle:
                 assert np.all(adj[non_edges[:, 0], non_edges[:, 1]] == 0)
                 assert np.all(non_edges[:, 0] < non_edges[:, 1])
                 vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout)), max(cands),
-                                      tol=1e-6, seed=seed + 7919 * (fold + 1), strict=False)
+                                      tol=1e-6, seed=seed + 7919 * (fold + 1))
                 losses = _fold_losses(vals, vecs, held, non_edges, weight, cands)
                 assert np.array_equal(losses, sel.fold_losses[fold])
                 share = holdout * (n * (n - 1) // 2 - g.m)

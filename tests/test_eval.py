@@ -130,6 +130,21 @@ class TestKcorePoints:
         assert np.all(np.diff(points[:, 0]) <= 0)
         assert np.all(np.diff(points[:, 1]) <= 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=2, max_size=60))
+    def test_matches_per_level_count(self, nodes):
+        # reference: count both classes again at every level
+        values = np.array([k for k, _ in nodes], dtype=np.float64)
+        truth = np.array([c for _, c in nodes])
+        assume(truth.any() and not truth.all())
+        n_core, n_peri = int(truth.sum()), int((~truth).sum())
+        expected = [(int((~truth & (values >= k)).sum()) / n_peri,
+                     int((truth & (values >= k)).sum()) / n_core)
+                    for k in range(int(values.max()) + 2)]
+        points = kcore_points(values, truth)
+        assert points == expected
+        assert all(type(x) is float for point in points for x in point)
+
 
 def rank3_core(n=90):
     entries = np.full((n, n), 0.05)

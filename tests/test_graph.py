@@ -109,6 +109,8 @@ class TestLoadEdgeList:
     def test_comments_and_blank_lines(self):
         g = load_edge_list(["# a comment", "", "0 1", "# another", "1 2"])
         assert g.m == 2
+        g = load_edge_list(b"# a comment\n0 1\n\t# tabbed\n1 2\n# last, no newline")
+        assert g.n == 3 and g.edge_array().tolist() == [[0, 1], [1, 2]]
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError) as exc:
@@ -150,7 +152,7 @@ FAULT_LINES = [
     "n 4",            # a second header is a data line
 ]
 BAD_HEADERS = ["n", "n 4 5", "n x", "n -2", "n +4", "n 4\xa0", "n\xa04"]
-BLANK_LINES = ["", " ", "\t", "# comment", "  # n 3", "#\t0 1"]
+BLANK_LINES = ["", " ", "\t", "# comment", "  # n 3", "#\t0 1", "\t# tabbed"]
 
 
 @st.composite

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import random_graph
 from corex.cli import main
-from corex.coreid import RankSelection, select_rank_ecv
+from corex.coreid import select_rank_ecv
 from corex.errors import ConvergenceError
 from corex.graph import sample_adjacency, write_edge_list
 from corex.spectral import truncated_eigs
@@ -73,8 +73,17 @@ def test_arpack_failure_exits_4(arpack_fails, tmp_path):
     assert code == 4
 
 
-def test_ecv_falls_back_to_dense(arpack_fails):
+def test_ecv_arpack_failure_is_convergence_error(arpack_fails):
     g = random_graph(60, 0.2, seed=3)
-    sel = select_rank_ecv(g, [1, 2, 3], seed=0)
-    assert isinstance(sel, RankSelection)
-    assert sel.chosen_r in (1, 2, 3)
+    with pytest.raises(ConvergenceError) as exc:
+        select_rank_ecv(g, [1, 2, 3], seed=0)
+    assert np.isfinite(exc.value.residual)
+
+
+def test_ecv_arpack_failure_exits_4(arpack_fails, tmp_path, capsys):
+    edges, out = tmp_path / "edges.tsv", tmp_path / "out"
+    write_edge_list(random_graph(60, 0.2, seed=3), str(edges))
+    code = main(["identify", "--input", str(edges), "--rank", "auto", "--out-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: eigensolver did not converge")
+    assert not (out / "scores.csv").exists() and not (out / "partition.csv").exists()

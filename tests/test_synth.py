@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -378,6 +379,23 @@ class TestConfigSample:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * 8 * 4200 ** 2
+
+
+# SHA-256 of edge_array().tobytes(): a change to either sampler's random
+# streams, or to the order it visits pairs in, changes these; a deliberate
+# change updates them
+@pytest.mark.parametrize("make, digest", [
+    (lambda: er_instance(G1, 60, 90, ratio=3.0, density=0.1, seed=3),
+     "613ef134d0ff1ec0bc232fb334250889a96ea8c4c1ed3c9261a041e915176925"),
+    # level clipped to 1, as in test_clipped_level_clips_every_touching_pair
+    (lambda: er_instance(constant_graphon(0.5), 20, 2, ratio=0.3, density=0.5, er_level=0.5),
+     "684ebda64ab16e9a14b702e80c81af62a11fc3facaa0f1942f9eb8a52fdde4e2"),
+    (lambda: config_instance(G1, 60, 90, ratio=3.0, density=0.1, seed=3),
+     "038bef71cebbfedd1dd9735db9eaa7c149850881037c05cc0db190038e4aa192"),
+], ids=["er", "er-level-clipped", "config"])
+def test_sampled_graph_is_pinned(make, digest):
+    edges = make().sample().edge_array()
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
 
 
 class TestAssembleConfig:
