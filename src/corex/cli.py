@@ -177,6 +177,8 @@ def cmd_bench(args) -> int:
         raise DomainError(f"--ratios must differ in their first 6 significant digits: "
                           f"{args.ratios!r}")
     cfgs = _design(args, ratios)
+    if cfgs[0].n_periphery < 1:  # the ROC curves need both classes
+        raise DomainError("bench needs --n-periphery >= 1")
     if args.replicates < 1:
         raise DomainError("--replicates must be >= 1")
     rank = _parse_rank(args.rank)
@@ -234,11 +236,11 @@ def cmd_diagnose(args) -> int:
     from .spectral import diagnostics, truncated_eigs
     if bool(args.truth_p) == bool(args.input):
         raise DomainError("give exactly one of --truth-p or --input")
-    if args.input and args.sweep:
+    if args.input and args.sweep is not None:
         raise DomainError("the eigengap sweep needs --truth-p (a known core model)")
     if args.rank < 1:
         raise DomainError(f"--rank must be >= 1, got {args.rank}")
-    sizes = _parse_sweep(args.sweep, args.periphery_level) if args.sweep else None
+    sizes = _parse_sweep(args.sweep, args.periphery_level) if args.sweep is not None else None
     source = args.truth_p or args.input
     if not os.path.isfile(source):
         raise ValidationError(f"input file not found: {source}")
@@ -254,7 +256,7 @@ def cmd_diagnose(args) -> int:
         instance = generate_instance(graphon, cfg, er_level=er_level)
         report = diagnostics(instance.assembly, args.rank, core_labels=instance.truth)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
-        if sizes:
+        if sizes is not None:
             from .evaluate import eigengap_profile
             records = eigengap_profile(instance.assembly.core, sizes, args.periphery_level)
             sweep_path = os.path.join(out_dir, "eigengap_sweep.csv")

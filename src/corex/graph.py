@@ -127,14 +127,13 @@ class ProbabilityMatrix:
 
     __slots__ = ("entries", "n")
 
-    def __init__(self, entries: np.ndarray, _validated: bool = False):
+    def __init__(self, entries: np.ndarray):
         entries = np.ascontiguousarray(entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError("probability matrix must be square")
         self.entries = entries
         self.n = entries.shape[0]
-        if not _validated:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         p = self.entries
@@ -156,7 +155,7 @@ class ProbabilityMatrix:
         return float(self.entries.sum() / (self.n * self.n - self.n))
 
 
-_SAMPLE_BLOCK = 2**18  # matrix entries per row block in sample_adjacency
+_ROW_BLOCK = 2**16  # matrix entries per row block where a pass over rows needs temporaries
 
 # what is left of the data lines after deleting these characters is a fault
 _NOT_DATA = str.maketrans("", "", "0123456789 \t\n")
@@ -275,25 +274,27 @@ def average_density(g: SparseGraph) -> float:
 
 
 def sample_adjacency(p: ProbabilityMatrix, seed: int) -> SparseGraph:
-    """Draw one Bernoulli realization of the probability matrix.
+    """Draw one Bernoulli realization of the probability matrix: each pair
+    i < j is drawn once, as _sample_pairs draws it at scale 1, and mirrored."""
+    return SparseGraph.from_pairs(p.n, _sample_pairs(p.entries, 1.0, seed))
 
-    Each unordered pair i<j is sampled once and mirrored, from one random
-    stream derived from seed that runs over the upper triangle in row-major
-    order.  The rows are drawn a block at a time, so temporaries stay near
-    _SAMPLE_BLOCK entries; the output does not depend on the block size.
-    """
-    n = p.n
+
+def _sample_pairs(entries: np.ndarray, scale: float, seed: int) -> np.ndarray:
+    """The (k, 2) pairs i < j of one draw of min(scale * entries, 1), from one
+    random stream derived from seed that runs over the upper triangle row-major,
+    a block of rows at a time; the pairs do not depend on the block size."""
+    n = entries.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE0,)))
-    step, pairs = max(1, _SAMPLE_BLOCK // max(n, 1)), [np.empty((0, 2), dtype=np.int64)]
+    step, pairs = max(1, _ROW_BLOCK // max(n, 1)), [np.empty((0, 2), dtype=np.int64)]
     for lo in range(0, n - 1, step):
         rows = np.arange(lo, min(n - 1, lo + step))
         # offsets[r]: where row lo + r starts among the block's pairs j > i
         offsets = np.concatenate([[0], np.cumsum(n - 1 - rows)])
-        upper = np.concatenate([p.entries[i, i + 1:] for i in rows.tolist()])
-        hits = np.flatnonzero(rng.random(upper.size) < upper)
+        upper = np.concatenate([entries[i, i + 1:] for i in rows.tolist()]) * scale
+        hits = np.flatnonzero(rng.random(upper.size) < np.minimum(upper, 1.0, out=upper))
         r = np.searchsorted(offsets, hits, side="right") - 1
         pairs.append(np.column_stack([rows[r], rows[r] + 1 + hits - offsets[r]]))
-    return SparseGraph.from_pairs(n, np.concatenate(pairs))
+    return np.concatenate(pairs)
 
 
 def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

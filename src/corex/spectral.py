@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .graph import ProbabilityMatrix, SparseGraph
+from .graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph
 from .synth import ConfigAssembly
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-_TRUTH_ROW_BLOCK = 256  # rows per block in scores_from_truth: 2 MiB per temporary at n = 1000
 
 
 @dataclass(frozen=True)
@@ -188,12 +187,12 @@ def scores_from_truth(p: ProbabilityMatrix, model: str) -> CoreScores:
     d = p.expected_degrees() if model == "config" else 1.0
     if np.any(d <= 0):
         raise DomainError("config scores need strictly positive expected degrees")
-    values = np.empty(n)
+    values, step = np.empty(n), max(1, _ROW_BLOCK // max(n, 1))
     # a block of rows at a time, so no n x n temporary is ever allocated
-    for start in range(0, n, _TRUTH_ROW_BLOCK):
-        rows = p.entries[start:start + _TRUTH_ROW_BLOCK] / d
+    for start in range(0, n, step):
+        rows = p.entries[start:start + step] / d
         centered = rows - rows.mean(axis=1, keepdims=True)
-        values[start:start + _TRUTH_ROW_BLOCK] = np.linalg.norm(centered, axis=1)
+        values[start:start + step] = np.linalg.norm(centered, axis=1)
     return CoreScores(values=values, model=model)
 
 

@@ -17,7 +17,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ValidationError
-from .graph import ProbabilityMatrix, SparseGraph, _triangle_pairs, sample_adjacency
+from .graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph, _sample_pairs, _triangle_pairs
 
 __all__ = [
     "GraphonSpec",
@@ -43,7 +43,6 @@ PRESET_SIZES = {
     "small-core": (700, 1300),
     "large-core": (1300, 700),
 }
-_ROW_BLOCK = 2**16  # matrix entries per row block where a pass over rows needs temporaries
 _SKIP_CHUNK = 2**16  # candidate pairs per chunk of the touching-pair sampler
 
 
@@ -242,21 +241,20 @@ class _Assembly:
     def sample(self, seed: int) -> SparseGraph:
         """One Bernoulli draw in O(n_core^2 + n + m) time and memory.
 
-        The core block is sampled by sample_adjacency.  The pairs touching
-        the periphery (core-periphery, then the periphery triangle, each
-        row-major) are visited by geometric skipping at the bound q, the
-        largest touching probability (Batagelj & Brandes, Phys. Rev. E 71,
-        036113, 2005), and each candidate is kept with probability p_ij / q
-        by a uniform from a stream of its own (Miller & Hagberg, WAW 2011).
-        An ER-type candidate has p_ij / q exactly 1, so it is always kept.
-        The draws go a chunk of candidates at a time, and the output does
-        not depend on the chunk size."""
+        The core pairs are drawn from C at c_core, with no scaled copy of the block,
+        as sample_adjacency draws min(c_core C, 1).  The pairs touching the periphery
+        (core-periphery, then the periphery triangle, each row-major) are visited by
+        geometric skipping at the bound q, the largest touching probability (Batagelj
+        & Brandes, Phys. Rev. E 71, 036113, 2005), and each candidate is kept with
+        probability p_ij / q by a uniform from a stream of its own (Miller & Hagberg,
+        WAW 2011).  An ER-type candidate has p_ij / q exactly 1, so it is always kept.
+        The draws go a chunk of candidates at a time, and the output does not depend
+        on the chunk size."""
         nc, npr = self.core.n, self.n_periphery
-        core = sample_adjacency(ProbabilityMatrix(self.core_block(), _validated=True), seed)
         touching, cross, bound = nc * npr + npr * (npr - 1) // 2, nc * npr, self.bound()
         skips = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 0)))
         thin = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 1)))
-        chunks, last = [core.edge_array()], -1
+        chunks, last = [_sample_pairs(self.core.entries, self.c_core, seed)], -1
         while last < touching - 1:
             expected = (touching - 1 - last) * bound
             size = min(touching - 1 - last, int(expected + 4.0 * np.sqrt(expected)) + 16,
@@ -296,7 +294,7 @@ class ErAssembly(_Assembly):
         p = np.full((self.n, self.n), self.level)
         self.core_block(out=p[:self.core.n, :self.core.n])
         np.fill_diagonal(p, 0.0)
-        return ProbabilityMatrix(p, _validated=True)
+        return ProbabilityMatrix(p)
 
 
 @dataclass(frozen=True)
@@ -328,7 +326,7 @@ class ConfigAssembly(_Assembly):
         self.core_block(out=p[:self.core.n, :self.core.n])
         np.fill_diagonal(p, 0.0)
         np.minimum(p, 1.0, out=p)
-        return ProbabilityMatrix(p, _validated=True)
+        return ProbabilityMatrix(p)
 
 
 def _core_block_stats(core: ProbabilityMatrix, c_core: float) -> tuple[int, float]:

@@ -505,13 +505,17 @@ class TestExitCodes:
           "--ratios", "2,2.0000001"], True),
         (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
           "--ratios", "2,2"], True),
+        (["diagnose", "--truth-p", "{meta}", "--rank", "3", "--sweep", ""], True),
+        (["diagnose", "--input", "{edges}", "--rank", "1", "--sweep", ""], True),
+        (["bench", "--graphon", "3", "--n-core", "30", "--n-periphery", "0",
+          "--replicates", "1", "--ratios", "1", "--rank", "2"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
             "bench-rank-0", "bench-rank-word", "bench-eps", "identify-topk-negative",
             "identify-topk-word", "bench-rank-at-n", "bench-methods-twice",
             "diagnose-rank-at-n", "sweep-level", "sweep-small-core", "ratios-same-tag",
-            "ratios-twice"])
+            "ratios-twice", "sweep-empty", "input-sweep-empty", "bench-no-periphery"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",

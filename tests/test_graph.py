@@ -443,7 +443,7 @@ class TestSampleAdjacency:
         np.fill_diagonal(entries, 0.0)
         p = ProbabilityMatrix(entries)
         whole = sample_adjacency(p, seed=4)
-        monkeypatch.setattr("corex.graph._SAMPLE_BLOCK", block)
+        monkeypatch.setattr("corex.graph._ROW_BLOCK", block)
         g = sample_adjacency(p, seed=4)
         assert np.array_equal(g.indptr, whole.indptr)
         assert np.array_equal(g.indices, whole.indices)

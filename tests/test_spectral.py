@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import (dense_config_scores, dense_er_scores, random_graph,
                       random_orthonormal)
 from corex.errors import DomainError
-from corex.graph import ProbabilityMatrix, SparseGraph, degrees, load_edge_list
-from corex.spectral import (_TRUTH_ROW_BLOCK, DEFAULT_TOL, CoreScores, SpectralDecomposition,
+from corex.graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph, degrees, load_edge_list
+from corex.spectral import (DEFAULT_TOL, CoreScores, SpectralDecomposition,
                             config_scores, diagnostics, er_scores, scores_from_truth,
                             truncated_eigs)
 from corex.synth import (ConfigAssembly, ErAssembly, SynthConfig, generate_instance,
@@ -283,7 +283,8 @@ class TestScoresFromTruth:
 
     def test_row_blocks_equal_whole_matrix_formula(self):
         # n spans several row blocks and is not a multiple of the block size
-        n = 2 * _TRUTH_ROW_BLOCK + 37
+        n = 549
+        assert n > _ROW_BLOCK // n and n % (_ROW_BLOCK // n)
         rng = np.random.default_rng(8)
         raw = rng.random((n, n)) * 0.5
         entries = (raw + raw.T) / 2

@@ -233,7 +233,7 @@ class TestErSample:
         inst = er_instance(G1, 40, 60, ratio=3.0, density=0.1, seed=2)
         nc, seed = 40, inst.adjacency_seed
         core = {e for e in edge_set(inst.sample()) if e[1] < nc}
-        block = ProbabilityMatrix(inst.assembly.core_block(), _validated=True)
+        block = ProbabilityMatrix(inst.assembly.core_block())
         assert core == edge_set(sample_adjacency(block, seed))
 
     def test_touching_pairs_are_iid_bernoulli(self):
@@ -309,7 +309,7 @@ class TestConfigSample:
     def test_core_edges_match_sample_adjacency(self):
         inst = config_instance(G1, 40, 60, ratio=3.0, density=0.1, seed=2)
         core = {e for e in edge_set(inst.sample()) if e[1] < 40}
-        block = ProbabilityMatrix(inst.assembly.core_block(), _validated=True)
+        block = ProbabilityMatrix(inst.assembly.core_block())
         assert core == edge_set(sample_adjacency(block, inst.adjacency_seed))
 
     @pytest.mark.parametrize("norm", [14.0, 10.0], ids=["bound-below-one", "clipped"])
@@ -365,7 +365,7 @@ class TestConfigSample:
     def test_tiny_periphery(self, npr):
         inst = config_instance(G1, 8, npr, ratio=1.0, density=0.3, seed=1)
         g = inst.sample()
-        block = ProbabilityMatrix(inst.assembly.core_block(), _validated=True)
+        block = ProbabilityMatrix(inst.assembly.core_block())
         assert g.n == 8 + npr
         assert {e for e in edge_set(g) if e[1] < 8} == edge_set(
             sample_adjacency(block, inst.adjacency_seed))
@@ -379,6 +379,22 @@ class TestConfigSample:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * 8 * 4200 ** 2
+
+
+@pytest.mark.parametrize("periphery", ["er", "config"])
+def test_sample_peak_memory_below_one_core_block(periphery):
+    # the core pairs are drawn from the unscaled core a block of rows at a
+    # time, so no scaled n_c x n_c copy (8 n_c^2 bytes) is made
+    cfg = SynthConfig(n_core=1500, n_periphery=500, periphery=periphery,
+                      degree_ratio=3.0, target_density=0.02, seed=1)
+    inst = generate_instance(G1, cfg)
+    tracemalloc.start()
+    try:
+        inst.sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * 1500 ** 2
 
 
 # SHA-256 of edge_array().tobytes(): a change to either sampler's random
