@@ -234,17 +234,18 @@ def _parse_sweep(spec: str, periphery_level: float) -> list[int]:
 
 def cmd_diagnose(args) -> int:
     from .spectral import diagnostics, truncated_eigs
-    if bool(args.truth_p) == bool(args.input):
+    truth = args.truth_p is not None  # "" counts as given, and then fails as no file
+    if truth == (args.input is not None):
         raise DomainError("give exactly one of --truth-p or --input")
-    if args.input and args.sweep is not None:
+    if not truth and args.sweep is not None:
         raise DomainError("the eigengap sweep needs --truth-p (a known core model)")
     if args.rank < 1:
         raise DomainError(f"--rank must be >= 1, got {args.rank}")
     sizes = _parse_sweep(args.sweep, args.periphery_level) if args.sweep is not None else None
-    source = args.truth_p or args.input
+    source = args.truth_p if truth else args.input
     if not os.path.isfile(source):
         raise ValidationError(f"input file not found: {source}")
-    if args.truth_p:
+    if truth:
         graphon, cfg, er_level = _read_meta(args.truth_p)
         if args.rank >= cfg.n:
             raise DomainError(f"--rank {args.rank} must be below n = {cfg.n}")
@@ -252,7 +253,7 @@ def cmd_diagnose(args) -> int:
             raise DomainError(f"the eigengap sweep needs n_core >= 4, got {cfg.n_core}")
     out_dir = _ensure_out_dir(args.out_dir)
     _write_run_record(out_dir, args)
-    if args.truth_p:
+    if truth:
         instance = generate_instance(graphon, cfg, er_level=er_level)
         report = diagnostics(instance.assembly, args.rank, core_labels=instance.truth)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())

@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+# isqrt(2**63): the largest node count whose row-major pair keys i * n + j,
+# which from_pairs sorts and _triangle_pairs inverts, fit in int64
+MAX_NODES = 3_037_000_499
+
+
 class SparseGraph:
     """Immutable undirected graph in CSR form: the neighbours of node i are
     `indices[indptr[i]:indptr[i + 1]]`, ascending, so each edge is in both
@@ -41,45 +46,30 @@ class SparseGraph:
     __slots__ = ("n", "m", "indptr", "indices", "_adjacency", "_csr")
 
     def __init__(self, n: int, adjacency):
-        """Validating constructor from one sorted neighbour array per node."""
+        """Validating constructor from one neighbour array per node: the arrays
+        must already be the canonical rows that from_pairs builds from them."""
         n = int(n)
         if n < 0:
             raise ValidationError("node count must be nonnegative")
         if len(adjacency) != n:
             raise ValidationError("adjacency list count does not match n")
-        indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency], dtype=np.int64)
-        indices = np.concatenate([np.empty(0), *adjacency], dtype=np.int64, casting="unsafe")
-        self._adopt(n, indptr, indices)
-        self._validate()
-
-    def _adopt(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
-        indptr.flags.writeable = indices.flags.writeable = False
-        self.n, self.m, self.indptr, self.indices = int(n), indices.size // 2, indptr, indices
-        self._adjacency = self._csr = None
-
-    def _validate(self) -> None:
-        n, idx = self.n, self.indices
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        bad = (idx < 0) | (idx >= n)
-        if bad.any():
-            raise RangeError(f"neighbor id out of range for node {rows[bad.argmax()]}")
-        bad = idx == rows
-        if bad.any():
-            raise ValidationError(f"self-loop at node {rows[bad.argmax()]}")
-        bad = (np.diff(idx) <= 0) & (rows[1:] == rows[:-1])
-        if bad.any():
-            raise ValidationError(f"neighbors of node {rows[1:][bad.argmax()]} not sorted/unique")
-        # row-major keys are sorted; the graph is symmetric iff its mirror has the same keys
-        keys = rows * n + idx
-        mirrored = np.sort(idx * n + rows)
-        if not np.array_equal(keys, mirrored):
-            i, j = divmod(int(keys[np.argmin(np.isin(keys, mirrored, assume_unique=True))]), n)
-            raise ValidationError(f"edge ({i},{j}) not symmetric")
+        counts = np.array([len(nbrs) for nbrs in adjacency], dtype=np.int64)
+        given = np.concatenate([np.empty(0), *adjacency], dtype=np.int64, casting="unsafe")
+        g = self.from_pairs(n, np.column_stack([np.repeat(np.arange(n), counts), given]))
+        if not (np.array_equal(np.diff(g.indptr), counts) and np.array_equal(g.indices, given)):
+            i = next(i for i, (a, b) in enumerate(zip(adjacency, g.adjacency))
+                     if not np.array_equal(a, b))
+            raise ValidationError(f"neighbors of node {i} are not sorted, unique and mirrored")
+        for name in self.__slots__:
+            setattr(self, name, getattr(g, name))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "SparseGraph":
         """Build from an (k, 2) array or an iterable of (i, j) pairs;
         duplicates and reversed copies are merged, self-loops rejected."""
+        if n > MAX_NODES:
+            raise RangeError(f"node count {n} is above {MAX_NODES}: pair keys i * n + j would "
+                             "overflow int64")
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -94,8 +84,11 @@ class SparseGraph:
         keys = keys[np.diff(keys, prepend=-1) != 0]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        indices = keys % n
+        indptr.flags.writeable = indices.flags.writeable = False
         g = cls.__new__(cls)
-        g._adopt(n, indptr, keys % n)
+        g.n, g.m, g.indptr, g.indices = int(n), indices.size // 2, indptr, indices
+        g._adjacency = g._csr = None
         return g
 
     @property
@@ -300,7 +293,7 @@ def _sample_pairs(entries: np.ndarray, scale: float, seed: int) -> np.ndarray:
 def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode indices into the row-major upper triangle of an n x n matrix
     (diagonal excluded) into (i, j) pairs with i < j; exact in int64 for
-    n up to 2e9."""
+    n up to MAX_NODES."""
     # count from the end, where row n - 2 - q holds q + 1 pairs: the square
     # root of 8t + 1 then suffers no cancellation and is off by at most one
     t = n * (n - 1) // 2 - 1 - index

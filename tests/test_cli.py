@@ -509,23 +509,32 @@ class TestExitCodes:
         (["diagnose", "--input", "{edges}", "--rank", "1", "--sweep", ""], True),
         (["bench", "--graphon", "3", "--n-core", "30", "--n-periphery", "0",
           "--replicates", "1", "--ratios", "1", "--rank", "2"], True),
+        (["identify", "--input", "{n_1e20}", "--rank", "1"], False),
+        (["identify", "--input", "{n_int64_max}", "--rank", "1"], False),
+        (["diagnose", "--truth-p", "", "--input", "{edges}", "--rank", "1"], True),
+        (["diagnose", "--input", "", "--truth-p", "{meta}", "--rank", "1"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
             "bench-rank-0", "bench-rank-word", "bench-eps", "identify-topk-negative",
             "identify-topk-word", "bench-rank-at-n", "bench-methods-twice",
             "diagnose-rank-at-n", "sweep-level", "sweep-small-core", "ratios-same-tag",
-            "ratios-twice", "sweep-empty", "input-sweep-empty", "bench-no-periphery"])
+            "ratios-twice", "sweep-empty", "input-sweep-empty", "bench-no-periphery",
+            "n-beyond-int64", "n-int64-max", "truth-p-empty", "input-empty"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",
                  "edges": tmp_path / "triangle.tsv", "meta": tmp_path / "design.json",
-                 "small_meta": tmp_path / "small_design.json"}
+                 "small_meta": tmp_path / "small_design.json",
+                 "n_1e20": tmp_path / "n_1e20.tsv", "n_int64_max": tmp_path / "n_int64_max.tsv"}
         design = {"graphon": "table1_g1", "n_core": 20, "n_periphery": 20, "periphery": "er",
                   "target_density": 0.1, "degree_ratio": 2.0, "seed": 0}
         files["meta"].write_text(json.dumps(design))
         files["small_meta"].write_text(json.dumps({**design, "n_core": 3}))
         files["edges"].write_text("0 1\n1 2\n0 2\n")
+        # node counts whose pair keys overflow int64: refused before any allocation
+        files["n_1e20"].write_text("n 99999999999999999999\n0 1\n")
+        files["n_int64_max"].write_text(f"n {2**63 - 1}\n0 1\n")
         files["not_json"].write_text("n 3\n0 1\n")
         files["not_object"].write_text("3\n")
         files["not_utf8"].write_bytes(b"0 1\n1 \xff2\n")

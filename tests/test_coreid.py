@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import kmeans_split_loop, random_graph
 from corex.coreid import (KMEANS_FLOOR, CorePartition, RankSelection, _edge_split, _fold_losses,
-                          identify_top_k, kmeans_split, select_rank_ecv, threshold_config,
-                          threshold_er, write_partition_csv)
+                          identify_top_k, kmeans_split, rank_candidates, select_rank_ecv,
+                          threshold_config, threshold_er, write_partition_csv)
 from corex.errors import DegenerateError, DomainError
 from corex.evaluate import RocCurve, write_roc_csv
 from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
@@ -269,6 +269,18 @@ class TestSelectRankEcv:
         g = planted_rank1(20, 0.3, seed=2)
         with pytest.raises(DomainError):
             select_rank_ecv(g, [25])
+
+    def test_a_fit_that_saw_the_held_out_edges_chooses_the_largest_rank(self, monkeypatch):
+        """Guard against leakage into the folds: fold solves that return the
+        full graph's eigenpairs have seen every held-out edge, so each added
+        rank fits those edges better and the largest candidate wins.  A warm
+        start or cache that lets the full graph into a fold fails here."""
+        g = planted_sbm3(300, 0.5, 0.1, seed=200)
+        cands = rank_candidates(g.n)
+        assert select_rank_ecv(g, cands, seed=0).chosen_r == 3
+        full = _eigs(g.to_csr(), max(cands), tol=1e-6, seed=0)
+        monkeypatch.setattr("corex.coreid._eigs", lambda mat, r, tol, seed: full)
+        assert select_rank_ecv(g, cands, seed=0).chosen_r == max(cands)
 
     def test_json_export(self):
         sel = RankSelection(chosen_r=2, candidates=(1, 2),

@@ -4,13 +4,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corex.errors import DomainError, ParseError, RangeError, ValidationError
-from corex.graph import (ProbabilityMatrix, SparseGraph, _triangle_pairs, average_density,
-                         degrees, load_edge_list, sample_adjacency, write_edge_list,
-                         write_truth_labels)
+from corex.graph import (MAX_NODES, ProbabilityMatrix, SparseGraph, _triangle_pairs,
+                         average_density, degrees, load_edge_list, sample_adjacency,
+                         write_edge_list, write_truth_labels)
 
 _ID = re.compile(r"-?[0-9]+")
 
@@ -272,6 +272,14 @@ class TestFromPairs:
         with pytest.raises(ValidationError):
             SparseGraph.from_pairs(3, np.array([[1, 1]]))
 
+    def test_refuses_node_counts_beyond_int64_keys(self):
+        # the largest pair key (n - 1) * n + (n - 2) must fit in int64; these
+        # counts are refused before anything of size n is allocated
+        assert MAX_NODES ** 2 < 2 ** 63 < (MAX_NODES + 1) ** 2
+        for n in (MAX_NODES + 1, 2 ** 63 - 1, 10 ** 20):
+            with pytest.raises(RangeError, match=f"node count {n} is above {MAX_NODES}"):
+                SparseGraph.from_pairs(n, [(0, 1)])
+
     def test_arrays_are_read_only(self):
         g = SparseGraph.from_pairs(3, [(0, 1)])
         with pytest.raises(ValueError):
@@ -280,14 +288,27 @@ class TestFromPairs:
             g.adjacency[0][0] = 2
 
 
+def not_canonical(node):
+    return f"neighbors of node {node} are not sorted, unique and mirrored"
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 3..20 nodes with at least two edges at one node."""
+    n = draw(st.integers(3, 20))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    a, b, c = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+    return SparseGraph.from_pairs(n, draw(st.lists(pair, max_size=40)) + [[a, b], [a, c]])
+
+
 class TestValidatingConstructor:
     @pytest.mark.parametrize("n, adjacency, error, message", [
-        (2, [[1], [2]], RangeError, "neighbor id out of range for node 1"),
-        (2, [[-1], []], RangeError, "neighbor id out of range for node 0"),
-        (2, [[0, 1], [0]], ValidationError, "self-loop at node 0"),
-        (3, [[2, 1], [0], [0]], ValidationError, "neighbors of node 0 not sorted/unique"),
-        (2, [[1], [0, 0]], ValidationError, "neighbors of node 1 not sorted/unique"),
-        (3, [[1], [0, 2], []], ValidationError, "edge (1,2) not symmetric"),
+        (2, [[1], [2]], RangeError, "node id outside 0..n-1"),
+        (2, [[-1], []], RangeError, "node id outside 0..n-1"),
+        (2, [[0, 1], [0]], ValidationError, "self-loop in edge set"),
+        (3, [[2, 1], [0], [0]], ValidationError, not_canonical(0)),
+        (2, [[1], [0, 0]], ValidationError, not_canonical(1)),
+        (3, [[1], [0, 2], []], ValidationError, not_canonical(2)),
         (2, [[1]], ValidationError, "adjacency list count does not match n"),
         (-1, [], ValidationError, "node count must be nonnegative"),
     ])
@@ -300,6 +321,53 @@ class TestValidatingConstructor:
         g = SparseGraph(4, [[1, 3], [0], [], [0]])
         assert g.m == 2 and g.edge_array().tolist() == [[0, 1], [0, 3]]
 
+    @settings(max_examples=150)
+    @given(g=small_graphs(), as_lists=st.booleans())
+    def test_rebuilds_every_graph(self, g, as_lists):
+        adjacency = [row.tolist() for row in g.adjacency] if as_lists else g.adjacency
+        rebuilt = SparseGraph(g.n, adjacency)
+        assert (rebuilt.n, rebuilt.m) == (g.n, g.m)
+        assert np.array_equal(rebuilt.indptr, g.indptr)
+        assert np.array_equal(rebuilt.indices, g.indices)
+        assert not rebuilt.indices.flags.writeable
+
+    @settings(max_examples=300)
+    @given(g=small_graphs(), edit=st.sampled_from(["drop", "duplicate", "swap", "remove-mirror",
+                                                   "unmirrored", "out-of-range", "self-loop"]),
+           data=st.data())
+    def test_every_single_edit_is_refused(self, g, edit, data):
+        """One edit of canonical lists: drop a neighbour, repeat one, swap two
+        in a row, remove the mirror of an edge from its higher row, add a
+        neighbour without its mirror, add an id outside 0..n-1, or add a
+        self-loop."""
+        rows = [row.tolist() for row in g.adjacency]
+        i = data.draw(st.sampled_from([v for v, row in enumerate(rows) if len(row) >= 2]))
+        row, error = rows[i], ValidationError
+        k = data.draw(st.integers(0, len(row) - 1))
+        if edit == "drop":
+            del row[k]
+        elif edit == "duplicate":
+            row.insert(k, row[k])
+        elif edit == "swap":
+            row[k], row[k - 1] = row[k - 1], row[k]
+        elif edit == "remove-mirror":
+            i, j = (int(v) for v in data.draw(st.sampled_from(g.edge_array().tolist())))
+            rows[j].remove(i)
+        elif edit == "unmirrored":
+            missing = sorted(set(range(g.n)) - set(row) - {i})
+            assume(missing)
+            row.append(data.draw(st.sampled_from(missing)))
+            row.sort()
+        elif edit == "out-of-range":
+            error = RangeError
+            row.insert(*data.draw(st.sampled_from([(0, -1), (len(row), g.n)])))
+        else:
+            row.append(i)
+            row.sort()
+        with pytest.raises(ValidationError) as exc:
+            SparseGraph(g.n, rows)
+        assert type(exc.value) is error
+
     def test_validation_at_200k_edges(self):
         rng = np.random.default_rng(0)
         n = 20_000
@@ -311,14 +379,13 @@ class TestValidatingConstructor:
         rebuilt = SparseGraph(n, adjacency)
         elapsed = time.perf_counter() - t0
         assert np.array_equal(rebuilt.indices, g.indices)
-        # vectorized checks take about 0.02 s on a 2-core machine; a per-edge
-        # membership scan of the neighbour lists took over 2 s on the same machine
+        # from_pairs and one comparison take about 0.045 s on a 2-core machine;
+        # a per-edge membership scan of the lists took over 2 s on the same machine
         assert elapsed < 0.5, f"validation took {elapsed:.2f} s"
         v = int(np.argmax(degrees(g)))
-        u = int(adjacency[v][-1])
         broken = list(adjacency)
         broken[v] = adjacency[v][:-1]
-        with pytest.raises(ValidationError, match=rf"edge \({u},{v}\) not symmetric"):
+        with pytest.raises(ValidationError, match=not_canonical(v)):
             SparseGraph(n, broken)
 
 
@@ -485,7 +552,7 @@ class TestTrianglePairs:
         assert np.array_equal(i, iu) and np.array_equal(j, ju)
 
     @settings(max_examples=300)
-    @given(st.one_of(st.integers(90_000, 110_000), st.integers(10 ** 9, 2 * 10 ** 9)),
+    @given(st.one_of(st.integers(90_000, 110_000), st.integers(10 ** 9, MAX_NODES)),
            st.data())
     def test_large_n_near_row_starts_and_the_end(self, n, data):
         # exact integer inverse: index = row_start(i) + (j - i - 1), i < j < n.
