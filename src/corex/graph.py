@@ -54,12 +54,23 @@ class SparseGraph:
         if len(adjacency) != n:
             raise ValidationError("adjacency list count does not match n")
         counts = np.array([len(nbrs) for nbrs in adjacency], dtype=np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
         given = np.concatenate([np.empty(0), *adjacency], dtype=np.int64, casting="unsafe")
-        g = self.from_pairs(n, np.column_stack([np.repeat(np.arange(n), counts), given]))
+        try:
+            g = self.from_pairs(n, np.column_stack([rows, given]))
+        except RangeError:
+            bad = (given < 0) | (given >= n)
+            raise RangeError(f"neighbor id out of range for node {rows[bad.argmax()]}") from None
+        except ValidationError:
+            raise ValidationError(f"self-loop at node {rows[(given == rows).argmax()]}") from None
         if not (np.array_equal(np.diff(g.indptr), counts) and np.array_equal(g.indices, given)):
+            # the first list that differs is unsorted, or lacks the mirror j of an edge (j, i)
             i = next(i for i, (a, b) in enumerate(zip(adjacency, g.adjacency))
                      if not np.array_equal(a, b))
-            raise ValidationError(f"neighbors of node {i} are not sorted, unique and mirrored")
+            if np.any(np.diff(adjacency[i]) <= 0):
+                raise ValidationError(f"neighbors of node {i} not sorted/unique")
+            j = np.setdiff1d(g.adjacency[i], adjacency[i])[0]
+            raise ValidationError(f"edge ({j},{i}) not symmetric")
         for name in self.__slots__:
             setattr(self, name, getattr(g, name))
 
