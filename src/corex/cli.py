@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConvergenceError, CorexError, DomainError, InfeasibleError,
                      ParseError, ValidationError)
-from .graph import (average_density, degrees, load_edge_list, write_edge_list,
+from .graph import (_write_rows, average_density, degrees, load_edge_list, write_edge_list,
                     write_truth_labels)
 from .synth import (PRESET_SIZES, SynthConfig, generate_instance, graphon_by_number,
                     read_design)
@@ -168,7 +168,8 @@ def cmd_identify(args) -> int:
 def cmd_bench(args) -> int:
     from .evaluate import ALL_METHODS, roc, run_experiment, write_roc_csv
     try:
-        ratios = tuple(map(float, args.ratios.split(","))) if args.ratios else DEFAULT_RATIOS
+        ratios = (tuple(map(float, args.ratios.split(","))) if args.ratios is not None
+                  else DEFAULT_RATIOS)
     except ValueError:
         raise DomainError(f"--ratios must be a comma list of numbers: {args.ratios!r}") from None
     # ROC file tags; perfbench/run.py builds the same tag to find a file
@@ -185,7 +186,7 @@ def cmd_bench(args) -> int:
     if rank != "auto" and rank >= cfgs[0].n:
         raise DomainError(f"--rank {rank} must be below n = {cfgs[0].n}")
     _check_eps(args.eps)
-    methods = tuple(args.methods.split(",")) if args.methods else ALL_METHODS
+    methods = tuple(args.methods.split(",")) if args.methods is not None else ALL_METHODS
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
@@ -260,12 +261,10 @@ def cmd_diagnose(args) -> int:
         if sizes is not None:
             from .evaluate import eigengap_profile
             records = eigengap_profile(instance.assembly.core, sizes, args.periphery_level)
-            sweep_path = os.path.join(out_dir, "eigengap_sweep.csv")
-            with open(sweep_path, "wt", encoding="utf-8", newline="\n") as fh:
-                fh.write("n_periphery,lambda_1,gap_3_4,normalized_gap\n")
-                for rec in records:
-                    fh.write(f"{rec['n_periphery']},{rec['lambda_1']!r},"
-                             f"{rec['gap_3_4']!r},{rec['normalized_gap']!r}\n")
+            _write_rows(os.path.join(out_dir, "eigengap_sweep.csv"),
+                        "n_periphery,lambda_1,gap_3_4,normalized_gap\n",
+                        [f"{rec['n_periphery']},{rec['lambda_1']!r},{rec['gap_3_4']!r},"
+                         f"{rec['normalized_gap']!r}\n" for rec in records])
     else:
         g = load_edge_list(args.input)
         if g.n < 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .graph import SparseGraph, _triangle_pairs
+from .graph import SparseGraph, _triangle_pairs, _write_rows
 from .spectral import CoreScores, _eigs
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
     "write_partition_csv",
 ]
 
-ECV_DEFAULT_FOLDS = 3
-ECV_DEFAULT_HOLDOUT = 0.1
+ECV_FOLDS = 3
+ECV_HOLDOUT = 0.1  # share of the edges each fold holds out
 KMEANS_FLOOR = 1e-12
 _ECV_NON_EDGES_PER_EDGE = 10  # uniform non-edge draws per held-out edge, per fold
 _ECV_PAIR_BLOCK = 1 << 15  # pairs scored at once: bounds the (pairs x rank) temporaries
@@ -61,8 +61,6 @@ class RankSelection:
     chosen_r: int
     candidates: tuple
     candidate_losses: tuple  # fold-averaged held-out MSE, aligned with candidates
-    folds: int
-    holdout_fraction: float
     # the record behind the choice, kept out of to_json_dict:
     fold_losses: tuple = ()  # one tuple per fold, aligned with candidates
     fold_held_edges: tuple = ()  # held-out edges per fold
@@ -72,8 +70,8 @@ class RankSelection:
         return {
             "chosen_r": self.chosen_r,
             "losses": {str(r): loss for r, loss in zip(self.candidates, self.candidate_losses)},
-            "folds": self.folds,
-            "holdout_fraction": self.holdout_fraction,
+            "folds": ECV_FOLDS,
+            "holdout_fraction": ECV_HOLDOUT,
         }
 
 
@@ -162,23 +160,22 @@ def kmeans_split(scores) -> CorePartition:
                          cutoff=float(math.exp(cut_value)))
 
 
-def _edge_split(g: SparseGraph, edges: np.ndarray, keys: np.ndarray,
-                holdout_fraction: float, rng):
+def _edge_split(g: SparseGraph, edges: np.ndarray, keys: np.ndarray, rng):
     """One fold's held-out sample: (held, kept, non_edges, non_edge_weight).
 
-    `held` is round(holdout_fraction * m) edges drawn without replacement
+    `held` is round(ECV_HOLDOUT * m) edges drawn without replacement
     and `kept` the graph of the other edges.  `non_edges` are the
     accepted ones among uniform pair draws, edges (sorted keys i*n + j in
     `keys`) rejected; each stands for non_edge_weight of the
-    holdout_fraction * (N - m) non-edges a held-out share of all N pairs
+    ECV_HOLDOUT * (N - m) non-edges a held-out share of all N pairs
     would contain.
     """
     n, m, n_pairs = g.n, g.m, g.n * (g.n - 1) // 2
-    n_held = int(round(holdout_fraction * m))
+    n_held = int(round(ECV_HOLDOUT * m))
     held_mask = np.zeros(m, dtype=bool)
     held_mask[rng.choice(m, size=n_held, replace=False)] = True
     kept = SparseGraph.from_pairs(n, edges[~held_mask])
-    non_edge_share = holdout_fraction * (n_pairs - m)
+    non_edge_share = ECV_HOLDOUT * (n_pairs - m)
     draws = min(_ECV_NON_EDGES_PER_EDGE * n_held, int(round(non_edge_share)))
     if non_edge_share > 0:
         draws = max(draws, 1)
@@ -219,20 +216,18 @@ def rank_candidates(n: int) -> list[int]:
     return [r for r in range(1, 11) if r < n]
 
 
-def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
-                    holdout_fraction: float = ECV_DEFAULT_HOLDOUT,
-                    seed: int = 0) -> RankSelection:
+def select_rank_ecv(g: SparseGraph, candidates, seed: int = 0) -> RankSelection:
     """Pick the approximating rank by edge-sampling cross-validation
-    (Li, Levina & Zhu, Biometrika 2020).
+    (Li, Levina & Zhu, Biometrika 2020) over ECV_FOLDS (3) folds.
 
-    Per fold: hold out a random holdout_fraction of the edges, rescale the
-    kept edges by 1/(1-holdout_fraction), eigen-truncate at each candidate
-    rank, clamp the reconstruction to [0,1], and score the held-out edges
-    by squared error.  Non-edges are sampled uniformly, up to ten per
-    held-out edge, and reweighted to stand for the holdout_fraction share
-    of all non-edges, so the loss estimates the mean over a held-out share
-    of all node pairs in O((m + s) r) time and memory for s samples.  The
-    fold-averaged loss decides; ties go to the smallest rank.
+    Per fold: hold out a random ECV_HOLDOUT share (0.1) of the edges,
+    rescale the kept edges by 1/(1-ECV_HOLDOUT), eigen-truncate at each
+    candidate rank, clamp the reconstruction to [0,1], and score the
+    held-out edges by squared error.  Non-edges are sampled uniformly, up
+    to ten per held-out edge, and reweighted to stand for the ECV_HOLDOUT
+    share of all non-edges, so the loss estimates the mean over a held-out
+    share of all node pairs in O((m + s) r) time and memory for s samples.
+    The fold-averaged loss decides; ties go to the smallest rank.
     """
     cands = sorted(set(int(c) for c in candidates))
     if not cands:
@@ -241,20 +236,16 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
         raise DomainError("candidate ranks must be positive")
     if cands[-1] >= g.n:
         raise DomainError(f"candidate rank {cands[-1]} must be < n={g.n}")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise DomainError("holdout_fraction must lie in (0, 1)")
-    if folds < 1:
-        raise DomainError("folds must be >= 1")
     n = g.n
     edges = g.edge_array()
     keys = edges[:, 0] * n + edges[:, 1]  # ascending: edge_array is sorted
     r_max = cands[-1]
-    losses = np.zeros((folds, len(cands)))
+    losses = np.zeros((ECV_FOLDS, len(cands)))
     held_counts, non_edge_counts = [], []
-    for fold in range(folds):
+    for fold in range(ECV_FOLDS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
-        held, kept, non_edges, weight = _edge_split(g, edges, keys, holdout_fraction, rng)
-        vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout_fraction)), r_max,
+        held, kept, non_edges, weight = _edge_split(g, edges, keys, rng)
+        vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - ECV_HOLDOUT)), r_max,
                               tol=1e-6, seed=seed + 7919 * (fold + 1))
         losses[fold] = _fold_losses(vals, vecs, held, non_edges, weight, cands)
         held_counts.append(len(held))
@@ -263,7 +254,6 @@ def select_rank_ecv(g: SparseGraph, candidates, folds: int = ECV_DEFAULT_FOLDS,
     chosen = cands[int(np.argmin(mean_losses))]  # argmin takes first = smallest r
     return RankSelection(chosen_r=chosen, candidates=tuple(cands),
                          candidate_losses=tuple(float(v) for v in mean_losses),
-                         folds=folds, holdout_fraction=holdout_fraction,
                          fold_losses=tuple(tuple(float(v) for v in row) for row in losses),
                          fold_held_edges=tuple(held_counts),
                          fold_non_edges=tuple(non_edge_counts))
@@ -274,6 +264,5 @@ def write_partition_csv(path, partition: CorePartition, scores) -> None:
     if values.size != partition.labels.size:
         raise DomainError("scores and partition length mismatch")
     flags = partition.labels.astype(np.uint8).tolist()
-    rows = [f"{i},{flag},{v!r}\n" for i, (flag, v) in enumerate(zip(flags, values.tolist()))]
-    with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,is_core,score\n" + "".join(rows))
+    _write_rows(path, "node_id,is_core,score\n",
+                [f"{i},{flag},{v!r}\n" for i, (flag, v) in enumerate(zip(flags, values.tolist()))])

@@ -17,7 +17,7 @@ from . import baselines as bl
 from .coreid import (CorePartition, kmeans_split, rank_candidates, select_rank_ecv,
                      threshold_config, threshold_er)
 from .errors import DegenerateError, DomainError
-from .graph import ProbabilityMatrix, average_density, degrees
+from .graph import ProbabilityMatrix, _write_rows, average_density, degrees
 from .spectral import config_scores, er_scores, truncated_eigs
 from .synth import GraphonSpec, SynthConfig, design_record, generate_instance
 
@@ -295,6 +295,4 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
 
 def write_roc_csv(path, curve: RocCurve, method: str) -> None:
     points = np.asarray(curve.points, dtype=np.float64).tolist()
-    with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,fpr,tpr\n" + "".join([f"{method},{fpr!r},{tpr!r}\n"
-                                                for fpr, tpr in points]))
+    _write_rows(path, "method,fpr,tpr\n", [f"{method},{fpr!r},{tpr!r}\n" for fpr, tpr in points])

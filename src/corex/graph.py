@@ -260,9 +260,7 @@ def write_edge_list(g: SparseGraph, path) -> None:
     # entry i is "i\t" and entry n + i is "i\n", so edge (i, j) is entries i, n + j
     table = np.array([f"{i}\t" for i in range(g.n)] + [f"{i}\n" for i in range(g.n)],
                      dtype=object)
-    with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n {g.n}\n")
-        fh.write("".join(table[(g.edge_array() + [0, g.n]).ravel()].tolist()))
+    _write_rows(path, f"n {g.n}\n", table[(g.edge_array() + [0, g.n]).ravel()].tolist())
 
 
 def degrees(g: SparseGraph) -> np.ndarray:
@@ -316,7 +314,13 @@ def _triangle_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def write_truth_labels(path, labels) -> None:
     labels = np.asarray(labels, dtype=bool)
+    flat = np.column_stack([np.arange(labels.size), labels]).ravel().tolist()
+    # one %-format over every row: faster here than a per-row f-string
+    _write_rows(path, "node_id,is_core\n", [("%d,%d\n" * labels.size) % tuple(flat)])
+
+
+def _write_rows(path, header: str, rows) -> None:
+    """The one CSV/TSV dialect: UTF-8, LF line ends, a header line, then the joined rows."""
     with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,is_core\n")
-        rows = np.column_stack([np.arange(labels.size), labels])
-        fh.write(("%d,%d\n" * labels.size) % tuple(rows.ravel().tolist()))
+        fh.write(header)
+        fh.write("".join(rows))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph
+from .graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph, _write_rows
 from .synth import ConfigAssembly
 
 __all__ = [
@@ -303,5 +303,4 @@ def diagnostics(p, r: int, core_labels=None) -> DiagnosticReport:
 
 def write_scores_csv(path, scores: CoreScores) -> None:
     values = np.asarray(scores.values, dtype=np.float64).tolist()
-    with open(path, "wt", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,score\n" + "".join([f"{i},{v!r}\n" for i, v in enumerate(values)]))
+    _write_rows(path, "node_id,score\n", [f"{i},{v!r}\n" for i, v in enumerate(values)])

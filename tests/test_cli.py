@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from corex import cli, synth
 from corex.cli import main
 from corex.coreid import rank_candidates, select_rank_ecv
+from corex.evaluate import eigengap_profile
 from corex.synth import DESIGN_FIELDS, SynthConfig, generate_instance, graphon_core
 
 
@@ -332,9 +333,13 @@ class TestDiagnose:
                     "--rank", "3", "--sweep", "0,20,40",
                     "--periphery-level", "0.05", "--out-dir", str(out)])
         assert code == 0
-        lines = (out / "eigengap_sweep.csv").read_text().strip().splitlines()
-        assert lines[0] == "n_periphery,lambda_1,gap_3_4,normalized_gap"
-        assert len(lines) == 4
+        meta = json.loads((generated / "meta.json").read_text())
+        graphon, cfg, er_level = synth.read_design(meta)
+        core = generate_instance(graphon, cfg, er_level=er_level).assembly.core
+        expected = "n_periphery,lambda_1,gap_3_4,normalized_gap\n" + "".join(
+            f"{rec['n_periphery']},{rec['lambda_1']!r},{rec['gap_3_4']!r},"
+            f"{rec['normalized_gap']!r}\n" for rec in eigengap_profile(core, [0, 20, 40], 0.05))
+        assert (out / "eigengap_sweep.csv").read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("flags", [["--sweep=-5"], ["--sweep", "abc"],
                                        ["--sweep", "0,,20"],
@@ -513,6 +518,10 @@ class TestExitCodes:
         (["identify", "--input", "{n_int64_max}", "--rank", "1"], False),
         (["diagnose", "--truth-p", "", "--input", "{edges}", "--rank", "1"], True),
         (["diagnose", "--input", "", "--truth-p", "{meta}", "--rank", "1"], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--ratios", ""], True),
+        (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
+          "--methods", ""], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
@@ -520,7 +529,8 @@ class TestExitCodes:
             "identify-topk-word", "bench-rank-at-n", "bench-methods-twice",
             "diagnose-rank-at-n", "sweep-level", "sweep-small-core", "ratios-same-tag",
             "ratios-twice", "sweep-empty", "input-sweep-empty", "bench-no-periphery",
-            "n-beyond-int64", "n-int64-max", "truth-p-empty", "input-empty"])
+            "n-beyond-int64", "n-int64-max", "truth-p-empty", "input-empty",
+            "ratios-empty", "methods-empty"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",

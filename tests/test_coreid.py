@@ -245,8 +245,8 @@ class TestSelectRankEcv:
 
     def test_deterministic(self):
         g = planted_rank1(80, 0.25, seed=1)
-        a = select_rank_ecv(g, [1, 2, 3], folds=3, holdout_fraction=0.1, seed=5)
-        b = select_rank_ecv(g, [1, 2, 3], folds=3, holdout_fraction=0.1, seed=5)
+        a = select_rank_ecv(g, [1, 2, 3], seed=5)
+        b = select_rank_ecv(g, [1, 2, 3], seed=5)
         assert a == b
 
     def test_rank1_recovery_small(self):
@@ -284,41 +284,41 @@ class TestSelectRankEcv:
 
     def test_json_export(self):
         sel = RankSelection(chosen_r=2, candidates=(1, 2),
-                            candidate_losses=(0.5, 0.2), folds=3,
-                            holdout_fraction=0.1)
+                            candidate_losses=(0.5, 0.2))
         payload = sel.to_json_dict()
         assert payload["chosen_r"] == 2 and payload["losses"]["2"] == 0.2
 
 
-def fold_sample(g, holdout_fraction, seed, fold):
+def fold_sample(g, seed, fold):
     """Replay fold `fold` of select_rank_ecv(..., seed=seed): its held-out
-    edges, kept graph, sampled non-edges, non-edge weight and eigenpairs."""
+    edges, kept graph, sampled non-edges and non-edge weight."""
     edges = g.edge_array()
     keys = edges[:, 0] * g.n + edges[:, 1]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
-    held, kept, non_edges, weight = _edge_split(g, edges, keys, holdout_fraction, rng)
+    held, kept, non_edges, weight = _edge_split(g, edges, keys, rng)
     return held, kept, non_edges, weight
 
 
 class TestEcvRecord:
     def test_fold_losses_average_to_candidate_losses(self):
         g = planted_sbm3(90, 0.5, 0.1, seed=3)
-        sel = select_rank_ecv(g, [1, 2, 3, 4], folds=4, holdout_fraction=0.2, seed=1)
+        sel = select_rank_ecv(g, [1, 2, 3, 4], seed=1)
         folds = np.array(sel.fold_losses)
-        assert folds.shape == (4, 4)
+        assert folds.shape == (3, 4)
         assert np.array_equal(folds.mean(axis=0), np.array(sel.candidate_losses))
-        assert sel.fold_held_edges == (round(0.2 * g.m),) * 4
-        assert all(0 < s <= 10 * round(0.2 * g.m) for s in sel.fold_non_edges)
+        assert sel.fold_held_edges == (round(0.1 * g.m),) * 3
+        assert all(0 < s <= 10 * round(0.1 * g.m) for s in sel.fold_non_edges)
 
     def test_json_keys_unchanged(self):
         g = planted_rank1(60, 0.2, seed=0)
         payload = select_rank_ecv(g, [1, 2], seed=0).to_json_dict()
         assert set(payload) == {"chosen_r", "losses", "folds", "holdout_fraction"}
+        assert (payload["folds"], payload["holdout_fraction"]) == (3, 0.1)
 
     def test_sample_size(self):
         # ten draws per held-out edge, capped by the held-out share of non-edges
         sparse_g = planted_rank1(200, 0.02, seed=4)
-        held, _, non_edges, _ = fold_sample(sparse_g, 0.1, seed=0, fold=0)
+        held, _, non_edges, _ = fold_sample(sparse_g, seed=0, fold=0)
         assert len(held) == round(0.1 * sparse_g.m)
         assert len(non_edges) <= 10 * len(held)
         assert len(non_edges) >= 9 * len(held)  # few of the draws hit edges
@@ -327,7 +327,7 @@ class TestEcvRecord:
         for seed in range(5, 12):
             dense_g = planted_rank1(40, 0.9, seed=seed)
             share = 0.1 * (40 * 39 // 2 - dense_g.m)
-            _, _, non_edges, weight = fold_sample(dense_g, 0.1, seed=0, fold=0)
+            _, _, non_edges, weight = fold_sample(dense_g, seed=0, fold=0)
             assert len(non_edges) <= round(share)
             assert weight == (share / len(non_edges) if len(non_edges) else 0.0)
             counts.append(len(non_edges))
@@ -341,7 +341,7 @@ class TestEcvEdgeCases:
         assert sel.chosen_r in sel.candidates == tuple(cands)
         assert np.all(np.isfinite(sel.fold_losses))
         assert np.all(np.isfinite(sel.candidate_losses))
-        assert len(sel.fold_losses) == sel.folds == len(sel.fold_held_edges)
+        assert len(sel.fold_losses) == 3 == len(sel.fold_held_edges)
         return sel
 
     def test_edgeless_graph(self):
@@ -382,16 +382,17 @@ class TestEcvLossOracle:
     CASES = [(40, 0.2, 0.3), (50, 0.1, 0.2), (60, 0.3, 0.1), (30, 0.6, 0.3)]
 
     @pytest.mark.parametrize("n, p, holdout", CASES)
-    def test_against_dense_brute_force(self, n, p, holdout):
+    def test_against_dense_brute_force(self, n, p, holdout, monkeypatch):
+        monkeypatch.setattr("corex.coreid.ECV_HOLDOUT", holdout)
         cands = [1, 2, 3]
         z_scores = []
         for seed in range(8):
             g = random_graph(n, p, seed=50 + seed)
-            sel = select_rank_ecv(g, cands, holdout_fraction=holdout, seed=seed)
+            sel = select_rank_ecv(g, cands, seed=seed)
             adj = g.to_csr().toarray()
             iu, ju = np.triu_indices(n, k=1)
-            for fold in range(sel.folds):
-                held, kept, non_edges, weight = fold_sample(g, holdout, seed, fold)
+            for fold in range(len(sel.fold_losses)):
+                held, kept, non_edges, weight = fold_sample(g, seed, fold)
                 # the held-out edges are edges of g and never of the kept graph
                 kept_adj = kept.to_csr().toarray()
                 assert np.all(adj[held[:, 0], held[:, 1]] == 1)
