@@ -49,11 +49,6 @@ def _write_run_record(out_dir, args, **resolved) -> None:
                  "parameters": {**params, **resolved}})
 
 
-def _ensure_out_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _design(args, ratios) -> list[SynthConfig]:
     """One design point per degree ratio, from the flags add_design declares;
     sizes are --preset-sizes or both --n-core and --n-periphery (neither: balanced)."""
@@ -70,7 +65,7 @@ def _design(args, ratios) -> list[SynthConfig]:
 def cmd_generate(args) -> int:
     cfg, = _design(args, [args.ratio])
     graphon = graphon_by_number(args.graphon)
-    out_dir = _ensure_out_dir(args.out_dir)
+    os.makedirs(out_dir := args.out_dir, exist_ok=True)
     _write_run_record(out_dir, args, n_core=cfg.n_core, n_periphery=cfg.n_periphery)
     instance = generate_instance(graphon, cfg)
     g = instance.sample()
@@ -125,7 +120,7 @@ def cmd_identify(args) -> int:
     select_method, topk = _parse_select(args.select)
     rank = _parse_rank(args.rank)
     _check_eps(args.eps)
-    out_dir = _ensure_out_dir(args.out_dir)
+    os.makedirs(out_dir := args.out_dir, exist_ok=True)
     _write_run_record(out_dir, args, rank=rank)
     g = load_edge_list(args.input)
     if g.m == 0:
@@ -166,7 +161,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .evaluate import ALL_METHODS, roc, run_experiment, write_roc_csv
+    from .evaluate import ALL_METHODS, check_plan, roc, run_experiment, write_roc_csv
     try:
         ratios = (tuple(map(float, args.ratios.split(","))) if args.ratios is not None
                   else DEFAULT_RATIOS)
@@ -180,20 +175,14 @@ def cmd_bench(args) -> int:
     cfgs = _design(args, ratios)
     if cfgs[0].n_periphery < 1:  # the ROC curves need both classes
         raise DomainError("bench needs --n-periphery >= 1")
-    if args.replicates < 1:
-        raise DomainError("--replicates must be >= 1")
     rank = _parse_rank(args.rank)
     if rank != "auto" and rank >= cfgs[0].n:
         raise DomainError(f"--rank {rank} must be below n = {cfgs[0].n}")
     _check_eps(args.eps)
-    methods = tuple(args.methods.split(",")) if args.methods is not None else ALL_METHODS
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise DomainError(f"unknown methods: {sorted(unknown)}")
-    if len(set(methods)) < len(methods):
-        raise DomainError(f"--methods names a method twice: {args.methods!r}")
+    methods = check_plan(args.methods.split(",") if args.methods is not None else ALL_METHODS,
+                         args.replicates)
     graphon = graphon_by_number(args.graphon)
-    out_dir = _ensure_out_dir(args.out_dir)
+    os.makedirs(out_dir := args.out_dir, exist_ok=True)
     _write_run_record(out_dir, args, n_core=cfgs[0].n_core, n_periphery=cfgs[0].n_periphery,
                       ratios=list(ratios), methods=list(methods), rank=rank)
     summary = {"settings": [], "methods": list(methods)}
@@ -252,7 +241,7 @@ def cmd_diagnose(args) -> int:
             raise DomainError(f"--rank {args.rank} must be below n = {cfg.n}")
         if sizes and cfg.n_core < 4:
             raise DomainError(f"the eigengap sweep needs n_core >= 4, got {cfg.n_core}")
-    out_dir = _ensure_out_dir(args.out_dir)
+    os.makedirs(out_dir := args.out_dir, exist_ok=True)
     _write_run_record(out_dir, args)
     if truth:
         instance = generate_instance(graphon, cfg, er_level=er_level)

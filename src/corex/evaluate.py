@@ -221,6 +221,19 @@ def _replicate_seed(master_seed: int, replicate: int) -> int:
                                       spawn_key=(replicate,)).generate_state(1)[0])
 
 
+def check_plan(methods, replicates: int) -> tuple:
+    """The methods as a tuple, each known and named once, and replicates >= 1."""
+    methods = tuple(methods)
+    unknown = set(methods) - set(ALL_METHODS)
+    if unknown:
+        raise DomainError(f"unknown methods: {sorted(unknown)}")
+    if len(set(methods)) < len(methods):
+        raise DomainError(f"methods name a method twice: {list(methods)}")
+    if replicates < 1:
+        raise DomainError("replicates must be >= 1")
+    return methods
+
+
 def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
                    replicates: int = 20, rank: int | str = 6,
                    eps: float = 0.01) -> ExperimentResult:
@@ -235,14 +248,7 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     rank_candidates(n).  cfg.seed is the master seed; every replicate
     derives its own seed from it.
     """
-    methods = tuple(methods)
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise DomainError(f"unknown methods: {sorted(unknown)}")
-    if len(set(methods)) < len(methods):
-        raise DomainError(f"methods name a method twice: {list(methods)}")
-    if replicates < 1:
-        raise DomainError("replicates must be >= 1")
+    methods = check_plan(methods, replicates)
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))
     result = ExperimentResult(
         config={**design_record(graphon, cfg), "rank": rank},

@@ -41,9 +41,10 @@ MAX_NODES = 3_037_000_499
 class SparseGraph:
     """Immutable undirected graph in CSR form: the neighbours of node i are
     `indices[indptr[i]:indptr[i + 1]]`, ascending, so each edge is in both
-    of its rows.  Both arrays are read-only int64."""
+    of its rows.  Both arrays are read-only, in the index dtype scipy picks:
+    int32 while n and 2m fit in it, int64 otherwise."""
 
-    __slots__ = ("n", "m", "indptr", "indices", "_adjacency", "_csr")
+    __slots__ = ("n", "m", "indptr", "indices", "_adjacency")
 
     def __init__(self, n: int, adjacency):
         """Validating constructor from one neighbour array per node: the arrays
@@ -89,17 +90,21 @@ class SparseGraph:
                 raise RangeError("node id outside 0..n-1")
             if np.any(pairs[:, 0] == pairs[:, 1]):
                 raise ValidationError("self-loop in edge set")
-        # one sort of the row-major keys of both orientations gives the CSR order
-        tails, heads = pairs.T
-        keys = np.sort(np.concatenate([tails * n + heads, heads * n + tails]))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        indices = keys % n
+        # one in-place sort of the row-major keys of both orientations gives the CSR order
+        keys = np.multiply(pairs.T, n, order="C")
+        keys += pairs.T[::-1]
+        keys = keys.ravel()
+        keys.sort()
+        keep = np.not_equal(keys[1:], keys[:-1])  # keep[i]: key i + 1 is not a repeat
+        keys = keys if keep.all() else keys[np.append(True, keep)]
+        # the index dtype scipy picks, so to_csr adopts these arrays uncopied
+        dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(dtype)
+        indices = np.remainder(keys, n, out=keys).astype(dtype, copy=False)
         indptr.flags.writeable = indices.flags.writeable = False
         g = cls.__new__(cls)
         g.n, g.m, g.indptr, g.indices = int(n), indices.size // 2, indptr, indices
-        g._adjacency = g._csr = None
+        g._adjacency = None
         return g
 
     @property
@@ -117,13 +122,12 @@ class SparseGraph:
         return np.column_stack([rows[upper], self.indices[upper]])
 
     def to_csr(self) -> sparse.csr_matrix:
-        """Adjacency as a cached scipy CSR matrix of float64."""
-        if self._csr is None:
-            # imported here so `generate` and `diagnose --truth-p` never load scipy
-            from scipy import sparse
-            self._csr = sparse.csr_matrix((np.ones(self.indices.size), self.indices,
-                                           self.indptr), shape=(self.n, self.n))
-        return self._csr
+        """Adjacency as a scipy CSR matrix of float64 over the graph's own
+        read-only index arrays, which scipy adopts without a copy."""
+        # imported here so `generate` and `diagnose --truth-p` never load scipy
+        from scipy import sparse
+        return sparse.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr),
+                                 shape=(self.n, self.n))
 
 
 class ProbabilityMatrix:
@@ -161,12 +165,9 @@ class ProbabilityMatrix:
 
 _ROW_BLOCK = 2**16  # matrix entries per row block where a pass over rows needs temporaries
 
-# what is left of the data lines after deleting these characters is a fault
-_NOT_DATA = str.maketrans("", "", "0123456789 \t\n")
 
-
-def _read_text(source) -> str:
-    """The whole input as one string, with CRLF line ends turned into LF."""
+def _read_bytes(source) -> bytes:
+    """The whole input as bytes, with CRLF line ends turned into LF; UTF-8 is checked."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             source = fh.read()
@@ -174,21 +175,23 @@ def _read_text(source) -> str:
         source = source.read()
     elif not isinstance(source, bytes):  # an iterable of lines
         source = "".join(line if line.endswith("\n") else line + "\n" for line in source)
-    if isinstance(source, bytes):
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
+    elif not source.isascii():
         try:
-            source = source.decode("utf-8")
+            source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError("input is not UTF-8 text",
                              source.count(b"\n", 0, exc.start) + 1) from None
-    return source.replace("\r\n", "\n")
+    return source.replace(b"\r\n", b"\n")
 
 
-def _raise_first_bad_line(text: str) -> None:
-    """Check `text` one line at a time and raise the error of its first bad
+def _raise_first_bad_line(data: bytes) -> None:
+    """Check `data` one line at a time and raise the error of its first bad
     line; runs only once the bulk parse in load_edge_list has found one."""
     declared_n = None
     first_data_line = True
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
+    for lineno, raw in enumerate(io.StringIO(data.decode("utf-8", "surrogatepass")), start=1):
         line = raw.strip(" \t\n")
         if not line or line.startswith("#"):
             continue
@@ -228,29 +231,30 @@ def load_edge_list(source) -> SparseGraph:
     fields are separated by spaces or tabs, and lines end in LF or CRLF.
 
     `source` is a path, bytes, a file object or an iterable of lines.  Numpy
-    parses the text whole; only after it finds a fault are the lines
-    rescanned, to report the first bad one.
+    parses the bytes whole; only after it finds a fault are the lines
+    decoded and rescanned, to report the first bad one.
     """
-    text = _read_text(source)
-    body = re.sub(r"(?m)^[ \t]*#.*(?:\n|\Z)", "", text) if "#" in text else text
-    body = body.lstrip(" \t\n")
+    data = _read_bytes(source)
+    body = re.sub(rb"(?m)^[ \t]*#.*(?:\n|\Z)", b"", data) if b"#" in data else data
+    body = body.lstrip(b" \t\n")
     declared_n = None
-    if body.startswith("n"):  # only the header, the first data line, may hold an "n"
-        header, _, body = body.partition("\n")
-        count = header[1:].strip(" \t")
-        if header[1:2] not in (" ", "\t") or not (count.isascii() and count.isdigit()):
-            _raise_first_bad_line(text)
+    if body.startswith(b"n"):  # only the header, the first data line, may hold an "n"
+        header, _, body = body.partition(b"\n")
+        count = header[1:].strip(b" \t")
+        if header[1:2] not in (b" ", b"\t") or not count.isdigit():
+            _raise_first_bad_line(data)
         declared_n = int(count)
     pairs = None
     try:
-        if not body.translate(_NOT_DATA):
-            pairs = (np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2) if body.strip()
+        if not body.translate(None, b"0123456789 \t\n"):  # any byte left is a fault
+            pairs = (np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2) if body.strip()
                      else np.empty((0, 2), dtype=np.int64))
     except ValueError:  # rows of unequal length, or an id beyond int64
         pass
     if (pairs is None or pairs.shape[1] != 2 or np.any(pairs[:, 0] == pairs[:, 1])
             or (declared_n is not None and pairs.size and pairs.max() >= declared_n)):
-        _raise_first_bad_line(text)
+        _raise_first_bad_line(data)
+    del data, body  # the text goes before from_pairs makes its copies
     n = declared_n if declared_n is not None else int(pairs.max(initial=-1)) + 1
     return SparseGraph.from_pairs(n, pairs)
 

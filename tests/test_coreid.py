@@ -374,6 +374,20 @@ class TestEcvEdgeCases:
         assert sel.chosen_r in (1, 2, 3)
         assert peak < 100 * 2 ** 20
 
+    def test_pair_keys_beyond_int32_find_every_edge(self):
+        # every edge lies among nodes 45,000..49,999, so each key i * n + j
+        # passes 2**31 while the CSR arrays stay int32; a draw that hits an
+        # edge must be rejected, not taken as a non-edge
+        n = 50_000
+        rng = np.random.default_rng(2)
+        pairs = rng.integers(45_000, n, size=(200_000, 2))
+        g = SparseGraph.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        assert g.indices.dtype == np.int32 and g.edge_array().dtype == np.int64
+        edge_keys = set((g.edge_array() @ [n, 1]).tolist())
+        held, _, non_edges, _ = fold_sample(g, seed=0, fold=0)
+        assert len(non_edges) < 10 * len(held)  # some draws did hit edges
+        assert edge_keys.isdisjoint((non_edges @ [n, 1]).tolist())
+
 
 class TestEcvLossOracle:
     """The sampled, reweighted loss against a dense brute force that uses

@@ -1,6 +1,7 @@
 import io
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ class TestLoadEdgeList:
         assert g2.n == g.n and g2.m == g.m
         for a, b in zip(g.adjacency, g2.adjacency):
             assert np.array_equal(a, b)
+
+    def test_peak_memory_below_64_bytes_per_edge(self, tmp_path):
+        # 4x the 16 m bytes of the int64 pairs: the text stays bytes until numpy
+        # parses it and is released before the CSR is built (kept small, as
+        # tracing slows the parse)
+        rng = np.random.default_rng(0)
+        pairs = rng.integers(0, 2000, size=(20_000, 2))
+        path = tmp_path / "edges.tsv"
+        write_edge_list(SparseGraph.from_pairs(2000, pairs[pairs[:, 0] != pairs[:, 1]]), path)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m > 19_000
+        assert peak < 64 * g.m
 
 
 # lines that the dialect rejects, one kind of fault each ({n} is the node count)
@@ -286,6 +304,39 @@ class TestFromPairs:
             g.indices[0] = 2
         with pytest.raises(ValueError):
             g.adjacency[0][0] = 2
+
+    def test_to_csr_adopts_the_graph_arrays(self):
+        # one copy of the edges: scipy's index arrays are the graph's own
+        g = SparseGraph.from_pairs(5, [(0, 1), (3, 1), (4, 2), (1, 4)])
+        a = g.to_csr()
+        assert np.shares_memory(a.indices, g.indices) and np.shares_memory(a.indptr, g.indptr)
+        for arr in (g.indptr, g.indices, a.indptr, a.indices):
+            assert arr.dtype == np.int32 and not arr.flags.writeable
+        assert a.data.dtype == np.float64 and a.nnz == 2 * g.m
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_no_edges(self, n):
+        for pairs in ([], np.empty((0, 2), dtype=np.int64)):
+            g = SparseGraph.from_pairs(n, pairs)
+            assert g.m == 0 and g.indices.size == 0 and g.indptr.tolist() == [0] * (n + 1)
+            assert g.to_csr().shape == (n, n) and g.to_csr().nnz == 0
+            assert g.edge_array().shape == (0, 2) and degrees(g).tolist() == [0] * n
+
+    def test_pair_keys_beyond_int32(self, tmp_path):
+        # at n = 50,000 > 46,341 the key i * n + j of a late pair passes 2**31,
+        # while the CSR arrays stay int32
+        n = 50_000
+        pairs = [(49_998, 49_999), (49_999, 0), (12_345, 46_341), (49_998, 49_999)]
+        g = SparseGraph.from_pairs(n, pairs)
+        assert g.indices.dtype == g.indptr.dtype == np.int32
+        edges = g.edge_array()
+        assert edges.dtype == np.int64
+        assert edges.tolist() == [[0, 49_999], [12_345, 46_341], [49_998, 49_999]]
+        path = tmp_path / "edges.tsv"
+        write_edge_list(g, path)
+        assert path.read_text().endswith("\n49998\t49999\n")
+        g2 = load_edge_list(path)
+        assert g2.n == n and g2.edge_array().tolist() == edges.tolist()
 
 
 @st.composite
