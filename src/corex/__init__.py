@@ -23,11 +23,11 @@ _EXPORTS = {
               "threshold_config threshold_er",
     "errors": "ConvergenceError CorexError DegenerateError DomainError InfeasibleError "
               "ParseError RangeError ValidationError",
-    "evaluate": "RocCurve eigengap_profile kcore_points operating_point roc run_experiment",
+    "evaluate": "RocCurve kcore_points operating_point roc run_experiment",
     "graph": "ProbabilityMatrix SparseGraph average_density degrees load_edge_list "
              "sample_adjacency write_edge_list write_truth_labels",
-    "spectral": "CoreScores SpectralDecomposition config_scores diagnostics er_scores "
-                "scores_from_truth truncated_eigs",
+    "spectral": "CoreScores SpectralDecomposition config_scores diagnostics eigengap_profile "
+                "er_scores scores_from_truth truncated_eigs",
     "synth": "GeneratedInstance GraphonSpec SynthConfig generate_instance graphon_by_number "
              "graphon_core graphon_matrix graphon_value sample_latents sample_periphery_theta",
 }

@@ -223,7 +223,7 @@ def _parse_sweep(spec: str, periphery_level: float) -> list[int]:
 
 
 def cmd_diagnose(args) -> int:
-    from .spectral import diagnostics, truncated_eigs
+    from .spectral import diagnostics, eigengap_profile, truncated_eigs
     truth = args.truth_p is not None  # "" counts as given, and then fails as no file
     if truth == (args.input is not None):
         raise DomainError("give exactly one of --truth-p or --input")
@@ -248,7 +248,6 @@ def cmd_diagnose(args) -> int:
         report = diagnostics(instance.assembly, args.rank, core_labels=instance.truth)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes is not None:
-            from .evaluate import eigengap_profile
             records = eigengap_profile(instance.assembly.core, sizes, args.periphery_level)
             _write_rows(os.path.join(out_dir, "eigengap_sweep.csv"),
                         "n_periphery,lambda_1,gap_3_4,normalized_gap\n",

@@ -245,8 +245,9 @@ def select_rank_ecv(g: SparseGraph, candidates, seed: int = 0) -> RankSelection:
     for fold in range(ECV_FOLDS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fold,)))
         held, kept, non_edges, weight = _edge_split(g, edges, keys, rng)
-        vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - ECV_HOLDOUT)), r_max,
-                              tol=1e-6, seed=seed + 7919 * (fold + 1))
+        op = kept.to_csr()
+        op.data *= 1.0 / (1.0 - ECV_HOLDOUT)  # to_csr makes data afresh, so no copy is needed
+        vals, vecs, _ = _eigs(op, r_max, tol=1e-6, seed=seed + 7919 * (fold + 1))
         losses[fold] = _fold_losses(vals, vecs, held, non_edges, weight, cands)
         held_counts.append(len(held))
         non_edge_counts.append(len(non_edges))

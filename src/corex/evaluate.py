@@ -1,5 +1,4 @@
-"""ROC evaluation, the simulation benchmark harness, and the eigengap
-profiler.
+"""ROC evaluation and the simulation benchmark harness.
 
 ROC curves use the standard definitions: TPR = recovered core fraction,
 FPR = mislabeled periphery fraction, with tied scores crossing the
@@ -17,8 +16,8 @@ from . import baselines as bl
 from .coreid import (CorePartition, kmeans_split, rank_candidates, select_rank_ecv,
                      threshold_config, threshold_er)
 from .errors import DegenerateError, DomainError
-from .graph import ProbabilityMatrix, _write_rows, average_density, degrees
-from .spectral import config_scores, er_scores, truncated_eigs
+from .graph import _write_rows, average_density, degrees
+from .spectral import config_scores, eigengap_profile, er_scores, truncated_eigs
 from .synth import GraphonSpec, SynthConfig, design_record, generate_instance
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "operating_point",
     "kcore_points",
     "run_experiment",
-    "eigengap_profile",
+    "eigengap_profile",  # spectral's; perfbench/traced.py wraps it by this path
     "write_roc_csv",
     "PROPOSED_METHODS",
     "BASELINE_METHODS",
@@ -98,81 +97,6 @@ def kcore_points(coreness, truth) -> list[tuple[float, float]]:
     tpr = (n_core - np.searchsorted(np.sort(values[truth]), levels)) / n_core
     fpr = (n_peri - np.searchsorted(np.sort(values[~truth]), levels)) / n_peri
     return list(zip(fpr.tolist(), tpr.tolist()))
-
-
-def _arrowhead_extremes(lam: np.ndarray, z: np.ndarray, beta: float, delta: float) -> np.ndarray:
-    """The four smallest and four largest eigenvalues (all of them when
-    there are at most eight) of the arrowhead matrix
-    [[diag(lam), beta z], [beta z^T, delta]], lam ascending.
-
-    By Cauchy interlacing the k-th smallest eigenvalue mu_k lies in
-    [lam_{k-1}, lam_k], with lam_{-1} and lam_n the bounds -+b, b >= the
-    matrix norm.  For x inside that bracket, Sylvester's law of inertia
-    applied to the Schur complement g(x) = delta - x - beta^2 sum_i
-    z_i^2 / (lam_i - x) says that mu_k < x exactly when g(x) < 0.  So
-    bisecting each bracket on the sign of g converges to mu_k, whatever
-    the multiplicities in lam or the zeros in z: a bracket between equal
-    poles is a single point, and a pole without weight is its own root.
-    """
-    bound = 2.0 * (np.abs(lam).max() + abs(delta) + beta * np.linalg.norm(z))
-    edges = np.concatenate([[-bound], lam, [bound]])
-    k = np.arange(lam.size + 1)
-    if k.size > 8:
-        k = np.concatenate([k[:4], k[-4:]])
-    lo, hi = edges[k], edges[k + 1]
-    weights = (beta * z) ** 2
-    # a bracket wider than 4 ulps of the bound has its midpoint strictly
-    # inside, so g is never evaluated at a pole
-    tol = 4.0 * np.finfo(np.float64).eps * bound
-    while (active := np.flatnonzero(hi - lo > tol)).size:
-        mid = 0.5 * (lo[active] + hi[active])
-        below = delta - mid - (weights / (lam - mid[:, np.newaxis])).sum(axis=1) < 0.0
-        hi[active[below]] = mid[below]
-        lo[active[~below]] = mid[~below]
-    return 0.5 * (lo + hi)
-
-
-def eigengap_profile(core_p: ProbabilityMatrix, periphery_sizes,
-                     periphery_level: float) -> list[dict]:
-    """Sweep periphery sizes around a fixed core and report how the
-    third-to-fourth eigenvalue gap of the ER-type assembly behaves.
-
-    The assembly [[C, a J], [a J, a (J - I)]] (a = periphery_level, n_p
-    periphery nodes) is never built: its spectrum is -a with multiplicity
-    n_p - 1 plus the eigenvalues of the (n_c + 1)-square reduced matrix
-    [[C, a sqrt(n_p) 1], [a sqrt(n_p) 1^T, a (n_p - 1)]].  With
-    C = Q diag(lam) Q^T, that matrix is orthogonally similar to the
-    arrowhead with z = Q^T 1, beta = a sqrt(n_p) and delta = a (n_p - 1),
-    so one eigh of C serves every size, and each size solves only for the
-    arrowhead eigenvalues that can hold the four largest magnitudes.  Each
-    record carries |lam_1|, the gap |lam_3| - |lam_4| and that gap over
-    |lam_1|.  Negative sizes and a level outside (0, 1) are rejected
-    before any spectrum is computed.
-    """
-    if core_p.n < 4:
-        raise DomainError("core must have at least 4 nodes to report a 3-4 gap")
-    if not 0.0 < periphery_level < 1.0:
-        raise DomainError("periphery_level must lie in (0, 1)")
-    sizes = [int(n_peri) for n_peri in periphery_sizes]
-    if any(n_peri < 0 for n_peri in sizes):
-        raise DomainError(f"periphery sizes must be nonnegative, got {sizes}")
-    lam, q = np.linalg.eigh(core_p.entries)
-    z = q.sum(axis=0)
-    a = periphery_level
-    records = []
-    for n_peri in sizes:
-        eigvals = lam if n_peri == 0 else np.concatenate([
-            _arrowhead_extremes(lam, z, a * np.sqrt(n_peri), a * (n_peri - 1)),
-            np.full(min(n_peri - 1, 4), -a)])
-        mags = np.sort(np.abs(eigvals))[::-1]
-        gap = float(mags[2] - mags[3])
-        records.append({
-            "n_periphery": n_peri,
-            "lambda_1": float(mags[0]),
-            "gap_3_4": gap,
-            "normalized_gap": gap / float(mags[0]) if mags[0] > 0 else 0.0,
-        })
-    return records
 
 
 @dataclass

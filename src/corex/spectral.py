@@ -1,5 +1,6 @@
-"""Truncated eigendecomposition (ARPACK, via scipy's `eigsh`) and
-spectral core scores.
+"""Truncated eigendecomposition (ARPACK, via scipy's `eigsh`), spectral
+core scores, and the exact spectra of known probability matrices: the
+signal-strength diagnostics and the eigengap sweep.
 
 The denoised estimate of the probability matrix is the rank-r
 eigen-truncation of the adjacency matrix (signed eigenvalues retained).
@@ -32,6 +33,7 @@ __all__ = [
     "config_scores",
     "scores_from_truth",
     "diagnostics",
+    "eigengap_profile",
     "write_scores_csv",
 ]
 
@@ -224,8 +226,11 @@ def _er_assembly_eigvalsh(core: np.ndarray, n_periphery: int, level: float) -> n
     Periphery vectors that sum to zero are eigenvectors with eigenvalue
     -a, so -a has multiplicity n_p - 1; the other eigenvalues are those
     of the (n_c + 1)-square reduced matrix
-    [[C, a sqrt(n_p) 1], [a sqrt(n_p) 1^T, a (n_p - 1)]].
-    """
+    [[C, a sqrt(n_p) 1], [a sqrt(n_p) 1^T, a (n_p - 1)]].  With
+    C = Q diag(lam) Q^T, the reduced matrix is orthogonally similar to the
+    arrowhead [[diag(lam), beta z], [beta z^T, delta]] with z = Q^T 1,
+    beta = a sqrt(n_p) and delta = a (n_p - 1), whose eigenvalues are the
+    roots of a secular equation (Golub, SIAM Rev. 15, 1973)."""
     if n_periphery == 0:
         return np.linalg.eigvalsh(core)
     nc = core.shape[0]
@@ -234,6 +239,76 @@ def _er_assembly_eigvalsh(core: np.ndarray, n_periphery: int, level: float) -> n
     reduced[:nc, nc] = reduced[nc, :nc] = level * np.sqrt(n_periphery)
     reduced[nc, nc] = level * (n_periphery - 1)
     return np.concatenate([np.linalg.eigvalsh(reduced), np.full(n_periphery - 1, -level)])
+
+
+def _er_assembly_extremes(lam: np.ndarray, z: np.ndarray, n_periphery: int,
+                          level: float) -> np.ndarray:
+    """The eigenvalues of the ER-type assembly that can hold its four
+    largest magnitudes, given its core's eigenvalues lam (ascending) and
+    z = Q^T 1 (see _er_assembly_eigvalsh): lam without a periphery, else
+    the four smallest and four largest arrowhead eigenvalues (all, when at
+    most eight) and up to four copies of -a.
+
+    By Cauchy interlacing the k-th smallest arrowhead eigenvalue mu_k lies
+    in [lam_{k-1}, lam_k], with lam_{-1} and lam_n the bounds -+b, b >= the
+    matrix norm.  For x inside that bracket, Sylvester's law of inertia
+    applied to the Schur complement g(x) = delta - x - beta^2 sum_i
+    z_i^2 / (lam_i - x) says that mu_k < x exactly when g(x) < 0.  So
+    bisecting each bracket on the sign of g converges to mu_k, whatever
+    the multiplicities in lam or the zeros in z: a bracket between equal
+    poles is a single point, and a pole without weight is its own root.
+    """
+    if n_periphery == 0:
+        return lam
+    beta, delta = level * np.sqrt(n_periphery), level * (n_periphery - 1)
+    bound = 2.0 * (np.abs(lam).max() + abs(delta) + beta * np.linalg.norm(z))
+    edges = np.concatenate([[-bound], lam, [bound]])
+    k = np.arange(lam.size + 1)
+    if k.size > 8:
+        k = np.concatenate([k[:4], k[-4:]])
+    lo, hi = edges[k], edges[k + 1]
+    weights = (beta * z) ** 2
+    # a bracket wider than 4 ulps of the bound has its midpoint strictly
+    # inside, so g is never evaluated at a pole
+    tol = 4.0 * np.finfo(np.float64).eps * bound
+    while (active := np.flatnonzero(hi - lo > tol)).size:
+        mid = 0.5 * (lo[active] + hi[active])
+        below = delta - mid - (weights / (lam - mid[:, np.newaxis])).sum(axis=1) < 0.0
+        hi[active[below]] = mid[below]
+        lo[active[~below]] = mid[~below]
+    return np.concatenate([0.5 * (lo + hi), np.full(min(n_periphery - 1, 4), -level)])
+
+
+def eigengap_profile(core_p: ProbabilityMatrix, periphery_sizes,
+                     periphery_level: float) -> list[dict]:
+    """Sweep periphery sizes around a fixed core and report how the
+    third-to-fourth eigenvalue gap of the ER-type assembly behaves.
+
+    The assembly is never built: one eigh of the core serves every size
+    (see _er_assembly_extremes).  Each record carries |lam_1|, the gap
+    |lam_3| - |lam_4| and that gap over |lam_1|.  Negative sizes and a
+    level outside (0, 1) are rejected before any spectrum is computed.
+    """
+    if core_p.n < 4:
+        raise DomainError("core must have at least 4 nodes to report a 3-4 gap")
+    if not 0.0 < periphery_level < 1.0:
+        raise DomainError("periphery_level must lie in (0, 1)")
+    sizes = [int(n_peri) for n_peri in periphery_sizes]
+    if any(n_peri < 0 for n_peri in sizes):
+        raise DomainError(f"periphery sizes must be nonnegative, got {sizes}")
+    lam, q = np.linalg.eigh(core_p.entries)
+    z = q.sum(axis=0)
+    records = []
+    for n_peri in sizes:
+        mags = np.sort(np.abs(_er_assembly_extremes(lam, z, n_peri, periphery_level)))[::-1]
+        gap = float(mags[2] - mags[3])
+        records.append({
+            "n_periphery": n_peri,
+            "lambda_1": float(mags[0]),
+            "gap_3_4": gap,
+            "normalized_gap": gap / float(mags[0]) if mags[0] > 0 else 0.0,
+        })
+    return records
 
 
 def _min_centered_row_norm(rows: np.ndarray, n_periphery: int, periphery_value: float) -> float:
@@ -252,8 +327,8 @@ def _er_diagnostics(assembly):
 
     Each core row is the core block's row followed by n_p entries equal to
     the level a, and each periphery row sums to a (n - 1).  So both minimum
-    core scores take O(n_c^2), and the spectrum comes from the
-    (n_c + 1)-square reduced matrix (see _er_assembly_eigvalsh)."""
+    core scores take O(n_c^2), and the spectrum comes from
+    _er_assembly_eigvalsh."""
     core, npr, level = assembly.core_block(), assembly.n_periphery, assembly.level
     eigvals = _er_assembly_eigvalsh(core, npr, level)
     p_star = float(max(core.max(), level) if npr else core.max())

@@ -380,8 +380,8 @@ def _checked_clip_count(entries_above_one: int, n: int) -> int:
 
 def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
     """ER-type assembly that meets the density and degree ratio, from the
-    core block alone: (ErAssembly, c_core, c_periphery, clip count,
-    realized density).
+    core block alone: (ErAssembly, c_periphery, clip count, realized
+    density).
 
     The core block is scaled by c_core and the constant periphery level a
     by c_periphery, so an unclipped instance meets Definition 1 exactly.
@@ -416,15 +416,14 @@ def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
     above, core_sum = _core_block_stats(core_p, float(c_core))
     if touch > 1.0:
         above += touching
-    return (ErAssembly(core_p, float(c_core), npr, min(touch, 1.0)), float(c_core),
-            float(c_peri), _checked_clip_count(above, n),
-            (core_sum + min(touch, 1.0) * touching) / (n * n - n))
+    return (ErAssembly(core_p, float(c_core), npr, min(touch, 1.0)), float(c_peri),
+            _checked_clip_count(above, n), (core_sum + min(touch, 1.0) * touching) / (n * n - n))
 
 
 def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthConfig):
     """Configuration-type assembly that meets the density and degree ratio
-    while staying inside Definition 2: (ConfigAssembly, c_core,
-    c_periphery, clip count, realized density), clipped to [0, 1].
+    while staying inside Definition 2: (ConfigAssembly, c_periphery, clip
+    count, realized density), clipped to [0, 1].
 
     The core block and core weights are scaled by a, the periphery weights
     by b = beta * a, and the matrix is assembled from the scaled weights, so
@@ -468,7 +467,7 @@ def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthC
     assembly = ConfigAssembly(core_p, float(a), npr, theta, float(a * s0))
     core_above, core_sum = _core_block_stats(core_p, assembly.c_core)
     touch_above, touch_sum = _touching_stats(theta, nc, assembly.norm)
-    return (assembly, float(a), float(a * beta), _checked_clip_count(core_above + touch_above, n),
+    return (assembly, float(a * beta), _checked_clip_count(core_above + touch_above, n),
             (core_sum + touch_sum) / (n * n - n))
 
 
@@ -481,9 +480,12 @@ class GeneratedInstance:
     the n x n matrix; `p`, the dense matrix, serves tests and dense oracles."""
 
     assembly: ErAssembly | ConfigAssembly
-    truth: np.ndarray  # bool, True = core
-    adjacency_seed: int
     meta: dict = field(default_factory=dict)
+
+    @property
+    def truth(self) -> np.ndarray:
+        """bool, True = core: the assembly puts its core first."""
+        return np.arange(self.assembly.n) < self.assembly.core.n
 
     @cached_property
     def p(self) -> ProbabilityMatrix:
@@ -491,8 +493,8 @@ class GeneratedInstance:
         return self.assembly.dense()
 
     def sample(self) -> SparseGraph:
-        """The adjacency drawn from adjacency_seed."""
-        return self.assembly.sample(self.adjacency_seed)
+        """The adjacency drawn from meta["adjacency_seed"]."""
+        return self.assembly.sample(self.meta["adjacency_seed"])
 
 
 def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
@@ -537,9 +539,6 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
         theta_peri = sample_periphery_theta(core, cfg.n_periphery, theta_seed)
         assembly, *scales = _scale_config(core, theta_peri, cfg)
         meta["theta_core_sum"] = float(core.expected_degrees().sum())
-    (meta["c_core"], meta["c_periphery"], meta["rescale_clip_count"],
-     meta["realized_density"]) = scales
-    truth = np.zeros(cfg.n, dtype=bool)
-    truth[:cfg.n_core] = True
-    return GeneratedInstance(assembly=assembly, truth=truth, adjacency_seed=adjacency_seed,
-                             meta=meta)
+    meta["c_core"] = assembly.c_core
+    meta["c_periphery"], meta["rescale_clip_count"], meta["realized_density"] = scales
+    return GeneratedInstance(assembly=assembly, meta=meta)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from corex import cli, synth
 from corex.cli import main
 from corex.coreid import rank_candidates, select_rank_ecv
-from corex.evaluate import eigengap_profile
+from corex.spectral import eigengap_profile
 from corex.synth import DESIGN_FIELDS, SynthConfig, generate_instance, graphon_core
 
 
@@ -151,9 +151,9 @@ def run_import_probe(out, steps):
 def test_scipy_loads_only_for_sparse_solves(tmp_path):
     """`import corex`, `generate` and `diagnose --truth-p` never import
     scipy; `identify` loads `scipy.sparse` on its first CSR matrix.
-    `generate` loads only the modules it runs, the same ones for either
-    periphery type, and `identify` neither the benchmark harness nor the
-    baselines; each in a fresh interpreter."""
+    `generate` and `diagnose --truth-p --sweep` load only the modules they
+    run, the same ones for either periphery type, and `identify` neither
+    the benchmark harness nor the baselines; each in a fresh interpreter."""
     for periphery in ("er", "config"):
         loaded = run_import_probe(tmp_path, periphery)
         for step in ("import", "generate", "diagnose"):
@@ -161,9 +161,42 @@ def test_scipy_loads_only_for_sparse_solves(tmp_path):
         assert loaded["import corex"]["corex"] == ["corex"]
         assert loaded["generate"]["corex"] == ["corex", "corex.cli", "corex.errors",
                                                "corex.graph", "corex.synth"], periphery
+        assert loaded["diagnose"]["corex"] == ["corex", "corex.cli", "corex.errors",
+                                               "corex.graph", "corex.spectral",
+                                               "corex.synth"], periphery
     loaded = run_import_probe(tmp_path, "identify")
     assert "scipy.sparse" in loaded["identify"]["scipy"]
     assert not {"corex.evaluate", "corex.baselines"} & set(loaded["identify"]["corex"])
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function perfbench/traced.py wraps by name is still where it
+    looks, so a move that strands a traced name fails here: each
+    `corex.<layer>.<name>` of its SPANS, `SparseGraph.to_csr`, and the
+    `SparseGraph(g.n, g.adjacency)` rebuild it times as `graph.validate`.
+    The sweep has one home, re-exported where the harness names it."""
+    import importlib.util
+
+    import corex
+    from corex import evaluate, spectral
+    from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for layer, names in traced.SPANS.items():
+        module = importlib.import_module(f"corex.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"corex.{layer}.{name}"
+    assert traced.PEAKS <= {f"{layer}.{name}" for layer, names in traced.SPANS.items()
+                            for name in names}
+    assert evaluate.eigengap_profile is spectral.eigengap_profile is corex.eigengap_profile
+    g = sample_adjacency(ProbabilityMatrix(np.full((6, 6), 0.5) - np.eye(6) * 0.5), 1)
+    assert g.m > 0 and g.to_csr().nnz == 2 * g.m
+    rebuilt = SparseGraph(g.n, g.adjacency)
+    assert np.array_equal(rebuilt.indptr, g.indptr)
+    assert np.array_equal(rebuilt.indices, g.indices)
 
 
 class TestIdentify:

@@ -231,7 +231,7 @@ class TestErSample:
 
     def test_core_edges_match_sample_adjacency(self):
         inst = er_instance(G1, 40, 60, ratio=3.0, density=0.1, seed=2)
-        nc, seed = 40, inst.adjacency_seed
+        nc, seed = 40, inst.meta["adjacency_seed"]
         core = {e for e in edge_set(inst.sample()) if e[1] < nc}
         block = ProbabilityMatrix(inst.assembly.core_block())
         assert core == edge_set(sample_adjacency(block, seed))
@@ -310,7 +310,7 @@ class TestConfigSample:
         inst = config_instance(G1, 40, 60, ratio=3.0, density=0.1, seed=2)
         core = {e for e in edge_set(inst.sample()) if e[1] < 40}
         block = ProbabilityMatrix(inst.assembly.core_block())
-        assert core == edge_set(sample_adjacency(block, inst.adjacency_seed))
+        assert core == edge_set(sample_adjacency(block, inst.meta["adjacency_seed"]))
 
     @pytest.mark.parametrize("norm", [14.0, 10.0], ids=["bound-below-one", "clipped"])
     def test_touching_pairs_are_iid_bernoulli(self, norm):
@@ -368,7 +368,7 @@ class TestConfigSample:
         block = ProbabilityMatrix(inst.assembly.core_block())
         assert g.n == 8 + npr
         assert {e for e in edge_set(g) if e[1] < 8} == edge_set(
-            sample_adjacency(block, inst.adjacency_seed))
+            sample_adjacency(block, inst.meta["adjacency_seed"]))
 
     def test_peak_memory_far_below_dense(self):
         # generating and sampling never build the 8 n^2-byte matrix
