@@ -24,6 +24,7 @@ PAGERANK_TOL = 1e-12  # on the L1 change of one iteration
 PAGERANK_MAX_ITER = 1000
 EIGENVECTOR_TOL = 1e-10  # ARPACK's relative accuracy of each Perron root
 EIGENVECTOR_TIE = 1e-9  # Perron roots this close, relatively, count as shared
+_PRODUCT_BLOCK = 2**22  # stored entries of one row block's product in local_cc_scores
 
 
 def degree_scores(g: SparseGraph) -> np.ndarray:
@@ -91,19 +92,56 @@ def eigenvector_scores(g: SparseGraph) -> np.ndarray:
 
 def local_cc_scores(g: SparseGraph) -> np.ndarray:
     """Local clustering coefficient 2 T_i / (d_i (d_i - 1)); nodes of
-    degree below 2 score 0."""
+    degree below 2 score 0.
+
+    T_i counts each triangle once, over the edges oriented from the lower to
+    the higher (degree, id) rank (Chiba & Nishizeki, SIAM J. Comput. 14, 1985;
+    Latapy, Theor. Comput. Sci. 407, 2008).  In the half adjacency L, which
+    holds each edge in the row of its lower end, (L @ L) masked to L credits a
+    triangle to its lowest and highest corners, and (L.T @ L) masked to L to
+    its middle one.  Neither A @ A nor L @ L.T, whose size grows with the
+    squared in-degree, is formed."""
     n = g.n
-    deg = degrees(g).astype(np.float64)
+    deg = degrees(g)
     values = np.zeros(n)
     if g.m:
-        adj = g.to_csr()
-        # triangles through i = row sums of (A @ A) masked to existing edges, / 2
-        paths = (adj @ adj).multiply(adj)
-        tri = np.asarray(paths.sum(axis=1)).ravel() / 2.0
+        from scipy import sparse
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+        rows = np.repeat(np.arange(n), deg)
+        keep = rank[g.indices] > rank[rows]
+        # the rows stay sorted, so the kept entries are already the CSR of L
+        indptr = np.zeros(n + 1, dtype=g.indptr.dtype)
+        np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+        # integer counts in the index dtype, which holds any degree
+        low = sparse.csr_matrix((np.ones(g.m, dtype=g.indices.dtype), g.indices[keep], indptr),
+                                shape=(n, n))
+        del rank, rows, keep
+        lowest, highest = _masked_product_sums(low, low)
+        middle, _ = _masked_product_sums(low.T.tocsr(), low)
+        tri = lowest + middle + highest
+        deg = deg.astype(np.float64)
         eligible = deg >= 2
         denom = deg * (deg - 1.0)
         values[eligible] = 2.0 * tri[eligible] / denom[eligible]
     return values
+
+
+def _masked_product_sums(left, low) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of (left @ low) masked to the pattern of `low`, a
+    block of rows at a time: each block's product holds about _PRODUCT_BLOCK
+    entries at most, and goes before the next is formed."""
+    n = left.shape[0]
+    # the products summed into each row of left @ low bound its stored entries
+    work = np.cumsum(left @ np.diff(low.indptr).astype(np.int64))
+    cuts = np.searchsorted(work, np.arange(_PRODUCT_BLOCK, work[-1], _PRODUCT_BLOCK))
+    bounds = np.unique(np.concatenate([[0], cuts, [n]])).tolist()
+    row_sums, col_sums = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for a, b in zip(bounds, bounds[1:]):
+        block = (left[a:b] @ low).multiply(low[a:b])
+        row_sums[a:b] = np.asarray(block.sum(axis=1)).ravel()
+        col_sums += np.asarray(block.sum(axis=0)).ravel()
+    return row_sums, col_sums
 
 
 def coreness_scores(g: SparseGraph) -> np.ndarray:

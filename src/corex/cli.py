@@ -1,9 +1,11 @@
 """Command-line front end: generate / identify / bench / diagnose.
 
-Every subcommand writes a run.json echoing all of its flags, resolved
-values in place of raw ones, before any heavy computation starts, and
-all randomness flows from --seed (default 0, never wall-clock), so reruns
-with identical flags are byte-identical.
+Every subcommand checks its flags, and reads and checks the edge list or
+meta.json it is given, before it makes the output directory, so a fault in
+them exits with no output written.  It then writes a run.json echoing all
+of its flags, resolved values in place of raw ones, before any heavy
+computation starts.  All randomness flows from --seed (default 0, never
+wall-clock), so reruns with identical flags are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence or
 infeasibility error, or out of memory.
@@ -120,11 +122,13 @@ def cmd_identify(args) -> int:
     select_method, topk = _parse_select(args.select)
     rank = _parse_rank(args.rank)
     _check_eps(args.eps)
-    os.makedirs(out_dir := args.out_dir, exist_ok=True)
-    _write_run_record(out_dir, args, rank=rank)
     g = load_edge_list(args.input)
     if g.m == 0:
         raise ValidationError("input graph has no edges; nothing to identify")
+    if rank != "auto" and rank >= g.n:
+        raise DomainError(f"--rank {rank} must be below n = {g.n}")
+    os.makedirs(out_dir := args.out_dir, exist_ok=True)
+    _write_run_record(out_dir, args, rank=rank)
     info = {"model": args.model, "rank_requested": args.rank}
     if rank == "auto":
         selection = select_rank_ecv(g, rank_candidates(g.n), seed=args.seed)
@@ -241,6 +245,10 @@ def cmd_diagnose(args) -> int:
             raise DomainError(f"--rank {args.rank} must be below n = {cfg.n}")
         if sizes and cfg.n_core < 4:
             raise DomainError(f"the eigengap sweep needs n_core >= 4, got {cfg.n_core}")
+    else:
+        g = load_edge_list(args.input)
+        if g.n < 2:
+            raise ValidationError("graph too small to diagnose")
     os.makedirs(out_dir := args.out_dir, exist_ok=True)
     _write_run_record(out_dir, args)
     if truth:
@@ -254,9 +262,6 @@ def cmd_diagnose(args) -> int:
                         [f"{rec['n_periphery']},{rec['lambda_1']!r},{rec['gap_3_4']!r},"
                          f"{rec['normalized_gap']!r}\n" for rec in records])
     else:
-        g = load_edge_list(args.input)
-        if g.n < 2:
-            raise ValidationError("graph too small to diagnose")
         r = min(args.rank, g.n - 1)
         dec = truncated_eigs(g, r + 1 if r + 1 < g.n else r, seed=args.seed)
         eigenvalues = [float(v) for v in dec.eigenvalues]

@@ -164,6 +164,7 @@ class ProbabilityMatrix:
 
 
 _ROW_BLOCK = 2**16  # matrix entries per row block where a pass over rows needs temporaries
+_DIGIT = re.compile(rb"[0-9]")
 
 
 def _read_bytes(source) -> bytes:
@@ -237,17 +238,20 @@ def load_edge_list(source) -> SparseGraph:
     data = _read_bytes(source)
     body = re.sub(rb"(?m)^[ \t]*#.*(?:\n|\Z)", b"", data) if b"#" in data else data
     body = body.lstrip(b" \t\n")
-    declared_n = None
+    declared_n, header_end = None, 0
     if body.startswith(b"n"):  # only the header, the first data line, may hold an "n"
-        header, _, body = body.partition(b"\n")
-        count = header[1:].strip(b" \t")
-        if header[1:2] not in (b" ", b"\t") or not count.isdigit():
+        header_end = body.find(b"\n") + 1 or len(body)
+        count = body[1:header_end].strip(b" \t\n")
+        if body[1:2] not in (b" ", b"\t") or not count.isdigit():
             _raise_first_bad_line(data)
         declared_n = int(count)
     pairs = None
     try:
-        if not body.translate(None, b"0123456789 \t\n"):  # any byte left is a fault
-            pairs = (np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2) if body.strip()
+        # checked and parsed in place: any byte left but the header's "n" is a fault
+        if body.translate(None, b"0123456789 \t\n") == (b"n" if header_end else b""):
+            pairs = (np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2,
+                                skiprows=1 if header_end else 0)
+                     if _DIGIT.search(body, header_end)
                      else np.empty((0, 2), dtype=np.int64))
     except ValueError:  # rows of unequal length, or an id beyond int64
         pass

@@ -1,8 +1,8 @@
 """Shared helpers: independent brute-force oracles and small generators.
 
 The oracles here deliberately avoid the library's fast paths (Gram trick,
-bucket peeling, trapezoid AUC) so the tests compare two genuinely
-different routes to the same quantity.
+degree-ordered triangles, bucket peeling, trapezoid AUC) so the tests
+compare two genuinely different routes to the same quantity.
 """
 
 import math
@@ -149,6 +149,20 @@ def dense_eigenvector_centrality(g: SparseGraph) -> np.ndarray:
     top = vecs[:, vals >= vals[-1] - 1e-9 * max(1.0, vals[-1])]
     x = top @ (top.T @ np.ones(g.n))
     return x / np.linalg.norm(x)
+
+
+def local_cc_product(g: SparseGraph) -> np.ndarray:
+    """Local clustering coefficient 2 T_i / (d_i (d_i - 1)) from the whole
+    product A @ A masked to A, whose row sums are twice the triangle counts."""
+    deg = np.diff(g.indptr).astype(np.float64)
+    values = np.zeros(g.n)
+    if g.m:
+        adj = g.to_csr()
+        tri = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel() / 2.0
+        eligible = deg >= 2
+        denom = deg * (deg - 1.0)
+        values[eligible] = 2.0 * tri[eligible] / denom[eligible]
+    return values
 
 
 def brute_force_coreness(g: SparseGraph) -> np.ndarray:

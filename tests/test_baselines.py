@@ -1,13 +1,19 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import brute_force_coreness, dense_eigenvector_centrality, random_graph
+from conftest import (brute_force_coreness, dense_eigenvector_centrality, local_cc_product,
+                      random_graph)
+from corex import baselines
 from corex.baselines import (coreness_scores, degree_scores, eigenvector_scores,
                              local_cc_scores, pagerank_scores)
 from corex.errors import DomainError
 from corex.graph import SparseGraph, load_edge_list
+from corex.synth import SynthConfig, generate_instance, graphon_by_number
 
 # hand-solved star fixed point (fractions 71/148 and 77/444)
 STAR_CENTER = 71 / 148
@@ -135,6 +141,79 @@ class TestLocalCC:
             d = len(nbrs)
             expect = 2 * tri / (d * (d - 1)) if d >= 2 else 0.0
             assert values[i] == pytest.approx(expect, abs=1e-12)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Cliques, stars and random pieces over a few drawn nodes, the rest left
+    isolated: many equal degrees, so the (degree, id) order turns on its ids."""
+    n = draw(st.integers(0, 24))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4)) if n >= 2 else 0):
+        nodes = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=8, unique=True))
+        kind = draw(st.sampled_from(["clique", "star", "random"]))
+        if kind == "clique":
+            pairs += itertools.combinations(nodes, 2)
+        elif kind == "star":
+            pairs += [(nodes[0], v) for v in nodes[1:]]
+        else:
+            pairs += draw(st.lists(st.sampled_from(list(itertools.combinations(nodes, 2))),
+                                   max_size=12))
+    return SparseGraph.from_pairs(n, pairs)
+
+
+def bench_graph(seed: int) -> SparseGraph:
+    """One graph of `corex bench`'s default design point: graphon 1, configuration
+    periphery, degree ratio 3, density 0.02, a balanced 1000/1000 split."""
+    cfg = SynthConfig(n_core=1000, n_periphery=1000, periphery="config", degree_ratio=3.0,
+                      target_density=0.02, seed=seed)
+    return generate_instance(graphon_by_number(1), cfg).sample()
+
+
+@given(tie_heavy_graphs())
+@example(SparseGraph.from_pairs(0, []))
+@example(SparseGraph.from_pairs(1, []))
+@example(SparseGraph.from_pairs(2, []))
+@example(SparseGraph.from_pairs(2, [(0, 1)]))
+def test_local_cc_matches_dense_cube(g):
+    # triangles through i = diag(A^3) / 2, from the dense matrix
+    a = g.to_csr().toarray()
+    tri = np.diag(a @ a @ a) / 2.0
+    deg = a.sum(axis=1)
+    expect = np.zeros(g.n)
+    eligible = deg >= 2
+    denom = deg * (deg - 1.0)
+    expect[eligible] = 2.0 * tri[eligible] / denom[eligible]
+    assert np.array_equal(local_cc_scores(g), expect)
+
+
+class TestLocalCCAtScale:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_design_equals_product(self, seed):
+        g = bench_graph(seed)
+        assert np.array_equal(local_cc_scores(g), local_cc_product(g))
+
+    def test_row_blocks_equal_one_product(self, monkeypatch):
+        g = random_graph(80, 0.3, seed=4)
+        whole = local_cc_scores(g)
+        monkeypatch.setattr(baselines, "_PRODUCT_BLOCK", 40)  # a block of a row or two
+        assert np.array_equal(local_cc_scores(g), whole)
+        assert np.array_equal(whole, local_cc_product(g))
+
+    def test_peak_memory_below_half_the_product(self):
+        # the half adjacency's products in blocks, never the whole A @ A
+        g = bench_graph(1)
+        adj = g.to_csr()
+        square = adj @ adj
+        square_bytes = square.data.nbytes + square.indices.nbytes + square.indptr.nbytes
+        del adj, square
+        tracemalloc.start()
+        try:
+            local_cc_scores(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < square_bytes / 2
 
 
 class TestCoreness:

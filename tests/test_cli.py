@@ -510,7 +510,7 @@ class TestExitCodes:
         (["bench", "--graphon", "1", "--replicates", "0"], True),
         (["diagnose", "--truth-p", "{not_json}"], False),
         (["diagnose", "--truth-p", "{not_object}"], False),
-        (["identify", "--input", "{not_utf8}"], False),
+        (["identify", "--input", "{not_utf8}"], True),
         (["identify", "--input", "{directory}"], True),
         (["diagnose", "--input", "{directory}"], True),
         (["generate", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
@@ -547,14 +547,17 @@ class TestExitCodes:
         (["diagnose", "--input", "{edges}", "--rank", "1", "--sweep", ""], True),
         (["bench", "--graphon", "3", "--n-core", "30", "--n-periphery", "0",
           "--replicates", "1", "--ratios", "1", "--rank", "2"], True),
-        (["identify", "--input", "{n_1e20}", "--rank", "1"], False),
-        (["identify", "--input", "{n_int64_max}", "--rank", "1"], False),
+        (["identify", "--input", "{n_1e20}", "--rank", "1"], True),
+        (["identify", "--input", "{n_int64_max}", "--rank", "1"], True),
         (["diagnose", "--truth-p", "", "--input", "{edges}", "--rank", "1"], True),
         (["diagnose", "--input", "", "--truth-p", "{meta}", "--rank", "1"], True),
         (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
           "--ratios", ""], True),
         (["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
           "--methods", ""], True),
+        (["identify", "--input", "{edges}", "--rank", "3"], True),
+        (["identify", "--input", "{no_edges}", "--rank", "1"], True),
+        (["diagnose", "--input", "{one_node}", "--rank", "1"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
@@ -563,13 +566,15 @@ class TestExitCodes:
             "diagnose-rank-at-n", "sweep-level", "sweep-small-core", "ratios-same-tag",
             "ratios-twice", "sweep-empty", "input-sweep-empty", "bench-no-periphery",
             "n-beyond-int64", "n-int64-max", "truth-p-empty", "input-empty",
-            "ratios-empty", "methods-empty"])
+            "ratios-empty", "methods-empty", "identify-rank-at-n", "identify-no-edges",
+            "diagnose-one-node"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",
                  "edges": tmp_path / "triangle.tsv", "meta": tmp_path / "design.json",
                  "small_meta": tmp_path / "small_design.json",
-                 "n_1e20": tmp_path / "n_1e20.tsv", "n_int64_max": tmp_path / "n_int64_max.tsv"}
+                 "n_1e20": tmp_path / "n_1e20.tsv", "n_int64_max": tmp_path / "n_int64_max.tsv",
+                 "no_edges": tmp_path / "no_edges.tsv", "one_node": tmp_path / "one_node.tsv"}
         design = {"graphon": "table1_g1", "n_core": 20, "n_periphery": 20, "periphery": "er",
                   "target_density": 0.1, "degree_ratio": 2.0, "seed": 0}
         files["meta"].write_text(json.dumps(design))
@@ -578,6 +583,8 @@ class TestExitCodes:
         # node counts whose pair keys overflow int64: refused before any allocation
         files["n_1e20"].write_text("n 99999999999999999999\n0 1\n")
         files["n_int64_max"].write_text(f"n {2**63 - 1}\n0 1\n")
+        files["no_edges"].write_text("n 5\n")
+        files["one_node"].write_text("n 1\n")
         files["not_json"].write_text("n 3\n0 1\n")
         files["not_object"].write_text("3\n")
         files["not_utf8"].write_bytes(b"0 1\n1 \xff2\n")
