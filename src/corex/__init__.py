@@ -20,7 +20,7 @@ _EXPORTS = {
     "baselines": "coreness_scores degree_scores eigenvector_scores local_cc_scores "
                  "pagerank_scores",
     "coreid": "CorePartition RankSelection identify_top_k kmeans_split select_rank_ecv "
-              "threshold_config threshold_er",
+              "threshold",
     "errors": "ConvergenceError CorexError DegenerateError DomainError InfeasibleError "
               "ParseError RangeError ValidationError",
     "evaluate": "RocCurve kcore_points operating_point roc run_experiment",

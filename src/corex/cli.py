@@ -115,7 +115,7 @@ def _check_eps(eps: float) -> None:
 
 def cmd_identify(args) -> int:
     from .coreid import (identify_top_k, kmeans_split, rank_candidates, select_rank_ecv,
-                         threshold_config, threshold_er, write_partition_csv)
+                         threshold, write_partition_csv)
     from .spectral import config_scores, er_scores, truncated_eigs, write_scores_csv
     if not os.path.isfile(args.input):
         raise ValidationError(f"input file not found: {args.input}")
@@ -149,10 +149,7 @@ def cmd_identify(args) -> int:
     if select_method == "topk":
         partition = identify_top_k(scores, topk)
     elif select_method == "threshold":
-        if args.model == "er":
-            partition = threshold_er(scores, p_hat, g.n, eps=args.eps)
-        else:
-            partition = threshold_config(scores, p_hat, g.n, eps=args.eps)
+        partition = threshold(scores, p_hat, eps=args.eps)
     else:
         partition = kmeans_split(scores)
     info["cutoff"] = partition.cutoff
@@ -249,6 +246,8 @@ def cmd_diagnose(args) -> int:
         g = load_edge_list(args.input)
         if g.n < 2:
             raise ValidationError("graph too small to diagnose")
+        if args.rank >= g.n:
+            raise DomainError(f"--rank {args.rank} must be below n = {g.n}")
     os.makedirs(out_dir := args.out_dir, exist_ok=True)
     _write_run_record(out_dir, args)
     if truth:
@@ -262,7 +261,7 @@ def cmd_diagnose(args) -> int:
                         [f"{rec['n_periphery']},{rec['lambda_1']!r},{rec['gap_3_4']!r},"
                          f"{rec['normalized_gap']!r}\n" for rec in records])
     else:
-        r = min(args.rank, g.n - 1)
+        r = args.rank
         dec = truncated_eigs(g, r + 1 if r + 1 < g.n else r, seed=args.seed)
         eigenvalues = [float(v) for v in dec.eigenvalues]
         gap_r = (abs(eigenvalues[r - 1]) - abs(eigenvalues[r])

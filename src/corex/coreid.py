@@ -1,10 +1,10 @@
 """Turning scores into a core/periphery partition and picking the rank.
 
-Selection rules: fixed-size top-k, the two theoretical score thresholds,
-and 2-means on log scores.  The approximating rank is chosen by
-edge-sampling cross-validation (hold out a share of the edges, refit the
-low-rank estimate, compare it with the held-out edges and with a
-reweighted sample of non-edges).
+Selection rules: fixed-size top-k, the theoretical score threshold of the
+scores' periphery model, and 2-means on log scores.  The approximating
+rank is chosen by edge-sampling cross-validation (hold out a share of the
+edges, refit the low-rank estimate, compare it with the held-out edges
+and with a reweighted sample of non-edges).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ __all__ = [
     "CorePartition",
     "RankSelection",
     "identify_top_k",
-    "threshold_er",
-    "threshold_config",
+    "threshold",
     "kmeans_split",
     "rank_candidates",
     "select_rank_ecv",
@@ -39,19 +38,14 @@ _ECV_PAIR_BLOCK = 1 << 15  # pairs scored at once: bounds the (pairs x rank) tem
 
 @dataclass(frozen=True)
 class CorePartition:
-    """Boolean core labels plus how they were selected."""
+    """Boolean core labels plus the score cutoff that selected them."""
 
     labels: np.ndarray  # (n,) bool, True = core
-    selection_method: str  # "topk" | "threshold" | "kmeans"
-    cutoff: float | None = None  # score threshold actually applied
+    cutoff: float | None = None  # score threshold applied; None for top-k
 
     @property
     def n_core(self) -> int:
         return int(np.count_nonzero(self.labels))
-
-    def __post_init__(self):
-        if (self.cutoff is None) != (self.selection_method == "topk"):
-            raise DomainError("cutoff present iff selection is not topk")
 
 
 @dataclass(frozen=True)
@@ -75,16 +69,10 @@ class RankSelection:
         }
 
 
-def _score_values(scores) -> np.ndarray:
-    if isinstance(scores, CoreScores):
-        return np.asarray(scores.values, dtype=np.float64)
-    return np.asarray(scores, dtype=np.float64)
-
-
-def identify_top_k(scores, n_core: int) -> CorePartition:
+def identify_top_k(scores: CoreScores, n_core: int) -> CorePartition:
     """Label the n_core largest scores as core; boundary ties go to the
     smaller node index."""
-    values = _score_values(scores)
+    values = scores.values
     n = values.size
     if not 0 <= n_core <= n:
         raise DomainError(f"n_core={n_core} out of range 0..{n}")
@@ -92,39 +80,26 @@ def identify_top_k(scores, n_core: int) -> CorePartition:
     # stable argsort on -values: equal scores keep ascending index order
     order = np.argsort(-values, kind="stable")
     labels[order[:n_core]] = True
-    return CorePartition(labels=labels, selection_method="topk")
+    return CorePartition(labels=labels)
 
 
-def _threshold(scores, model: str, p_hat: float, n: int, eps: float,
-               cutoff_of) -> CorePartition:
-    """Core = nodes scoring above cutoff_of(), once the arguments check out."""
-    if isinstance(scores, CoreScores) and scores.model != model:
-        raise DomainError(f"scores carry model {scores.model!r}, expected {model!r}")
-    values = _score_values(scores)
-    if values.size != n:
-        raise DomainError("n does not match score vector length")
+def threshold(scores: CoreScores, p_hat: float, eps: float = 0.01) -> CorePartition:
+    """Core = nodes scoring above the cutoff of the scores' periphery model,
+    where n = len(scores): sqrt(p_hat^(1-eps) * ln n) for ER-type, and
+    sqrt(ln n) / (n * sqrt(p_hat^(1+eps))) for configuration-type."""
     if not 0.0 < p_hat <= 1.0:
         raise DomainError("p_hat must lie in (0, 1]")
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    cutoff = cutoff_of()
-    labels = values > cutoff
-    return CorePartition(labels=labels, selection_method="threshold", cutoff=cutoff)
+    n = scores.values.size
+    if scores.model == "er":
+        cutoff = math.sqrt(p_hat ** (1.0 - eps) * math.log(n))
+    else:
+        cutoff = math.sqrt(math.log(n)) / (n * math.sqrt(p_hat ** (1.0 + eps)))
+    return CorePartition(labels=scores.values > cutoff, cutoff=cutoff)
 
 
-def threshold_er(scores, p_hat: float, n: int, eps: float = 0.01) -> CorePartition:
-    """Core = nodes with score above sqrt(p_hat^(1-eps) * ln n)."""
-    return _threshold(scores, "er", p_hat, n, eps,
-                      lambda: math.sqrt(p_hat ** (1.0 - eps) * math.log(n)))
-
-
-def threshold_config(scores, p_hat: float, n: int, eps: float = 0.01) -> CorePartition:
-    """Core = nodes with score above sqrt(ln n) / (n * sqrt(p_hat^(1+eps)))."""
-    return _threshold(scores, "config", p_hat, n, eps,
-                      lambda: math.sqrt(math.log(n)) / (n * math.sqrt(p_hat ** (1.0 + eps))))
-
-
-def kmeans_split(scores) -> CorePartition:
+def kmeans_split(scores: CoreScores) -> CorePartition:
     """2-means on log scores; the cluster with the larger centroid is core.
 
     Scores at or below KMEANS_FLOOR (isolated nodes score 0) carry no log
@@ -134,7 +109,7 @@ def kmeans_split(scores) -> CorePartition:
     sorted values is scanned and the within-cluster sum of squares
     minimized, so there is no initialization sensitivity.
     """
-    values = _score_values(scores)
+    values = scores.values
     n = values.size
     if n < 2:
         raise DomainError("kmeans split needs at least 2 scores")
@@ -156,8 +131,7 @@ def kmeans_split(scores) -> CorePartition:
     cost[x[1:] == x[:-1]] = np.inf  # equal values cannot straddle a 2-means boundary
     cut_value = x[int(np.argmin(cost)) + 1]  # smallest log score in the core cluster
     labels = logv >= cut_value
-    return CorePartition(labels=labels, selection_method="kmeans",
-                         cutoff=float(math.exp(cut_value)))
+    return CorePartition(labels=labels, cutoff=float(math.exp(cut_value)))
 
 
 def _edge_split(g: SparseGraph, edges: np.ndarray, keys: np.ndarray, rng):
@@ -260,8 +234,8 @@ def select_rank_ecv(g: SparseGraph, candidates, seed: int = 0) -> RankSelection:
                          fold_non_edges=tuple(non_edge_counts))
 
 
-def write_partition_csv(path, partition: CorePartition, scores) -> None:
-    values = _score_values(scores)
+def write_partition_csv(path, partition: CorePartition, scores: CoreScores) -> None:
+    values = np.asarray(scores.values, dtype=np.float64)
     if values.size != partition.labels.size:
         raise DomainError("scores and partition length mismatch")
     flags = partition.labels.astype(np.uint8).tolist()

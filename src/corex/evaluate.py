@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines as bl
-from .coreid import (CorePartition, kmeans_split, rank_candidates, select_rank_ecv,
-                     threshold_config, threshold_er)
+from .coreid import CorePartition, kmeans_split, rank_candidates, select_rank_ecv, threshold
 from .errors import DegenerateError, DomainError
 from .graph import _write_rows, average_density, degrees
 from .spectral import config_scores, eigengap_profile, er_scores, truncated_eigs
@@ -198,17 +197,14 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
         result.truth_vectors.append(truth)
         for method in methods:
             if method in PROPOSED_METHODS:
-                model = method.removeprefix("proposed_")
-                if model == "er":
-                    scores, threshold = er_scores(dec), threshold_er
-                else:
-                    scores, threshold = config_scores(dec, degrees(g)), threshold_config
+                scores = (er_scores(dec) if method == "proposed_er"
+                          else config_scores(dec, degrees(g)))
                 values = scores.values
-                result.operating_points.setdefault(f"threshold_{model}", []).append(
-                    operating_point(threshold(scores, p_hat, g.n, eps=eps), truth))
+                result.operating_points.setdefault(f"threshold_{scores.model}", []).append(
+                    operating_point(threshold(scores, p_hat, eps=eps), truth))
                 try:
                     km = kmeans_split(scores)
-                    result.operating_points.setdefault(f"kmeans_{model}", []).append(
+                    result.operating_points.setdefault(f"kmeans_{scores.model}", []).append(
                         operating_point(km, truth))
                 except DegenerateError:
                     pass

@@ -74,8 +74,12 @@ class CoreScores:
     """Per-node core scores plus provenance."""
 
     values: np.ndarray
-    model: str  # "er" or "config"
+    model: str  # "er" or "config": the periphery model, which picks the threshold
     excluded: tuple = field(default_factory=tuple)  # zero-degree nodes (config)
+
+    def __post_init__(self):
+        if self.model not in ("er", "config"):
+            raise DomainError(f"unknown model {self.model!r}")
 
 
 def _residual(mat, vals: np.ndarray, vecs: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from conftest import (brute_force_coreness, dense_config_scores,
                       dense_er_scores, mann_whitney_auc, random_graph,
                       random_orthonormal)
 from corex.cli import main as cli_main
-from corex.coreid import identify_top_k, select_rank_ecv, threshold_config, threshold_er
+from corex.coreid import identify_top_k, select_rank_ecv, threshold
 from corex.evaluate import _replicate_seed, eigengap_profile, roc, run_experiment
 from corex.graph import (ProbabilityMatrix, average_density, degrees,
                          load_edge_list, sample_adjacency)
@@ -85,7 +85,6 @@ def noiseless_signal(inst, rank, model):
         rank-r truncation of P itself, recover the core exactly.
     """
     p, truth = inst.p, inst.truth
-    n = p.n
     pbar = p.off_diagonal_mean()
     vals, vecs = magnitude_sorted(*np.linalg.eigh(p.entries))
     dec = SpectralDecomposition(vals[:rank], vecs[:, :rank])
@@ -96,11 +95,9 @@ def noiseless_signal(inst, rank, model):
         peri = np.nonzero(~truth)[0]
         alt = np.full_like(rows, p.entries[peri[0], peri[1]])
         scores = er_scores(dec)
-        thr = threshold_er(scores, pbar, n)
     else:
         alt = np.outer(deg[core_idx], deg) / deg.sum()
         scores = config_scores(dec, deg)
-        thr = threshold_config(scores, pbar, n)
     affinity = np.sqrt(rows * alt) + np.sqrt((1.0 - rows) * (1.0 - alt))
     affinity[np.arange(core_idx.size), core_idx] = 1.0  # no self-loops
     distance = -np.log(affinity).sum(axis=1)
@@ -109,7 +106,7 @@ def noiseless_signal(inst, rank, model):
         "oracle": float(np.exp(-distance).sum()),
         "topk": bool(np.array_equal(identify_top_k(scores, int(truth.sum())).labels,
                                     truth)),
-        "threshold": bool(np.array_equal(thr.labels, truth)),
+        "threshold": bool(np.array_equal(threshold(scores, pbar).labels, truth)),
     }
 
 
@@ -207,8 +204,7 @@ def test_criterion_04_threshold_selection():
             f"exact recovery: {sig}")
         t0 = time.time()
         g = inst.sample()
-        part = threshold_er(er_scores(truncated_eigs(g, 6, seed=s)),
-                            average_density(g), g.n)
+        part = threshold(er_scores(truncated_eigs(g, 6, seed=s)), average_density(g))
         elapsed += time.time() - t0
         er_nhats.append(part.n_core)
         er_hits += int(part.n_core == cfg_er.n_core)
@@ -223,9 +219,8 @@ def test_criterion_04_threshold_selection():
         cfg_sigs.append(noiseless_signal(inst, 6, "config"))
         t0 = time.time()
         g = inst.sample()
-        part = threshold_config(
-            config_scores(truncated_eigs(g, 6, seed=s), degrees(g)),
-            average_density(g), g.n)
+        part = threshold(config_scores(truncated_eigs(g, 6, seed=s), degrees(g)),
+                         average_density(g))
         elapsed += time.time() - t0
         cfg_nhats.append(part.n_core)
         cfg_hits += int(part.n_core == cfg_cf.n_core)

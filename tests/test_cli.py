@@ -508,8 +508,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, bad_args", [
         (["bench", "--graphon", "1", "--ratios", "1,,2"], True),
         (["bench", "--graphon", "1", "--replicates", "0"], True),
-        (["diagnose", "--truth-p", "{not_json}"], False),
-        (["diagnose", "--truth-p", "{not_object}"], False),
+        (["diagnose", "--truth-p", "{not_json}"], True),
+        (["diagnose", "--truth-p", "{not_object}"], True),
         (["identify", "--input", "{not_utf8}"], True),
         (["identify", "--input", "{directory}"], True),
         (["diagnose", "--input", "{directory}"], True),
@@ -558,6 +558,7 @@ class TestExitCodes:
         (["identify", "--input", "{edges}", "--rank", "3"], True),
         (["identify", "--input", "{no_edges}", "--rank", "1"], True),
         (["diagnose", "--input", "{one_node}", "--rank", "1"], True),
+        (["diagnose", "--input", "{edges}", "--rank", "3"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
@@ -567,7 +568,7 @@ class TestExitCodes:
             "ratios-twice", "sweep-empty", "input-sweep-empty", "bench-no-periphery",
             "n-beyond-int64", "n-int64-max", "truth-p-empty", "input-empty",
             "ratios-empty", "methods-empty", "identify-rank-at-n", "identify-no-edges",
-            "diagnose-one-node"])
+            "diagnose-one-node", "diagnose-input-rank-at-n"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import kmeans_split_loop, random_graph
 from corex.coreid import (KMEANS_FLOOR, CorePartition, RankSelection, _edge_split, _fold_losses,
                           identify_top_k, kmeans_split, rank_candidates, select_rank_ecv,
-                          threshold_config, threshold_er, write_partition_csv)
+                          threshold, write_partition_csv)
 from corex.errors import DegenerateError, DomainError
 from corex.evaluate import RocCurve, write_roc_csv
 from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
@@ -33,7 +33,7 @@ class TestTopK:
     def test_basic(self):
         part = identify_top_k(er([3.0, 1.0, 2.0]), 2)
         assert set(np.nonzero(part.labels)[0]) == {0, 2}
-        assert part.selection_method == "topk" and part.cutoff is None
+        assert part.cutoff is None
 
     def test_zero_core(self):
         part = identify_top_k(er([1.0, 2.0]), 0)
@@ -68,65 +68,77 @@ class TestTopK:
         assert part.n_core == n_core == int(part.labels.sum())
 
 
-class TestThresholdEr:
+class ThresholdCases:
+    """Cases shared by both periphery models; each subclass names its
+    model's scores (`make`) and its frozen cutoff at n = 100, p_hat = 0.04."""
+
     def test_frozen_cutoff(self):
-        part = threshold_er(er(np.zeros(100)), p_hat=0.04, n=100, eps=0.01)
-        assert part.cutoff == pytest.approx(ER_CUTOFF_N100_P004, rel=1e-12)
+        part = threshold(self.make(np.zeros(100)), p_hat=0.04, eps=0.01)
+        assert part.cutoff == pytest.approx(self.frozen, rel=1e-12)
 
     def test_all_zero_scores_empty_core(self):
-        part = threshold_er(er(np.zeros(10)), p_hat=0.5, n=10)
+        part = threshold(self.make(np.zeros(10)), p_hat=0.5)
         assert part.n_core == 0
+
+    def test_zero_phat_rejected(self):
+        with pytest.raises(DomainError):
+            threshold(self.make(np.ones(5)), p_hat=0.0)
+
+    @pytest.mark.parametrize("p_hat, eps", [(1.5, 0.01), (0.5, 0.0), (0.5, 1.0)])
+    def test_out_of_range_rejected(self, p_hat, eps):
+        with pytest.raises(DomainError):
+            threshold(self.make(np.ones(5)), p_hat=p_hat, eps=eps)
+
+    def test_raising_eps_never_adds_core_nodes(self):
+        rng = np.random.default_rng(1)
+        scores = self.make(rng.random(200))
+        p_hat = 0.3  # < 1, so both models' cutoffs grow with eps
+        small = threshold(scores, p_hat, eps=0.01)
+        large = threshold(scores, p_hat, eps=0.2)
+        assert large.cutoff > small.cutoff
+        assert set(np.nonzero(large.labels)[0]) <= set(np.nonzero(small.labels)[0])
+
+    def test_respects_score_order(self):
+        rng = np.random.default_rng(2)
+        values = rng.random(100) * 3
+        part = threshold(self.make(values), 0.2)
+        if part.n_core and part.n_core < 100:
+            assert values[part.labels].min() > values[~part.labels].max()
+
+    def test_n_is_the_score_count(self):
+        # the cutoff sees the scores only through their count
+        a = threshold(self.make(np.zeros(100)), 0.04).cutoff
+        b = threshold(self.make(np.full(100, 7.0)), 0.04).cutoff
+        c = threshold(self.make(np.zeros(101)), 0.04).cutoff
+        assert a == b != c
+
+
+class TestThresholdEr(ThresholdCases):
+    make, frozen = staticmethod(er), ER_CUTOFF_N100_P004
 
     def test_phat_one(self):
         n = 50
         cutoff = np.sqrt(np.log(n))
         values = np.full(n, 0.1)
         values[:3] = cutoff + 0.5
-        part = threshold_er(er(values), p_hat=1.0, n=n, eps=0.3)
+        part = threshold(er(values), p_hat=1.0, eps=0.3)
         assert part.cutoff == pytest.approx(cutoff, rel=1e-12)
         assert part.n_core == 3
 
-    def test_zero_phat_rejected(self):
-        with pytest.raises(DomainError):
-            threshold_er(er(np.ones(5)), p_hat=0.0, n=5)
 
-    def test_model_tag_enforced(self):
-        with pytest.raises(DomainError):
-            threshold_er(cfg(np.ones(5)), p_hat=0.5, n=5)
-
-    def test_raising_eps_never_adds_core_nodes(self):
-        rng = np.random.default_rng(1)
-        values = rng.random(200)
-        p_hat = 0.3  # < 1, cutoff grows with eps
-        small = threshold_er(er(values), p_hat, 200, eps=0.01)
-        large = threshold_er(er(values), p_hat, 200, eps=0.2)
-        assert set(np.nonzero(large.labels)[0]) <= set(np.nonzero(small.labels)[0])
-
-    def test_respects_score_order(self):
-        rng = np.random.default_rng(2)
-        values = rng.random(100) * 3
-        part = threshold_er(er(values), 0.2, 100)
-        if part.n_core and part.n_core < 100:
-            assert values[part.labels].min() > values[~part.labels].max()
-
-
-class TestThresholdConfig:
-    def test_frozen_cutoff(self):
-        part = threshold_config(cfg(np.zeros(100)), p_hat=0.04, n=100, eps=0.01)
-        assert part.cutoff == pytest.approx(CONFIG_CUTOFF_N100_P004, rel=1e-12)
-
-    def test_all_zero_scores_empty_core(self):
-        part = threshold_config(cfg(np.zeros(10)), p_hat=0.5, n=10)
-        assert part.n_core == 0
+class TestThresholdConfig(ThresholdCases):
+    make, frozen = staticmethod(cfg), CONFIG_CUTOFF_N100_P004
 
     def test_cutoff_decreases_in_n(self):
-        c1 = threshold_config(cfg(np.zeros(100)), 0.1, 100).cutoff
-        c2 = threshold_config(cfg(np.zeros(200)), 0.1, 200).cutoff
+        c1 = threshold(cfg(np.zeros(100)), 0.1).cutoff
+        c2 = threshold(cfg(np.zeros(200)), 0.1).cutoff
         assert c2 < c1
 
-    def test_zero_phat_rejected(self):
-        with pytest.raises(DomainError):
-            threshold_config(cfg(np.ones(5)), p_hat=0.0, n=5)
+
+def test_scores_refuse_an_unknown_model():
+    # the model picks the threshold's cutoff, so only the two defined models exist
+    with pytest.raises(DomainError, match="unknown model 'bogus'"):
+        CoreScores(np.ones(5), "bogus")
 
 
 class TestKmeansSplit:
@@ -497,7 +509,7 @@ class TestCsvWriters:
         write_scores_csv(tmp_path / "a.csv", scores)
         reference_scores_csv(tmp_path / "b.csv", values)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        part = CorePartition(labels=labels, selection_method="kmeans", cutoff=0.5)
+        part = CorePartition(labels=labels, cutoff=0.5)
         write_partition_csv(tmp_path / "c.csv", part, scores)
         reference_partition_csv(tmp_path / "d.csv", labels, values)
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,13 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import dense_er, mann_whitney_auc, random_graph
 from corex.baselines import coreness_scores
-from corex.coreid import identify_top_k, threshold_er
+from corex.coreid import identify_top_k, threshold
 from corex.errors import DomainError
-from corex.evaluate import (eigengap_profile, kcore_points, operating_point,
+from corex.evaluate import (_replicate_seed, eigengap_profile, kcore_points, operating_point,
                             roc, run_experiment)
-from corex.graph import ProbabilityMatrix, load_edge_list
-from corex.spectral import CoreScores
-from corex.synth import SynthConfig, graphon_by_number
+from corex.graph import ProbabilityMatrix, average_density, degrees, load_edge_list
+from corex.spectral import CoreScores, config_scores, er_scores, truncated_eigs
+from corex.synth import SynthConfig, generate_instance, graphon_by_number
 
 
 class TestRoc:
@@ -81,17 +83,17 @@ class TestRoc:
 class TestOperatingPoint:
     def test_perfect(self):
         truth = np.array([True, True, False, False])
-        part = identify_top_k(np.array([3.0, 2.0, 1.0, 0.5]), 2)
+        part = identify_top_k(CoreScores(np.array([3.0, 2.0, 1.0, 0.5]), "er"), 2)
         assert operating_point(part, truth) == (0.0, 1.0)
 
     def test_all_core(self):
         truth = np.array([True, False, False])
-        part = identify_top_k(np.array([1.0, 2.0, 3.0]), 3)
+        part = identify_top_k(CoreScores(np.array([1.0, 2.0, 3.0]), "er"), 3)
         assert operating_point(part, truth) == (1.0, 1.0)
 
     def test_empty_core(self):
         truth = np.array([True, False])
-        part = identify_top_k(np.array([1.0, 2.0]), 0)
+        part = identify_top_k(CoreScores(np.array([1.0, 2.0]), "er"), 0)
         assert operating_point(part, truth) == (0.0, 0.0)
 
     def test_point_under_own_roc_envelope(self):
@@ -102,7 +104,7 @@ class TestOperatingPoint:
         curve = roc(values, truth)
         scores = CoreScores(values=values, model="er")
         for eps in (0.05, 0.2, 0.5):
-            part = threshold_er(scores, p_hat=0.4, n=100, eps=eps)
+            part = threshold(scores, p_hat=0.4, eps=eps)
             fpr, tpr = operating_point(part, truth)
             envelope = np.interp(fpr, curve.points[:, 0], curve.points[:, 1])
             assert tpr <= envelope + 1e-12
@@ -258,6 +260,27 @@ class TestRunExperiment:
         assert set(payload["auc"]) == {"proposed_config", "kcore"}
         assert len(payload["auc"]["kcore"]["values"]) == 2
         assert "threshold_config" in payload["operating_points"]
+
+    def test_threshold_points_follow_the_scores_model(self):
+        # replicate 0 rebuilt by hand: each model's threshold point is keyed by
+        # the model its scores carry
+        cfg = SynthConfig(n_core=60, n_periphery=90, periphery="config",
+                          degree_ratio=2.0, target_density=0.1, seed=4)
+        g1 = graphon_by_number(1)
+        result = run_experiment(g1, cfg, methods=("proposed_er", "proposed_config"),
+                                replicates=1, rank=3, eps=0.05)
+        points = result.summary_dict()["operating_points"]
+        seed = _replicate_seed(cfg.seed, 0)
+        instance = generate_instance(g1, replace(cfg, seed=seed))
+        g = instance.sample()
+        dec = truncated_eigs(g, 3, seed=seed)
+        expected = {
+            scores.model: list(operating_point(threshold(scores, average_density(g), eps=0.05),
+                                               instance.truth))
+            for scores in (er_scores(dec), config_scores(dec, degrees(g)))}
+        assert expected["er"] != expected["config"]
+        assert points["threshold_er"] == [expected["er"]]
+        assert points["threshold_config"] == [expected["config"]]
 
     def test_unknown_method_rejected(self):
         cfg = SynthConfig(n_core=10, n_periphery=10, periphery="er",
