@@ -127,6 +127,8 @@ def cmd_identify(args) -> int:
         raise ValidationError("input graph has no edges; nothing to identify")
     if rank != "auto" and rank >= g.n:
         raise DomainError(f"--rank {rank} must be below n = {g.n}")
+    if select_method == "topk" and topk > g.n:
+        raise DomainError(f"--select topk:{topk} must not exceed n = {g.n}")
     os.makedirs(out_dir := args.out_dir, exist_ok=True)
     _write_run_record(out_dir, args, rank=rank)
     info = {"model": args.model, "rank_requested": args.rank}
@@ -252,7 +254,7 @@ def cmd_diagnose(args) -> int:
     _write_run_record(out_dir, args)
     if truth:
         instance = generate_instance(graphon, cfg, er_level=er_level)
-        report = diagnostics(instance.assembly, args.rank, core_labels=instance.truth)
+        report = diagnostics(instance.assembly, args.rank)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes is not None:
             records = eigengap_profile(instance.assembly.core, sizes, args.periphery_level)

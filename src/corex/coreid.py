@@ -92,6 +92,8 @@ def threshold(scores: CoreScores, p_hat: float, eps: float = 0.01) -> CorePartit
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     n = scores.values.size
+    if n == 0:
+        raise DomainError("threshold needs at least one score")
     if scores.model == "er":
         cutoff = math.sqrt(p_hat ** (1.0 - eps) * math.log(n))
     else:

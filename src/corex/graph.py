@@ -79,6 +79,8 @@ class SparseGraph:
     def from_pairs(cls, n: int, pairs) -> "SparseGraph":
         """Build from an (k, 2) array or an iterable of (i, j) pairs;
         duplicates and reversed copies are merged, self-loops rejected."""
+        if n < 0:
+            raise ValidationError("node count must be nonnegative")
         if n > MAX_NODES:
             raise RangeError(f"node count {n} is above {MAX_NODES}: pair keys i * n + j would "
                              "overflow int64")

@@ -207,8 +207,8 @@ class DiagnosticReport:
     """Signal-strength quantities of a known probability matrix."""
 
     p_star: float
-    h_n: float | None
-    h_prime_n: float | None
+    h_n: float
+    h_prime_n: float | None  # None when a core node has expected degree 0
     eigenvalues: np.ndarray  # all n, decreasing magnitude
     gap_r: float
 
@@ -344,37 +344,22 @@ def _er_diagnostics(assembly):
     return eigvals, p_star, _min_centered_row_norm(core, npr, level), h_prime_n
 
 
-def diagnostics(p, r: int, core_labels=None) -> DiagnosticReport:
-    """Exact diagnostics: max entry, minimum core scores under both models
-    (absent without core labels or with an empty core), the full
-    magnitude-sorted spectrum, and the magnitude gap after rank r.
-
-    p is a dense ProbabilityMatrix, which takes a dense eigvalsh; a
-    configuration-type assembly (synth.ConfigAssembly), which is filled
-    and takes the same path; or an ER-type assembly (synth.ErAssembly),
-    whose core is its first n_core nodes, so it always has core scores,
-    and whose diagnostics come from its core block alone (see
-    _er_diagnostics).
-    """
-    if core_labels is not None:
-        core_labels = np.asarray(core_labels, dtype=bool)
-        if core_labels.shape != (p.n,):
-            raise DomainError("core label length must match matrix")
-    if not 1 <= r < p.n:
-        raise DomainError(f"rank r={r} must satisfy 1 <= r < n={p.n}")
-    if isinstance(p, ConfigAssembly):
-        p = p.dense()
-    if isinstance(p, ProbabilityMatrix):
-        eigvals = np.linalg.eigvalsh(p.entries)
-        p_star, h_n, h_prime_n = float(p.entries.max()), None, None
-        if core_labels is not None and core_labels.any():
-            h_n = float(scores_from_truth(p, "er").values[core_labels].min())
-            if np.all(p.expected_degrees() > 0):
-                h_prime_n = float(scores_from_truth(p, "config").values[core_labels].min())
-    elif core_labels is None or np.array_equal(core_labels, np.arange(p.n) < p.core.n):
-        eigvals, p_star, h_n, h_prime_n = _er_diagnostics(p)
+def diagnostics(assembly, r: int) -> DiagnosticReport:
+    """Exact diagnostics of a generated matrix, whose core is its first
+    `core.n` nodes: max entry, minimum core scores under both models, the
+    full magnitude-sorted spectrum, and the magnitude gap after rank r.
+    A synth.ConfigAssembly is filled and takes a dense eigvalsh; a
+    synth.ErAssembly reads its core block alone (see _er_diagnostics)."""
+    if not 1 <= r < assembly.n:
+        raise DomainError(f"rank r={r} must satisfy 1 <= r < n={assembly.n}")
+    if isinstance(assembly, ConfigAssembly):
+        p, nc = assembly.dense(), assembly.core.n
+        eigvals, p_star, h_prime_n = np.linalg.eigvalsh(p.entries), float(p.entries.max()), None
+        h_n = float(scores_from_truth(p, "er").values[:nc].min())
+        if np.all(p.expected_degrees() > 0):
+            h_prime_n = float(scores_from_truth(p, "config").values[:nc].min())
     else:
-        raise DomainError("an ER assembly's core is its first n_core nodes")
+        eigvals, p_star, h_n, h_prime_n = _er_diagnostics(assembly)
     eigvals = eigvals[np.lexsort((-eigvals, -np.abs(eigvals)))]
     return DiagnosticReport(p_star=p_star, h_n=h_n, h_prime_n=h_prime_n, eigenvalues=eigvals,
                             gap_r=float(np.abs(eigvals[r - 1]) - np.abs(eigvals[r])))

@@ -11,7 +11,6 @@ periphery second.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -272,6 +271,15 @@ class _Assembly:
         del chunks  # the draws go before from_pairs makes its copies
         return SparseGraph.from_pairs(self.n, pairs)
 
+    def dense(self) -> ProbabilityMatrix:
+        """The n x n matrix: `touching_p` of every pair, then the core block
+        over the top-left corner and a zero diagonal."""
+        nodes = np.arange(self.n)
+        p = self.touching_p(nodes[:, np.newaxis], nodes)
+        self.core_block(out=p[:self.core.n, :self.core.n])
+        np.fill_diagonal(p, 0.0)
+        return ProbabilityMatrix(p)
+
 
 @dataclass(frozen=True)
 class ErAssembly(_Assembly):
@@ -288,13 +296,7 @@ class ErAssembly(_Assembly):
         return self.level
 
     def touching_p(self, i, j) -> np.ndarray:
-        return np.full(i.size, self.level)
-
-    def dense(self) -> ProbabilityMatrix:
-        p = np.full((self.n, self.n), self.level)
-        self.core_block(out=p[:self.core.n, :self.core.n])
-        np.fill_diagonal(p, 0.0)
-        return ProbabilityMatrix(p)
+        return np.full(np.broadcast_shapes(i.shape, j.shape), self.level)
 
 
 @dataclass(frozen=True)
@@ -318,15 +320,9 @@ class ConfigAssembly(_Assembly):
         return min(product / self.norm, 1.0)
 
     def touching_p(self, i, j) -> np.ndarray:
-        return np.minimum(self.theta[i] * self.theta[j] / self.norm, 1.0)
-
-    def dense(self) -> ProbabilityMatrix:
-        p = np.outer(self.theta, self.theta)
+        p = self.theta[i] * self.theta[j]  # one array of the broadcast shape, then in place
         p /= self.norm
-        self.core_block(out=p[:self.core.n, :self.core.n])
-        np.fill_diagonal(p, 0.0)
-        np.minimum(p, 1.0, out=p)
-        return ProbabilityMatrix(p)
+        return np.minimum(p, 1.0, out=p)
 
 
 def _core_block_stats(core: ProbabilityMatrix, c_core: float) -> tuple[int, float]:
@@ -347,7 +343,7 @@ def _touching_stats(theta: np.ndarray, n_core: int, norm: float) -> tuple[int, f
 
     Row i's entries above 1 are those of its largest periphery weights.
     Bisection over the sorted periphery weights finds where they start with
-    the same floating expression as ConfigAssembly.dense, which is monotone
+    the same floating expression as ConfigAssembly.touching_p, which is monotone
     in the weight, so the count equals the dense count exactly."""
     peri = np.sort(theta[n_core:])
     npr = peri.size
@@ -475,9 +471,10 @@ def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthC
 class GeneratedInstance:
     """A fully assembled design point ready for sampling.
 
-    `assembly` is the probability matrix kept as its parts: an ErAssembly
-    or a ConfigAssembly.  `sample` draws the instance's adjacency without
-    the n x n matrix; `p`, the dense matrix, serves tests and dense oracles."""
+    `assembly` is the probability matrix kept as its parts, and its one
+    description: an ErAssembly or a ConfigAssembly, core first.  `sample`
+    draws the instance's adjacency without the n x n matrix;
+    `assembly.dense()` fills that matrix for tests and dense oracles."""
 
     assembly: ErAssembly | ConfigAssembly
     meta: dict = field(default_factory=dict)
@@ -486,11 +483,6 @@ class GeneratedInstance:
     def truth(self) -> np.ndarray:
         """bool, True = core: the assembly puts its core first."""
         return np.arange(self.assembly.n) < self.assembly.core.n
-
-    @cached_property
-    def p(self) -> ProbabilityMatrix:
-        """The dense n x n matrix, filled on first use."""
-        return self.assembly.dense()
 
     def sample(self) -> SparseGraph:
         """The adjacency drawn from meta["adjacency_seed"]."""
@@ -515,7 +507,7 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
     by c_periphery / c_core relative to the core weights; that factor is
     set by the degree ratio, so the final periphery weights are not
     confined to (0.5 min, 1.5 max) of the final core weights.  Either way
-    the n x n matrix is filled only when `p` is first read, never by
+    the n x n matrix is filled only by `assembly.dense()`, never by
     `sample`.
     """
     root = np.random.SeedSequence(cfg.seed)

@@ -84,7 +84,7 @@ def noiseless_signal(inst, rank, model):
     topk, threshold: whether these rules, applied to the scores of the
         rank-r truncation of P itself, recover the core exactly.
     """
-    p, truth = inst.p, inst.truth
+    p, truth = inst.assembly.dense(), inst.truth
     pbar = p.off_diagonal_mean()
     vals, vecs = magnitude_sorted(*np.linalg.eigh(p.entries))
     dec = SpectralDecomposition(vals[:rank], vecs[:, :rank])
@@ -252,7 +252,7 @@ def test_criterion_05_equal_density_auc_margins():
                                   seed=_replicate_seed(cfg.seed, rep),
                                   target_density=cfg.target_density, **BALANCED)
             inst = generate_instance(graphon_by_number(gnum), rep_cfg)
-            detect.append(detection_margin(inst.p, rank))
+            detect.append(detection_margin(inst.assembly.dense(), rank))
         assert min(detect) >= DETECT_AUC, (
             f"[criterion 05] g{gnum}: the noiseless P no longer supports the "
             f"AUC claim: min |lam_r|/sqrt(n pbar) {min(detect):.2f}")

@@ -559,6 +559,7 @@ class TestExitCodes:
         (["identify", "--input", "{no_edges}", "--rank", "1"], True),
         (["diagnose", "--input", "{one_node}", "--rank", "1"], True),
         (["diagnose", "--input", "{edges}", "--rank", "3"], True),
+        (["identify", "--input", "{edges}", "--rank", "1", "--select", "topk:4"], True),
     ], ids=["ratios", "replicates", "meta-not-json", "meta-not-object", "input-not-utf8",
             "identify-dir", "diagnose-dir", "ratio-nan", "ratio-inf", "ratios-nan",
             "one-core-node", "identify-rank-0", "identify-rank-negative", "identify-eps",
@@ -568,7 +569,7 @@ class TestExitCodes:
             "ratios-twice", "sweep-empty", "input-sweep-empty", "bench-no-periphery",
             "n-beyond-int64", "n-int64-max", "truth-p-empty", "input-empty",
             "ratios-empty", "methods-empty", "identify-rank-at-n", "identify-no-edges",
-            "diagnose-one-node", "diagnose-input-rank-at-n"])
+            "diagnose-one-node", "diagnose-input-rank-at-n", "identify-topk-above-n"])
     def test_bad_outside_input_is_data_error(self, tmp_path, capsys, flags, bad_args):
         files = {"not_json": tmp_path / "meta.json", "not_object": tmp_path / "list.json",
                  "not_utf8": tmp_path / "edges.tsv", "directory": tmp_path / "dir",

@@ -80,6 +80,11 @@ class ThresholdCases:
         part = threshold(self.make(np.zeros(10)), p_hat=0.5)
         assert part.n_core == 0
 
+    def test_no_scores_rejected(self):
+        # ln n has no value at n = 0
+        with pytest.raises(DomainError, match="at least one score"):
+            threshold(self.make(np.zeros(0)), p_hat=0.5)
+
     def test_zero_phat_rejected(self):
         with pytest.raises(DomainError):
             threshold(self.make(np.ones(5)), p_hat=0.0)

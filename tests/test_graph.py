@@ -310,6 +310,11 @@ class TestFromPairs:
         with pytest.raises(ValidationError):
             SparseGraph.from_pairs(3, np.array([[1, 1]]))
 
+    def test_refuses_negative_node_counts(self):
+        for pairs in ([], [(0, 1)]):
+            with pytest.raises(ValidationError, match="node count must be nonnegative"):
+                SparseGraph.from_pairs(-1, pairs)
+
     def test_refuses_node_counts_beyond_int64_keys(self):
         # the largest pair key (n - 1) * n + (n - 2) must fit in int64; these
         # counts are refused before anything of size n is allocated

@@ -42,7 +42,7 @@ def test_clustered_bulk_edge_graph_converges():
     cfg = SynthConfig(n_core=1000, n_periphery=7000, periphery="config",
                       degree_ratio=3.0, target_density=0.005, seed=3757552657)
     instance = generate_instance(graphon_by_number(2), cfg)
-    g = sample_adjacency(instance.p, instance.meta["adjacency_seed"])
+    g = sample_adjacency(instance.assembly.dense(), instance.meta["adjacency_seed"])
     del instance
     dec = truncated_eigs(g, 6, seed=0)
     assert explicit_residual(g, dec) <= 1e-8 * abs(dec.eigenvalues[0])

@@ -300,46 +300,27 @@ class TestScoresFromTruth:
 
 
 class TestDiagnostics:
-    def test_pure_er_fields(self):
-        n, prob = 30, 0.2
-        entries = np.full((n, n), prob)
-        np.fill_diagonal(entries, 0.0)
-        report = diagnostics(ProbabilityMatrix(entries), r=1,
-                             core_labels=np.zeros(n, dtype=bool))
-        assert report.p_star == prob
-        assert report.h_n is None and report.h_prime_n is None
-
     def test_h_scaling_two_block(self):
         # planted two-block model: h(n) tracks p* sqrt(n)
         ratios = []
         for n in (100, 200, 400):
             p_star = 0.2
-            entries = np.full((n, n), p_star * 0.3)
             half = n // 2
-            entries[:half, :half] = p_star
-            np.fill_diagonal(entries, 0.0)
-            labels = np.zeros(n, dtype=bool)
-            labels[:half] = True
-            report = diagnostics(ProbabilityMatrix(entries), r=2, core_labels=labels)
+            core = np.full((half, half), p_star)
+            np.fill_diagonal(core, 0.0)
+            assembly = ErAssembly(ProbabilityMatrix(core), 1.0, n - half, 0.3 * p_star)
+            report = diagnostics(assembly, r=2)
             ratios.append(report.h_n / (p_star * np.sqrt(n)))
         ratios = np.asarray(ratios)
         assert np.max(ratios) / np.min(ratios) < 1.2
 
     def test_low_rank_gap(self):
-        rng = np.random.default_rng(2)
-        u = random_orthonormal(40, 3, rng)
-        lam = np.array([8.0, 5.0, 3.0])
-        raw = (u * lam) @ u.T
-        raw = raw - np.diag(np.diag(raw))
-        raw = np.clip((raw - raw.min()) / max(raw.max() - raw.min(), 1), 0, 1)
-        np.fill_diagonal(raw, 0.0)
-        sym = (raw + raw.T) / 2
-        # direct low-rank example instead: rank-3 block-constant matrix
+        # rank-3 block-constant matrix: three blocks of ten, no periphery
         entries = np.zeros((30, 30))
         for k, v in enumerate((0.6, 0.4, 0.2)):
             entries[10 * k:10 * (k + 1), 10 * k:10 * (k + 1)] = v
         np.fill_diagonal(entries, 0.0)
-        report = diagnostics(ProbabilityMatrix(entries), r=3)
+        report = diagnostics(ErAssembly(ProbabilityMatrix(entries), 1.0, 0, 0.5), r=3)
         # the zero-diagonal perturbs exact low-rankness by the block values
         assert abs(report.eigenvalues[5]) <= 0.6 + 1e-9
         # an exactly low-rank matrix (diagonal kept) has lambda_4 == 0
@@ -347,16 +328,31 @@ class TestDiagnostics:
         mags = np.sort(np.abs(vals))[::-1]
         assert mags[3] <= 1e-10
 
-    def test_label_length_checked_before_any_spectrum(self, monkeypatch):
+    def test_rank_checked_before_any_spectrum(self, monkeypatch):
         def no_spectrum(*args, **kwargs):
-            raise AssertionError("spectrum computed before the labels were checked")
+            raise AssertionError("spectrum computed before the rank was checked")
 
+        core = np.full((4, 4), 0.1)
+        np.fill_diagonal(core, 0.0)
+        config = generate_instance(graphon_by_number(1), SynthConfig(
+            n_core=4, n_periphery=6, periphery="config", degree_ratio=2.0,
+            target_density=0.2)).assembly
         monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
-        entries = np.full((10, 10), 0.1)
-        np.fill_diagonal(entries, 0.0)
-        with pytest.raises(DomainError):
-            diagnostics(ProbabilityMatrix(entries), r=2,
-                        core_labels=np.ones(9, dtype=bool))
+        for assembly in (ErAssembly(ProbabilityMatrix(core), 1.0, 6, 0.1), config):
+            for r in (0, 10, 11):
+                with pytest.raises(DomainError, match=f"rank r={r} must satisfy"):
+                    diagnostics(assembly, r=r)
+
+
+def dense_diagnostics(p: ProbabilityMatrix, labels):
+    """Oracle: (eigvalsh, p*, h(n), h'(n)) of the whole matrix, with h(n) and
+    h'(n) the minimum scores_from_truth over the labelled core; h'(n) is
+    None when an expected degree is 0."""
+    h_prime_n = None
+    if np.all(p.expected_degrees() > 0):
+        h_prime_n = float(scores_from_truth(p, "config").values[labels].min())
+    return (np.linalg.eigvalsh(p.entries), float(p.entries.max()),
+            float(scores_from_truth(p, "er").values[labels].min()), h_prime_n)
 
 
 def assert_spectrum_matches_dense(p: ProbabilityMatrix, report):
@@ -380,22 +376,23 @@ def filled_by_hand(assembly) -> ProbabilityMatrix:
     return ProbabilityMatrix(entries)
 
 
-def assert_assembly_matches_dense(assembly, r=3):
-    """Oracle: dense diagnostics of the matrix filled by hand.  The
-    ER-assembly report must match it to 1e-12 |lambda_1| in the spectrum
-    and gap, to 1e-12 relative in h_n and h'_n, and exactly in p_star."""
-    labels = np.arange(assembly.n) < assembly.core.n
-    report = diagnostics(assembly, r, labels)
-    dense = diagnostics(filled_by_hand(assembly), r, labels)
-    scale = np.abs(dense.eigenvalues[0])
-    assert report.eigenvalues.shape == dense.eigenvalues.shape
-    assert np.max(np.abs(np.sort(report.eigenvalues) - np.sort(dense.eigenvalues)),
-                  initial=0.0) <= 1e-12 * scale
-    mags = np.abs(report.eigenvalues)
-    assert np.all(mags[:-1] >= mags[1:])
-    assert abs(report.gap_r - dense.gap_r) <= 1e-12 * scale
-    assert report.p_star == dense.p_star
-    for got, want in ((report.h_n, dense.h_n), (report.h_prime_n, dense.h_prime_n)):
+def assert_assembly_matches_dense(assembly, r=3, perm=None):
+    """Oracle: dense_diagnostics of the matrix filled by hand, its nodes
+    relabelled by `perm` when given.  The ER-assembly report must match it
+    to 1e-12 |lambda_1| in the spectrum and gap, to 1e-12 relative in h_n
+    and h'_n, and exactly in p_star."""
+    report = diagnostics(assembly, r)
+    p, labels = filled_by_hand(assembly), np.arange(assembly.n) < assembly.core.n
+    if perm is not None:
+        p, labels = ProbabilityMatrix(p.entries[np.ix_(perm, perm)]), labels[perm]
+    eigvals, p_star, h_n, h_prime_n = dense_diagnostics(p, labels)
+    mags = np.sort(np.abs(eigvals))[::-1]
+    assert report.eigenvalues.shape == eigvals.shape
+    assert np.max(np.abs(np.sort(report.eigenvalues) - eigvals), initial=0.0) <= 1e-12 * mags[0]
+    assert np.all(np.abs(report.eigenvalues)[:-1] >= np.abs(report.eigenvalues)[1:])
+    assert abs(report.gap_r - (mags[r - 1] - mags[r])) <= 1e-12 * mags[0]
+    assert report.p_star == p_star
+    for got, want in ((report.h_n, h_n), (report.h_prime_n, h_prime_n)):
         assert (got is None) == (want is None)
         if want is not None:
             assert abs(got - want) <= 1e-12 * want
@@ -404,8 +401,9 @@ def assert_assembly_matches_dense(assembly, r=3):
 
 class TestReducedSpectrum:
     """ER-type assemblies take the (n_c + 1)-square reduced spectrum and
-    core-block scores; dense matrices take dense eigvalsh.  Dense
-    diagnostics of the whole matrix are the oracle for both."""
+    core-block scores; configuration-type assemblies are filled and take
+    dense eigvalsh.  dense_diagnostics of the whole matrix is the oracle
+    for both."""
 
     @settings(max_examples=150)
     @given(st.integers(1, 8), st.integers(0, 12),
@@ -416,14 +414,9 @@ class TestReducedSpectrum:
         rng = np.random.default_rng(seed)
         core = np.triu(rng.random((n_core, n_core)), 1)
         assembly = ErAssembly(ProbabilityMatrix(core + core.T), 1.0, n_periphery, level)
-        perm = rng.permutation(n)  # periphery interleaved with the core
-        p = ProbabilityMatrix(filled_by_hand(assembly).entries[np.ix_(perm, perm)])
-        labels = perm < n_core
-        dense = diagnostics(p, r=1, core_labels=labels)
-        assert_spectrum_matches_dense(p, dense)
-        report = assert_assembly_matches_dense(assembly, r=1)
-        assert np.max(np.abs(np.sort(report.eigenvalues) - np.sort(dense.eigenvalues))) <= \
-            1e-12 * np.abs(dense.eigenvalues[0])
+        assert_assembly_matches_dense(assembly, r=1)
+        # the oracle's periphery interleaved with its core
+        assert_assembly_matches_dense(assembly, r=1, perm=rng.permutation(n))
 
     def test_assembly_edge_cases(self):
         core = ProbabilityMatrix(np.array([[0.0, 0.6, 0.2], [0.6, 0.0, 0.9],
@@ -437,28 +430,26 @@ class TestReducedSpectrum:
                                                [0.0, 0.0, 0.0]]))
         assert assert_assembly_matches_dense(ErAssembly(isolated, 1.0, 0, 0.3),
                                              r=1).h_prime_n is None
-        with pytest.raises(DomainError):  # the assembly's core is its first nodes
-            diagnostics(ErAssembly(core, 1.0, 3, 0.3), 2, core_labels=np.arange(6) >= 3)
 
     def test_config_instance_takes_dense_path(self):
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="config",
                           degree_ratio=2.0, target_density=0.1, seed=4)
         inst = generate_instance(graphon_by_number(1), cfg)
         assert isinstance(inst.assembly, ConfigAssembly)
-        report = diagnostics(inst.assembly, 3, inst.truth)
-        assert_spectrum_matches_dense(inst.p, report)
-        assert report.to_json_dict() == diagnostics(inst.p, 3, inst.truth).to_json_dict()
+        report = diagnostics(inst.assembly, 3)
+        p = inst.assembly.dense()
+        assert_spectrum_matches_dense(p, report)
+        # the same dense arithmetic over the first n_core rows: equal, not close
+        eigvals, p_star, h_n, h_prime_n = dense_diagnostics(p, inst.truth)
+        assert np.array_equal(np.sort(report.eigenvalues), eigvals)
+        assert (report.p_star, report.h_n, report.h_prime_n) == (p_star, h_n, h_prime_n)
 
-    def test_one_ulp_off_er_instance_takes_dense_path(self):
+    def test_unclipped_er_instance_matches_dense(self):
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
                           degree_ratio=2.0, target_density=0.05, seed=4)
         inst = generate_instance(graphon_by_number(1), cfg)
         assert inst.meta["rescale_clip_count"] == 0
         assert_assembly_matches_dense(inst.assembly)
-        entries = inst.p.entries.copy()
-        entries[50, 3] = entries[3, 50] = np.nextafter(entries[50, 3], 1.0)
-        p = ProbabilityMatrix(entries)
-        assert_spectrum_matches_dense(p, diagnostics(p, 3, inst.truth))
 
     def test_clipped_er_instance_takes_reduced_path(self):
         cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
@@ -467,8 +458,9 @@ class TestReducedSpectrum:
         assert inst.meta["rescale_clip_count"] > 0
         assert inst.assembly.level == inst.meta["c_periphery"] * inst.meta["er_level"]
         report = assert_assembly_matches_dense(inst.assembly)
-        assert_spectrum_matches_dense(inst.p, report)
-        h_n = float(scores_from_truth(inst.p, "er").values[:30].min())
+        p = inst.assembly.dense()
+        assert_spectrum_matches_dense(p, report)
+        h_n = float(scores_from_truth(p, "er").values[:30].min())
         assert abs(report.h_n - h_n) <= 1e-12 * h_n
 
     def test_er_diagnostics_need_no_dense_matrix(self):
@@ -480,7 +472,7 @@ class TestReducedSpectrum:
         tracemalloc.start()
         try:
             inst = generate_instance(graphon_by_number(1), cfg)
-            diagnostics(inst.assembly, 3, inst.truth)
+            diagnostics(inst.assembly, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

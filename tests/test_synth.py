@@ -450,7 +450,7 @@ class TestAssembleConfig:
                 generate_instance(graphon, cfg)
             return
         inst = generate_instance(graphon, cfg)
-        assert np.array_equal(inst.p.entries, entries)
+        assert np.array_equal(inst.assembly.dense().entries, entries)
         assert inst.meta["rescale_clip_count"] == clip_count
         assert (inst.meta["c_core"], inst.meta["c_periphery"]) == (c_core, c_peri)
         n = cfg.n
@@ -473,7 +473,7 @@ class TestAssembleConfig:
         theta_peri = sample_periphery_theta(core, n_periphery, inst.meta["theta_seed"])
         entries, *_, oracle_count = dense_config(core, theta_peri, cfg)
         assert inst.meta["rescale_clip_count"] == oracle_count == clip_count
-        assert np.array_equal(inst.p.entries, entries)
+        assert np.array_equal(inst.assembly.dense().entries, entries)
 
 
 class TestRescale:
@@ -489,18 +489,18 @@ class TestRescale:
     def test_hits_target_density(self):
         inst = er_instance(G1, 30, 30, ratio=2.0, density=0.02, er_level=0.05, seed=3)
         assert inst.meta["rescale_clip_count"] == 0
-        assert abs(inst.p.off_diagonal_mean() - 0.02) < 1e-9
+        assert abs(inst.assembly.dense().off_diagonal_mean() - 0.02) < 1e-9
 
     def test_hits_degree_ratio(self):
         inst = er_instance(G2, 40, 60, ratio=3.0, density=0.03, er_level=0.04, seed=8)
-        deg = inst.p.expected_degrees()
+        deg = inst.assembly.dense().expected_degrees()
         ratio = deg[:40].mean() / deg[40:].mean()
         assert abs(ratio - 3.0) < 1e-6
 
     def test_preserves_er_membership(self):
         inst = er_instance(G1, 25, 25, ratio=2.5, density=0.05, er_level=0.06, seed=5)
         assert inst.meta["rescale_clip_count"] == 0
-        assert definition1_residual(inst.p, ~inst.truth) == 0.0
+        assert definition1_residual(inst.assembly.dense(), ~inst.truth) == 0.0
 
     def test_infeasible_ratio(self):
         with pytest.raises(InfeasibleError):
@@ -544,7 +544,7 @@ class TestRescale:
         assert inst.meta["rescale_clip_count"] == clip_count
         assert inst.meta["c_core"] == pytest.approx(c_core, rel=1e-12)
         assert inst.meta["c_periphery"] == pytest.approx(c_peri, rel=1e-12)
-        np.testing.assert_allclose(inst.p.entries, scaled, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(inst.assembly.dense().entries, scaled, rtol=1e-12, atol=0.0)
 
     def test_peak_memory_one_dense_matrix(self):
         # the closed form allocates the n x n matrix once; the dense path
@@ -577,7 +577,7 @@ class TestRescale:
         c_core, c_peri, scaled, clip_count = dense_rescale_oracle(graphon, cfg, inst.meta)
         assert c_peri * 0.5 > 1.0 and inst.assembly.level == 1.0
         assert inst.meta["rescale_clip_count"] == clip_count == 41
-        assert np.array_equal(inst.p.entries, scaled)
+        assert np.array_equal(inst.assembly.dense().entries, scaled)
         assert abs(inst.meta["realized_density"] - scaled.sum() / (22 * 21)) <= 1e-15
 
     def test_clip_count_over_row_blocks(self):
@@ -587,7 +587,7 @@ class TestRescale:
         inst = generate_instance(G2, cfg)
         c_core, c_peri, scaled, clip_count = dense_rescale_oracle(G2, cfg, inst.meta)
         assert inst.meta["rescale_clip_count"] == clip_count == 49935
-        np.testing.assert_allclose(inst.p.entries, scaled, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(inst.assembly.dense().entries, scaled, rtol=1e-12, atol=0.0)
 
 
 VALID_DESIGN = dict(n_core=20, n_periphery=30, periphery="er", degree_ratio=2.0,
@@ -646,7 +646,7 @@ class TestGenerateInstance:
                           degree_ratio=2.0, target_density=0.05, seed=11)
         a = generate_instance(G1, cfg)
         b = generate_instance(G1, cfg)
-        assert np.array_equal(a.p.entries, b.p.entries)
+        assert np.array_equal(a.assembly.dense().entries, b.assembly.dense().entries)
         assert a.meta == b.meta
         assert a.truth.sum() == 20
         assert abs(a.meta["realized_density"] - 0.05) < 1e-9
@@ -658,8 +658,9 @@ class TestGenerateInstance:
         periphery = ~inst.truth
         # the product form alone is necessary, not sufficient: Definition 2
         # also ties the weights to the expected degrees
-        assert periphery_product_residual(inst.p, periphery) <= 1e-10
-        assert definition2_residual(inst.p, periphery) <= 1e-10
+        p = inst.assembly.dense()
+        assert periphery_product_residual(p, periphery) <= 1e-10
+        assert definition2_residual(p, periphery) <= 1e-10
 
     @pytest.mark.parametrize("ratio", [1.0, 3.0])
     def test_config_instance_hits_targets_inside_definition2(self, ratio):
@@ -667,9 +668,10 @@ class TestGenerateInstance:
                           degree_ratio=ratio, target_density=0.02, seed=0)
         inst = generate_instance(G1, cfg)
         assert inst.meta["rescale_clip_count"] == 0
-        assert definition2_residual(inst.p, ~inst.truth) <= 1e-10
-        assert abs(inst.p.off_diagonal_mean() - 0.02) <= 1e-9
-        deg = inst.p.expected_degrees()
+        p = inst.assembly.dense()
+        assert definition2_residual(p, ~inst.truth) <= 1e-10
+        assert abs(p.off_diagonal_mean() - 0.02) <= 1e-9
+        deg = p.expected_degrees()
         assert abs(deg[:1000].mean() / deg[1000:].mean() - ratio) <= 1e-6
 
     def test_config_periphery_scores_far_below_core(self):
@@ -678,7 +680,7 @@ class TestGenerateInstance:
         cfg = SynthConfig(n_core=1000, n_periphery=1000, periphery="config",
                           degree_ratio=3.0, target_density=0.02, seed=0)
         inst = generate_instance(G1, cfg)
-        values = scores_from_truth(inst.p, "config").values
+        values = scores_from_truth(inst.assembly.dense(), "config").values
         assert 10.0 * values[~inst.truth].max() <= values[inst.truth].min()
 
     def test_presets(self):
