@@ -24,7 +24,7 @@ _EXPORTS = {
     "errors": "ConvergenceError CorexError DegenerateError DomainError InfeasibleError "
               "ParseError RangeError ValidationError",
     "evaluate": "RocCurve kcore_points operating_point roc run_experiment",
-    "graph": "ProbabilityMatrix SparseGraph average_density degrees load_edge_list "
+    "graph": "SparseGraph average_density degrees load_edge_list "
              "sample_adjacency write_edge_list write_truth_labels",
     "spectral": "CoreScores SpectralDecomposition config_scores diagnostics eigengap_profile "
                 "er_scores scores_from_truth truncated_eigs",

@@ -2,9 +2,11 @@
 
 Graphs are simple (no self-loops, no multi-edges), undirected, and binary,
 on nodes 0..n-1, and stored as their adjacency matrix in CSR form.
-Probability matrices are dense symmetric float arrays with a zero diagonal;
-synthetic instances are sampled from their parts (synth), so only the
-core block and the dense oracles need one.
+A dense probability matrix is a plain float64 ndarray, symmetric with a
+zero diagonal and entries in [0, 1]; synth builds every one of them from
+its built-in graphons, and its property tests check those invariants.
+Synthetic instances are sampled from their parts (synth), so only the
+core block and the dense oracles hold one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SparseGraph",
-    "ProbabilityMatrix",
     "load_edge_list",
     "write_edge_list",
     "degrees",
@@ -130,39 +131,6 @@ class SparseGraph:
         from scipy import sparse
         return sparse.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr),
                                  shape=(self.n, self.n))
-
-
-class ProbabilityMatrix:
-    """Dense symmetric edge-probability matrix with a zero diagonal."""
-
-    __slots__ = ("entries", "n")
-
-    def __init__(self, entries: np.ndarray):
-        entries = np.ascontiguousarray(entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValidationError("probability matrix must be square")
-        self.entries = entries
-        self.n = entries.shape[0]
-        self._validate()
-
-    def _validate(self) -> None:
-        p = self.entries
-        if p.size == 0:
-            return
-        if np.any(np.diag(p) != 0.0):
-            raise ValidationError("probability matrix diagonal must be zero")
-        if not np.array_equal(p, p.T):
-            raise ValidationError("probability matrix must be symmetric")
-        if p.min() < 0.0 or p.max() > 1.0:
-            raise ValidationError("probabilities must lie in [0, 1]")
-
-    def expected_degrees(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    def off_diagonal_mean(self) -> float:
-        if self.n < 2:
-            raise DomainError("off-diagonal mean requires n >= 2")
-        return float(self.entries.sum() / (self.n * self.n - self.n))
 
 
 _ROW_BLOCK = 2**16  # matrix entries per row block where a pass over rows needs temporaries
@@ -285,10 +253,11 @@ def average_density(g: SparseGraph) -> float:
     return 2.0 * g.m / (g.n * g.n - g.n)
 
 
-def sample_adjacency(p: ProbabilityMatrix, seed: int) -> SparseGraph:
-    """Draw one Bernoulli realization of the probability matrix: each pair
-    i < j is drawn once, as _sample_pairs draws it at scale 1, and mirrored."""
-    return SparseGraph.from_pairs(p.n, _sample_pairs(p.entries, 1.0, seed))
+def sample_adjacency(p: np.ndarray, seed: int) -> SparseGraph:
+    """Draw one Bernoulli realization of the probability matrix p (see the
+    module docstring): each pair i < j is drawn once, as _sample_pairs draws
+    it at scale 1, and mirrored."""
+    return SparseGraph.from_pairs(p.shape[0], _sample_pairs(p, 1.0, seed))
 
 
 def _sample_pairs(entries: np.ndarray, scale: float, seed: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph, _write_rows
+from .graph import _ROW_BLOCK, SparseGraph, _write_rows
 from .synth import ConfigAssembly
 
 __all__ = [
@@ -180,23 +180,24 @@ def config_scores(dec: SpectralDecomposition, deg: np.ndarray) -> CoreScores:
     return CoreScores(values=values, model="config", excluded=excluded)
 
 
-def scores_from_truth(p: ProbabilityMatrix, model: str) -> CoreScores:
-    """Exact scores computed densely from a known probability matrix.
+def scores_from_truth(p: np.ndarray, model: str) -> CoreScores:
+    """Exact scores computed densely from a known probability matrix p:
+    symmetric, zero diagonal, entries in [0, 1] (not checked).
 
     Serves as the oracle in tests and feeds the signal-strength
     diagnostics; `model="config"` uses expected degrees (row sums) and
     requires them all positive.
     """
-    n = p.n
+    n = p.shape[0]
     if model not in ("er", "config"):
         raise DomainError(f"unknown model {model!r}")
-    d = p.expected_degrees() if model == "config" else 1.0
+    d = p.sum(axis=1) if model == "config" else 1.0
     if np.any(d <= 0):
         raise DomainError("config scores need strictly positive expected degrees")
     values, step = np.empty(n), max(1, _ROW_BLOCK // max(n, 1))
     # a block of rows at a time, so no n x n temporary is ever allocated
     for start in range(0, n, step):
-        rows = p.entries[start:start + step] / d
+        rows = p[start:start + step] / d
         centered = rows - rows.mean(axis=1, keepdims=True)
         values[start:start + step] = np.linalg.norm(centered, axis=1)
     return CoreScores(values=values, model=model)
@@ -283,9 +284,10 @@ def _er_assembly_extremes(lam: np.ndarray, z: np.ndarray, n_periphery: int,
     return np.concatenate([0.5 * (lo + hi), np.full(min(n_periphery - 1, 4), -level)])
 
 
-def eigengap_profile(core_p: ProbabilityMatrix, periphery_sizes,
+def eigengap_profile(core_p: np.ndarray, periphery_sizes,
                      periphery_level: float) -> list[dict]:
-    """Sweep periphery sizes around a fixed core and report how the
+    """Sweep periphery sizes around a fixed core block core_p (symmetric,
+    zero diagonal, entries in [0, 1]; not checked) and report how the
     third-to-fourth eigenvalue gap of the ER-type assembly behaves.
 
     The assembly is never built: one eigh of the core serves every size
@@ -293,14 +295,14 @@ def eigengap_profile(core_p: ProbabilityMatrix, periphery_sizes,
     |lam_3| - |lam_4| and that gap over |lam_1|.  Negative sizes and a
     level outside (0, 1) are rejected before any spectrum is computed.
     """
-    if core_p.n < 4:
+    if len(core_p) < 4:
         raise DomainError("core must have at least 4 nodes to report a 3-4 gap")
     if not 0.0 < periphery_level < 1.0:
         raise DomainError("periphery_level must lie in (0, 1)")
     sizes = [int(n_peri) for n_peri in periphery_sizes]
     if any(n_peri < 0 for n_peri in sizes):
         raise DomainError(f"periphery sizes must be nonnegative, got {sizes}")
-    lam, q = np.linalg.eigh(core_p.entries)
+    lam, q = np.linalg.eigh(core_p)
     z = q.sum(axis=0)
     records = []
     for n_peri in sizes:
@@ -346,17 +348,19 @@ def _er_diagnostics(assembly):
 
 def diagnostics(assembly, r: int) -> DiagnosticReport:
     """Exact diagnostics of a generated matrix, whose core is its first
-    `core.n` nodes: max entry, minimum core scores under both models, the
-    full magnitude-sorted spectrum, and the magnitude gap after rank r.
-    A synth.ConfigAssembly is filled and takes a dense eigvalsh; a
-    synth.ErAssembly reads its core block alone (see _er_diagnostics)."""
+    `len(assembly.core)` nodes: max entry, minimum core scores under both
+    models, the full magnitude-sorted spectrum, and the magnitude gap after
+    rank r.  A synth.ConfigAssembly is filled and takes a dense eigvalsh; a
+    synth.ErAssembly reads its core block alone (see _er_diagnostics).  The
+    assembly's core must be symmetric, with a zero diagonal and entries in
+    [0, 1] (not checked)."""
     if not 1 <= r < assembly.n:
         raise DomainError(f"rank r={r} must satisfy 1 <= r < n={assembly.n}")
     if isinstance(assembly, ConfigAssembly):
-        p, nc = assembly.dense(), assembly.core.n
-        eigvals, p_star, h_prime_n = np.linalg.eigvalsh(p.entries), float(p.entries.max()), None
+        p, nc = assembly.dense(), len(assembly.core)
+        eigvals, p_star, h_prime_n = np.linalg.eigvalsh(p), float(p.max()), None
         h_n = float(scores_from_truth(p, "er").values[:nc].min())
-        if np.all(p.expected_degrees() > 0):
+        if np.all(p.sum(axis=1) > 0):
             h_prime_n = float(scores_from_truth(p, "config").values[:nc].min())
     else:
         eigvals, p_star, h_n, h_prime_n = _er_diagnostics(assembly)

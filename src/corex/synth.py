@@ -5,7 +5,10 @@ either a constant (ER-type) connection level or a product-form
 (configuration-type) pattern.  Two scalars, solved in closed form for
 each periphery type, then hit a target overall density and
 core/periphery expected-degree ratio.  Nodes are ordered core first,
-periphery second.
+periphery second.  Every matrix is a plain float64 ndarray, symmetric with
+a zero diagonal and entries in [0, 1]: the three built-in graphons are
+symmetric in floating point (mu + nu, |mu - nu| and the block indices
+commute), so no fill is re-checked at run time; property tests hold it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ValidationError
-from .graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph, _sample_pairs, _triangle_pairs
+from .graph import _ROW_BLOCK, SparseGraph, _sample_pairs, _triangle_pairs
 
 __all__ = [
     "GraphonSpec",
@@ -72,23 +75,16 @@ _GRAPHONS = {
 
 @dataclass(frozen=True)
 class GraphonSpec:
-    """A symmetric probability-valued function on the unit square."""
+    """One of the built-in symmetric probability-valued functions on the
+    unit square."""
 
-    kind: str  # table1_g1 | table1_g2 | table1_g3 | custom
-    custom_fn: object = None
+    kind: str  # table1_g1 | table1_g2 | table1_g3
 
     def __post_init__(self):
         if not isinstance(self.kind, str):
             raise DomainError(f"graphon kind must be a string, got {self.kind!r}")
-        if self.kind == "custom":
-            if self.custom_fn is None:
-                raise DomainError("custom graphon needs custom_fn")
-        elif self.kind not in _GRAPHONS:
+        if self.kind not in _GRAPHONS:
             raise DomainError(f"unknown graphon kind {self.kind!r}")
-
-    @property
-    def fn(self):
-        return self.custom_fn if self.kind == "custom" else _GRAPHONS[self.kind]
 
 
 def graphon_by_number(number: int) -> GraphonSpec:
@@ -99,16 +95,12 @@ def graphon_by_number(number: int) -> GraphonSpec:
 
 
 def graphon_value(spec: GraphonSpec, mu, nu):
-    """Evaluate the graphon on broadcast arrays."""
-    mu_a = np.asarray(mu, dtype=np.float64)
-    nu_a = np.asarray(nu, dtype=np.float64)
-    if np.any(mu_a < 0) or np.any(mu_a > 1) or np.any(nu_a < 0) or np.any(nu_a > 1):
+    """Evaluate the graphon on broadcast arrays of latents in [0, 1]; NaN
+    is outside."""
+    mu, nu = np.asarray(mu, dtype=np.float64), np.asarray(nu, dtype=np.float64)
+    if not (((0.0 <= mu) & (mu <= 1.0)).all() and ((0.0 <= nu) & (nu <= 1.0)).all()):
         raise DomainError("graphon arguments must lie in [0, 1]")
-    out = np.asarray(spec.fn(mu_a, nu_a), dtype=np.float64)
-    out = np.broadcast_to(out, np.broadcast_shapes(mu_a.shape, nu_a.shape))
-    if out.size and (out.min() < 0.0 or out.max() > 1.0):
-        raise DomainError("graphon returned a value outside [0, 1]")
-    return out
+    return np.asarray(_GRAPHONS[spec.kind](mu, nu))
 
 
 def sample_latents(n: int, seed: int) -> np.ndarray:
@@ -117,17 +109,17 @@ def sample_latents(n: int, seed: int) -> np.ndarray:
     return rng.random(n)
 
 
-def graphon_matrix(spec: GraphonSpec, xi: np.ndarray) -> ProbabilityMatrix:
+def graphon_matrix(spec: GraphonSpec, xi: np.ndarray) -> np.ndarray:
     """Evaluate the graphon on a latent vector; zero diagonal enforced."""
     xi = np.asarray(xi, dtype=np.float64)
     p, step = np.empty((xi.size, xi.size)), max(1, _ROW_BLOCK // max(1, xi.size))
     for lo in range(0, xi.size, step):  # row blocks keep the graphon's temporaries small
         p[lo:lo + step] = graphon_value(spec, xi[lo:lo + step, np.newaxis], xi[np.newaxis, :])
     np.fill_diagonal(p, 0.0)
-    return ProbabilityMatrix(p)
+    return p
 
 
-def graphon_core(spec: GraphonSpec, n_core: int, seed: int) -> ProbabilityMatrix:
+def graphon_core(spec: GraphonSpec, n_core: int, seed: int) -> np.ndarray:
     """Sample a core probability matrix from the graphon.
 
     The latent positions are recoverable by calling sample_latents with
@@ -138,8 +130,7 @@ def graphon_core(spec: GraphonSpec, n_core: int, seed: int) -> ProbabilityMatrix
     return graphon_matrix(spec, sample_latents(n_core, seed))
 
 
-def sample_periphery_theta(core_p: ProbabilityMatrix, n_periphery: int,
-                           seed: int) -> np.ndarray:
+def sample_periphery_theta(core_p: np.ndarray, n_periphery: int, seed: int) -> np.ndarray:
     """Periphery degree parameters, uniform on
     (0.5 * min core weight, 1.5 * max core weight).
 
@@ -149,7 +140,7 @@ def sample_periphery_theta(core_p: ProbabilityMatrix, n_periphery: int,
     (see _scale_config), so its periphery weights span beta times this
     range.
     """
-    theta_core = core_p.expected_degrees()
+    theta_core = core_p.sum(axis=1)
     lo = 0.5 * float(theta_core.min())
     hi = 1.5 * float(theta_core.max())
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA1,)))
@@ -223,18 +214,18 @@ class _Assembly:
     probabilities the periphery type sets through `bound` (the largest of
     them) and `touching_p` (those of given pairs)."""
 
-    core: ProbabilityMatrix  # C, unscaled
+    core: np.ndarray  # C, unscaled
     c_core: float
     n_periphery: int
 
     @property
     def n(self) -> int:
-        return self.core.n + self.n_periphery
+        return len(self.core) + self.n_periphery
 
     def core_block(self, out=None) -> np.ndarray:
         """The scaled, clipped core block min(c_core C, 1), written into
         `out` when given."""
-        block = np.multiply(self.core.entries, self.c_core, out=out)
+        block = np.multiply(self.core, self.c_core, out=out)
         return np.minimum(block, 1.0, out=block)
 
     def sample(self, seed: int) -> SparseGraph:
@@ -249,11 +240,11 @@ class _Assembly:
         WAW 2011).  An ER-type candidate has p_ij / q exactly 1, so it is always kept.
         The draws go a chunk of candidates at a time, and the output does not depend
         on the chunk size."""
-        nc, npr = self.core.n, self.n_periphery
+        nc, npr = len(self.core), self.n_periphery
         touching, cross, bound = nc * npr + npr * (npr - 1) // 2, nc * npr, self.bound()
         skips = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 0)))
         thin = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 1)))
-        chunks, last = [_sample_pairs(self.core.entries, self.c_core, seed)], -1
+        chunks, last = [_sample_pairs(self.core, self.c_core, seed)], -1
         while last < touching - 1:
             expected = (touching - 1 - last) * bound
             size = min(touching - 1 - last, int(expected + 4.0 * np.sqrt(expected)) + 16,
@@ -271,14 +262,14 @@ class _Assembly:
         del chunks  # the draws go before from_pairs makes its copies
         return SparseGraph.from_pairs(self.n, pairs)
 
-    def dense(self) -> ProbabilityMatrix:
+    def dense(self) -> np.ndarray:
         """The n x n matrix: `touching_p` of every pair, then the core block
         over the top-left corner and a zero diagonal."""
-        nodes = np.arange(self.n)
+        nodes, nc = np.arange(self.n), len(self.core)
         p = self.touching_p(nodes[:, np.newaxis], nodes)
-        self.core_block(out=p[:self.core.n, :self.core.n])
+        self.core_block(out=p[:nc, :nc])
         np.fill_diagonal(p, 0.0)
-        return ProbabilityMatrix(p)
+        return p
 
 
 @dataclass(frozen=True)
@@ -310,7 +301,7 @@ class ConfigAssembly(_Assembly):
     norm: float
 
     def bound(self) -> float:
-        nc = self.core.n
+        nc = len(self.core)
         top = np.sort(self.theta[nc:])[-2:]  # the two largest periphery weights
         if top.size == 0:
             return 1.0  # no touching pairs
@@ -325,12 +316,12 @@ class ConfigAssembly(_Assembly):
         return np.minimum(p, 1.0, out=p)
 
 
-def _core_block_stats(core: ProbabilityMatrix, c_core: float) -> tuple[int, float]:
+def _core_block_stats(core: np.ndarray, c_core: float) -> tuple[int, float]:
     """(entries above 1, sum after clipping at 1) of the scaled core block
     c_core C, a block of rows at a time, so no second n_c x n_c array is made."""
-    above, total, step = 0, 0.0, max(1, _ROW_BLOCK // core.n)
-    for lo in range(0, core.n, step):
-        rows = np.multiply(core.entries[lo:lo + step], c_core)
+    above, total, step = 0, 0.0, max(1, _ROW_BLOCK // len(core))
+    for lo in range(0, len(core), step):
+        rows = np.multiply(core[lo:lo + step], c_core)
         above += int(np.count_nonzero(rows > 1.0))
         total += float(np.minimum(rows, 1.0, out=rows).sum())
     return above, total
@@ -374,7 +365,7 @@ def _checked_clip_count(entries_above_one: int, n: int) -> int:
     return clip_count
 
 
-def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
+def _scale_er(core_p: np.ndarray, level: float, cfg: SynthConfig):
     """ER-type assembly that meets the density and degree ratio, from the
     core block alone: (ErAssembly, c_periphery, clip count, realized
     density).
@@ -393,7 +384,7 @@ def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
     """
     nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
     target_sum = cfg.target_density * (n * n - n)
-    w_cc = float(core_p.entries.sum())
+    w_cc = float(core_p.sum())
     if w_cc <= 0.0:
         raise InfeasibleError("core block has zero mass; cannot scale")
     if npr == 0:
@@ -416,7 +407,7 @@ def _scale_er(core_p: ProbabilityMatrix, level: float, cfg: SynthConfig):
             _checked_clip_count(above, n), (core_sum + min(touch, 1.0) * touching) / (n * n - n))
 
 
-def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthConfig):
+def _scale_config(core_p: np.ndarray, theta_peri: np.ndarray, cfg: SynthConfig):
     """Configuration-type assembly that meets the density and degree ratio
     while staying inside Definition 2: (ConfigAssembly, c_periphery, clip
     count, realized density), clipped to [0, 1].
@@ -437,7 +428,7 @@ def _scale_config(core_p: ProbabilityMatrix, theta_peri: np.ndarray, cfg: SynthC
     clips and the density are counted without the n x n matrix.
     """
     nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
-    theta_core = core_p.expected_degrees()
+    theta_core = core_p.sum(axis=1)
     s0 = float(theta_core.sum())
     if s0 <= 0.0:
         raise DomainError("core block has zero total weight")
@@ -482,7 +473,7 @@ class GeneratedInstance:
     @property
     def truth(self) -> np.ndarray:
         """bool, True = core: the assembly puts its core first."""
-        return np.arange(self.assembly.n) < self.assembly.core.n
+        return np.arange(self.assembly.n) < len(self.assembly.core)
 
     def sample(self) -> SparseGraph:
         """The adjacency drawn from meta["adjacency_seed"]."""
@@ -522,7 +513,7 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
         "adjacency_seed": adjacency_seed,
     }
     if cfg.periphery == "er":
-        level = er_level if er_level is not None else core.off_diagonal_mean()
+        level = er_level if er_level is not None else float(core.sum() / (core.size - len(core)))
         if not 0.0 < level < 1.0:
             raise DomainError("ER periphery level must lie in (0, 1)")
         meta["er_level"] = level
@@ -530,7 +521,7 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
     else:
         theta_peri = sample_periphery_theta(core, cfg.n_periphery, theta_seed)
         assembly, *scales = _scale_config(core, theta_peri, cfg)
-        meta["theta_core_sum"] = float(core.expected_degrees().sum())
+        meta["theta_core_sum"] = float(core.sum(axis=1).sum())
     meta["c_core"] = assembly.c_core
     meta["c_periphery"], meta["rescale_clip_count"], meta["realized_density"] = scales
     return GeneratedInstance(assembly=assembly, meta=meta)

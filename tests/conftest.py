@@ -8,11 +8,13 @@ compare two genuinely different routes to the same quantity.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from corex.coreid import KMEANS_FLOOR
 from corex.errors import DegenerateError, DomainError, InfeasibleError
-from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
+from corex.graph import SparseGraph, sample_adjacency
+from corex.synth import graphon_by_number
 
 # one profile for every property test: examples of the dense oracles can
 # take longer than hypothesis's 200 ms default deadline on a busy machine
@@ -51,25 +53,41 @@ def random_orthonormal(n: int, r: int, rng) -> np.ndarray:
 def random_graph(n: int, p: float, seed: int) -> SparseGraph:
     entries = np.full((n, n), p)
     np.fill_diagonal(entries, 0.0)
-    return sample_adjacency(ProbabilityMatrix(entries), seed)
+    return sample_adjacency(entries, seed)
 
 
-def dense_er(core: ProbabilityMatrix, n_periphery: int, level: float) -> np.ndarray:
+@pytest.fixture
+def constant_core(monkeypatch):
+    """use(value): from then on synth.graphon_core, and so generate_instance,
+    gives every core as `value` off a zero diagonal, whatever the graphon.
+    use returns graphon 1, to pass where a graphon is asked for."""
+    def use(value):
+        def graphon_core(spec, n_core, seed):
+            core = np.full((n_core, n_core), float(value))
+            np.fill_diagonal(core, 0.0)
+            return core
+        monkeypatch.setattr("corex.synth.graphon_core", graphon_core)
+        return graphon_by_number(1)
+    return use
+
+
+def dense_er(core: np.ndarray, n_periphery: int, level: float) -> np.ndarray:
     """The ER-type assembly [[C, a J], [a J, a (J - I)]], filled entry by entry."""
-    p = np.full((core.n + n_periphery, core.n + n_periphery), level)
-    p[:core.n, :core.n] = core.entries
+    nc = len(core)
+    p = np.full((nc + n_periphery, nc + n_periphery), level)
+    p[:nc, :nc] = core
     np.fill_diagonal(p, 0.0)
     return p
 
 
-def dense_config(core: ProbabilityMatrix, theta_peri: np.ndarray, cfg):
+def dense_config(core: np.ndarray, theta_peri: np.ndarray, cfg):
     """The configuration-type assembly as the whole n x n matrix, built the
     way synth did before it kept the parts: (entries, c_core, c_periphery,
     clip count).  Raises DomainError for a core of zero weight and
     InfeasibleError where the ratio is unreachable or over 20% of the pairs
     clip."""
     nc, npr, n = cfg.n_core, cfg.n_periphery, cfg.n
-    theta_core = core.expected_degrees()
+    theta_core = core.sum(axis=1)
     s0 = float(theta_core.sum())
     if s0 <= 0.0:
         raise DomainError("core block has zero total weight")
@@ -87,7 +105,7 @@ def dense_config(core: ProbabilityMatrix, theta_peri: np.ndarray, cfg):
                                             + beta * beta * u_cross / s0)
     theta = np.concatenate([a * theta_core, (a * beta) * theta_peri])
     p = np.outer(theta, theta) / (a * s0)
-    p[:nc, :nc] = a * core.entries
+    p[:nc, :nc] = a * core
     np.fill_diagonal(p, 0.0)
     clip_count = int(np.count_nonzero(p > 1.0)) // 2
     if clip_count > 0.2 * ((n * n - n) // 2):
@@ -187,20 +205,20 @@ def brute_force_coreness(g: SparseGraph) -> np.ndarray:
         k += 1
 
 
-def definition1_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
+def definition1_residual(p: np.ndarray, periphery: np.ndarray) -> float:
     """Largest off-diagonal spread within any periphery row (0 means every
     periphery row is exactly constant off the diagonal)."""
     periphery = np.asarray(periphery, dtype=bool)
     worst = 0.0
-    off = ~np.eye(p.n, dtype=bool)
+    off = ~np.eye(len(p), dtype=bool)
     for i in np.nonzero(periphery)[0]:
-        row = p.entries[i][off[i]]
+        row = p[i][off[i]]
         if row.size:
             worst = max(worst, float(row.max() - row.min()))
     return worst
 
 
-def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
+def definition2_residual(p: np.ndarray, periphery: np.ndarray) -> float:
     """Deviation of periphery-touching entries from d_i d_j / sum(d).
 
     Degrees follow the ignoring-self-loops convention: the implied
@@ -208,12 +226,12 @@ def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
     sum, solved by fixed-point iteration from the observed row sums.
     """
     periphery = np.asarray(periphery, dtype=bool)
-    s = p.expected_degrees()
+    s = p.sum(axis=1)
     d = s.copy()
     for _ in range(200):  # fixed-point steps for the implied periphery degrees
         total = d.sum()
         if total <= 0.0:
-            return 0.0 if not periphery.any() else float(np.abs(p.entries).max())
+            return 0.0 if not periphery.any() else float(np.abs(p).max())
         nxt = s.copy()
         nxt[periphery] = s[periphery] + d[periphery] ** 2 / total
         if np.max(np.abs(nxt - d)) <= 1e-15 * max(1.0, total):
@@ -226,10 +244,10 @@ def definition2_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
     np.fill_diagonal(touch, False)
     if not touch.any():
         return 0.0
-    return float(np.abs(p.entries - model)[touch].max())
+    return float(np.abs(p - model)[touch].max())
 
 
-def periphery_product_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> float:
+def periphery_product_residual(entries: np.ndarray, periphery: np.ndarray) -> float:
     """Deviation of periphery-touching entries from an exact product form
     phi_i * phi_j.
 
@@ -245,7 +263,6 @@ def periphery_product_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> f
         return 0.0
     touch = periphery[:, np.newaxis] | periphery[np.newaxis, :]
     np.fill_diagonal(touch, False)
-    entries = p.entries
     if entries[touch].max() <= 0.0:
         return 0.0
     if peri_idx.size == 1:
@@ -256,7 +273,7 @@ def periphery_product_residual(p: ProbabilityMatrix, periphery: np.ndarray) -> f
     b = int(others[np.argmax(entries[a, others])])
     if entries[a, b] <= 0.0:
         return float(np.abs(entries)[touch].max())
-    rest = np.setdiff1d(np.arange(p.n), [a, b])
+    rest = np.setdiff1d(np.arange(len(entries)), [a, b])
     if rest.size == 0:
         return 0.0  # n = 2: a single entry is trivially a product
     k = int(rest[np.argmax(entries[b, rest])])

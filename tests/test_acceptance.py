@@ -24,8 +24,7 @@ from conftest import (brute_force_coreness, dense_config_scores,
 from corex.cli import main as cli_main
 from corex.coreid import identify_top_k, select_rank_ecv, threshold
 from corex.evaluate import _replicate_seed, eigengap_profile, roc, run_experiment
-from corex.graph import (ProbabilityMatrix, average_density, degrees,
-                         load_edge_list, sample_adjacency)
+from corex.graph import average_density, degrees, load_edge_list, sample_adjacency
 from corex.baselines import coreness_scores, pagerank_scores
 from corex.spectral import (SpectralDecomposition, config_scores, er_scores,
                             scores_from_truth, truncated_eigs)
@@ -65,12 +64,17 @@ def magnitude_sorted(lam, u):
     return lam[order], u[:, order]
 
 
+def off_diagonal_mean(p):
+    """pbar: the mean entry of P off its diagonal."""
+    return float(p.sum() / (p.size - len(p)))
+
+
 def detection_margin(p, rank, vals=None):
     """Smallest kept |eigenvalue| of P over sqrt(n * pbar)."""
     if vals is None:
-        vals = np.linalg.eigvalsh(p.entries)
+        vals = np.linalg.eigvalsh(p)
     kept = np.sort(np.abs(vals))[::-1][rank - 1]
-    return float(kept / np.sqrt(p.n * p.off_diagonal_mean()))
+    return float(kept / np.sqrt(len(p) * off_diagonal_mean(p)))
 
 
 def noiseless_signal(inst, rank, model):
@@ -85,15 +89,15 @@ def noiseless_signal(inst, rank, model):
         rank-r truncation of P itself, recover the core exactly.
     """
     p, truth = inst.assembly.dense(), inst.truth
-    pbar = p.off_diagonal_mean()
-    vals, vecs = magnitude_sorted(*np.linalg.eigh(p.entries))
+    pbar = off_diagonal_mean(p)
+    vals, vecs = magnitude_sorted(*np.linalg.eigh(p))
     dec = SpectralDecomposition(vals[:rank], vecs[:, :rank])
-    deg = p.expected_degrees()
+    deg = p.sum(axis=1)
     core_idx = np.nonzero(truth)[0]
-    rows = p.entries[core_idx]
+    rows = p[core_idx]
     if model == "er":
         peri = np.nonzero(~truth)[0]
-        alt = np.full_like(rows, p.entries[peri[0], peri[1]])
+        alt = np.full_like(rows, p[peri[0], peri[1]])
         scores = er_scores(dec)
     else:
         alt = np.outer(deg[core_idx], deg) / deg.sum()
@@ -150,7 +154,7 @@ def test_criterion_02_analytic_periphery_score():
     for n, d in ((10, 3.0), (100, 12.0)):
         entries = np.full((n, n), d / (n - 1))
         np.fill_diagonal(entries, 0.0)
-        values = scores_from_truth(ProbabilityMatrix(entries), "config").values
+        values = scores_from_truth(entries, "config").values
         expected = np.sqrt((n - 1) / n) * d / ((n - 1) * d)
         worst = max(worst, float(np.abs(values - expected).max()))
     elapsed = time.time() - t0
@@ -285,8 +289,7 @@ def test_criterion_06_eigengap_profile():
     for k, v in enumerate((0.9, 0.7, 0.5)):
         entries[k * third:(k + 1) * third, k * third:(k + 1) * third] = v
     np.fill_diagonal(entries, 0.0)
-    records = eigengap_profile(ProbabilityMatrix(entries),
-                               [0, 500, 1000, 2000, 4000], periphery_level=0.02)
+    records = eigengap_profile(entries, [0, 500, 1000, 2000, 4000], periphery_level=0.02)
     gaps = [rec["normalized_gap"] for rec in records]
     elapsed = time.time() - t0
     ok = gaps[0] > 0 and all(a > b for a, b in zip(gaps, gaps[1:])) and elapsed < 120
@@ -376,7 +379,7 @@ def test_criterion_10_ecv_rank_selection():
     for s in range(20):
         entries = np.full((300, 300), 0.1)
         np.fill_diagonal(entries, 0.0)
-        g = sample_adjacency(ProbabilityMatrix(entries), seed=1000 + s)
+        g = sample_adjacency(entries, seed=1000 + s)
         hits1 += int(select_rank_ecv(g, [1, 2, 3, 4], seed=s).chosen_r == 1)
     hits3 = 0
     for s in range(20):
@@ -385,7 +388,7 @@ def test_criterion_10_ecv_rank_selection():
             lo, hi = k * 100, (k + 1) * 100
             entries[lo:hi, lo:hi] = 0.5
         np.fill_diagonal(entries, 0.0)
-        g = sample_adjacency(ProbabilityMatrix(entries), seed=2000 + s)
+        g = sample_adjacency(entries, seed=2000 + s)
         hits3 += int(select_rank_ecv(g, [1, 2, 3, 4, 5, 6], seed=s).chosen_r == 3)
     elapsed = time.time() - t0
     ok = hits1 >= 18 and hits3 >= 18

@@ -179,7 +179,7 @@ def test_benchmark_traced_names_resolve():
 
     import corex
     from corex import evaluate, spectral
-    from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
+    from corex.graph import SparseGraph, sample_adjacency
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
     spec = importlib.util.spec_from_file_location("perfbench_traced", path)
@@ -192,7 +192,7 @@ def test_benchmark_traced_names_resolve():
     assert traced.PEAKS <= {f"{layer}.{name}" for layer, names in traced.SPANS.items()
                             for name in names}
     assert evaluate.eigengap_profile is spectral.eigengap_profile is corex.eigengap_profile
-    g = sample_adjacency(ProbabilityMatrix(np.full((6, 6), 0.5) - np.eye(6) * 0.5), 1)
+    g = sample_adjacency(np.full((6, 6), 0.5) - np.eye(6) * 0.5, 1)
     assert g.m > 0 and g.to_csr().nnz == 2 * g.m
     rebuilt = SparseGraph(g.n, g.adjacency)
     assert np.array_equal(rebuilt.indptr, g.indptr)

@@ -13,7 +13,7 @@ from corex.coreid import (KMEANS_FLOOR, CorePartition, RankSelection, _edge_spli
                           threshold, write_partition_csv)
 from corex.errors import DegenerateError, DomainError
 from corex.evaluate import RocCurve, write_roc_csv
-from corex.graph import ProbabilityMatrix, SparseGraph, sample_adjacency
+from corex.graph import SparseGraph, sample_adjacency
 from corex.spectral import CoreScores, _eigs, write_scores_csv
 
 # frozen independent evaluations (decimal arithmetic, 60 digits)
@@ -241,7 +241,7 @@ class TestKmeansSplit:
 def planted_rank1(n, p, seed):
     entries = np.full((n, n), p)
     np.fill_diagonal(entries, 0.0)
-    return sample_adjacency(ProbabilityMatrix(entries), seed)
+    return sample_adjacency(entries, seed)
 
 
 def planted_sbm3(n, within, between, seed):
@@ -251,7 +251,7 @@ def planted_sbm3(n, within, between, seed):
         lo, hi = k * third, (k + 1) * third if k < 2 else n
         entries[lo:hi, lo:hi] = within
     np.fill_diagonal(entries, 0.0)
-    return sample_adjacency(ProbabilityMatrix(entries), seed)
+    return sample_adjacency(entries, seed)
 
 
 class TestSelectRankEcv:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (dense_config_scores, dense_er_scores, random_graph,
                       random_orthonormal)
 from corex.errors import DomainError
-from corex.graph import _ROW_BLOCK, ProbabilityMatrix, SparseGraph, degrees, load_edge_list
+from corex.graph import _ROW_BLOCK, SparseGraph, degrees, load_edge_list
 from corex.spectral import (DEFAULT_TOL, CoreScores, SpectralDecomposition,
                             config_scores, diagnostics, er_scores, scores_from_truth,
                             truncated_eigs)
@@ -99,8 +99,8 @@ class TestTruncatedEigs:
                                                         np.round(np.sqrt(2), 6)]
 
 
-def full_rank_decomposition(p: ProbabilityMatrix) -> SpectralDecomposition:
-    vals, vecs = np.linalg.eigh(p.entries)
+def full_rank_decomposition(p: np.ndarray) -> SpectralDecomposition:
+    vals, vecs = np.linalg.eigh(p)
     order = np.argsort(-np.abs(vals), kind="stable")
     return SpectralDecomposition(vals[order], vecs[:, order])
 
@@ -110,7 +110,7 @@ class TestErScores:
         n, prob = 20, 0.35
         entries = np.full((n, n), prob)
         np.fill_diagonal(entries, 0.0)
-        dec = full_rank_decomposition(ProbabilityMatrix(entries))
+        dec = full_rank_decomposition(entries)
         values = er_scores(dec).values
         expected = prob * np.sqrt((n - 1) / n)
         assert np.allclose(values, expected, rtol=1e-10)
@@ -122,7 +122,7 @@ class TestErScores:
         entries[:3, 3:] = 0.1
         entries[3:, :3] = 0.1
         np.fill_diagonal(entries, 0.0)
-        dec = full_rank_decomposition(ProbabilityMatrix(entries))
+        dec = full_rank_decomposition(entries)
         values = er_scores(dec).values
         oracle = dense_er_scores(dec.eigenvectors, dec.eigenvalues)
         assert np.max(np.abs(values - oracle) / oracle) <= 1e-10
@@ -177,7 +177,7 @@ class TestConfigScores:
         total = theta.sum()
         entries = np.outer(theta, theta) / (total * 2.0)  # keep entries < 1
         np.fill_diagonal(entries, 0.0)
-        dec = full_rank_decomposition(ProbabilityMatrix(entries))
+        dec = full_rank_decomposition(entries)
         values = config_scores(dec, theta).values
         expected = np.sqrt((n - 1) / n) * theta / (total * 2.0)
         assert np.max(np.abs(values - expected) / expected) <= 1e-10
@@ -189,9 +189,8 @@ class TestConfigScores:
         entries[:3, 3:] = 0.3
         entries[3:, :3] = 0.3
         np.fill_diagonal(entries, 0.0)
-        p = ProbabilityMatrix(entries)
-        dec = full_rank_decomposition(p)
-        deg = p.expected_degrees()
+        dec = full_rank_decomposition(entries)
+        deg = entries.sum(axis=1)
         values = config_scores(dec, deg).values
         oracle = dense_config_scores(dec.eigenvectors, dec.eigenvalues, deg)
         assert np.max(np.abs(values - oracle) / oracle) <= 1e-10
@@ -248,7 +247,7 @@ class TestScoresFromTruth:
         n, prob = 100, 0.1
         entries = np.full((n, n), prob)
         np.fill_diagonal(entries, 0.0)
-        values = scores_from_truth(ProbabilityMatrix(entries), "er").values
+        values = scores_from_truth(entries, "er").values
         assert np.allclose(values, 0.1 * np.sqrt(99 / 100), rtol=1e-12)
 
     def test_one_hot_row(self):
@@ -257,11 +256,10 @@ class TestScoresFromTruth:
         entries[0, :] = 0.9
         entries[:, 0] = 0.9
         np.fill_diagonal(entries, 0.0)
-        p = ProbabilityMatrix(entries)
-        values = scores_from_truth(p, "er").values
+        values = scores_from_truth(entries, "er").values
         # hand-checked dense formula
         h = np.eye(n) - np.ones((n, n)) / n
-        oracle = np.linalg.norm(p.entries @ h, axis=1)
+        oracle = np.linalg.norm(entries @ h, axis=1)
         assert np.allclose(values, oracle, rtol=1e-12)
 
     def test_regular_configuration_closed_form(self):
@@ -271,7 +269,7 @@ class TestScoresFromTruth:
             c = d / (n - 1)
             entries = np.full((n, n), c)
             np.fill_diagonal(entries, 0.0)
-            values = scores_from_truth(ProbabilityMatrix(entries), "config").values
+            values = scores_from_truth(entries, "config").values
             expected = np.sqrt((n - 1) / n) * d / ((n - 1) * d)
             assert np.max(np.abs(values - expected)) <= 1e-10
 
@@ -279,7 +277,7 @@ class TestScoresFromTruth:
         entries = np.zeros((4, 4))
         entries[0, 1] = entries[1, 0] = 0.5
         with pytest.raises(DomainError):
-            scores_from_truth(ProbabilityMatrix(entries), "config")
+            scores_from_truth(entries, "config")
 
     def test_row_blocks_equal_whole_matrix_formula(self):
         # n spans several row blocks and is not a multiple of the block size
@@ -289,13 +287,12 @@ class TestScoresFromTruth:
         raw = rng.random((n, n)) * 0.5
         entries = (raw + raw.T) / 2
         np.fill_diagonal(entries, 0.0)
-        p = ProbabilityMatrix(entries)
-        centered = p.entries - p.entries.mean(axis=1, keepdims=True)
-        assert np.array_equal(scores_from_truth(p, "er").values,
+        centered = entries - entries.mean(axis=1, keepdims=True)
+        assert np.array_equal(scores_from_truth(entries, "er").values,
                               np.linalg.norm(centered, axis=1))
-        scaled = p.entries / p.expected_degrees()[np.newaxis, :]
+        scaled = entries / entries.sum(axis=1)[np.newaxis, :]
         centered = scaled - scaled.mean(axis=1, keepdims=True)
-        assert np.array_equal(scores_from_truth(p, "config").values,
+        assert np.array_equal(scores_from_truth(entries, "config").values,
                               np.linalg.norm(centered, axis=1))
 
 
@@ -308,7 +305,7 @@ class TestDiagnostics:
             half = n // 2
             core = np.full((half, half), p_star)
             np.fill_diagonal(core, 0.0)
-            assembly = ErAssembly(ProbabilityMatrix(core), 1.0, n - half, 0.3 * p_star)
+            assembly = ErAssembly(core, 1.0, n - half, 0.3 * p_star)
             report = diagnostics(assembly, r=2)
             ratios.append(report.h_n / (p_star * np.sqrt(n)))
         ratios = np.asarray(ratios)
@@ -320,7 +317,7 @@ class TestDiagnostics:
         for k, v in enumerate((0.6, 0.4, 0.2)):
             entries[10 * k:10 * (k + 1), 10 * k:10 * (k + 1)] = v
         np.fill_diagonal(entries, 0.0)
-        report = diagnostics(ErAssembly(ProbabilityMatrix(entries), 1.0, 0, 0.5), r=3)
+        report = diagnostics(ErAssembly(entries, 1.0, 0, 0.5), r=3)
         # the zero-diagonal perturbs exact low-rankness by the block values
         assert abs(report.eigenvalues[5]) <= 0.6 + 1e-9
         # an exactly low-rank matrix (diagonal kept) has lambda_4 == 0
@@ -338,27 +335,27 @@ class TestDiagnostics:
             n_core=4, n_periphery=6, periphery="config", degree_ratio=2.0,
             target_density=0.2)).assembly
         monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
-        for assembly in (ErAssembly(ProbabilityMatrix(core), 1.0, 6, 0.1), config):
+        for assembly in (ErAssembly(core, 1.0, 6, 0.1), config):
             for r in (0, 10, 11):
                 with pytest.raises(DomainError, match=f"rank r={r} must satisfy"):
                     diagnostics(assembly, r=r)
 
 
-def dense_diagnostics(p: ProbabilityMatrix, labels):
+def dense_diagnostics(p: np.ndarray, labels):
     """Oracle: (eigvalsh, p*, h(n), h'(n)) of the whole matrix, with h(n) and
     h'(n) the minimum scores_from_truth over the labelled core; h'(n) is
     None when an expected degree is 0."""
     h_prime_n = None
-    if np.all(p.expected_degrees() > 0):
+    if np.all(p.sum(axis=1) > 0):
         h_prime_n = float(scores_from_truth(p, "config").values[labels].min())
-    return (np.linalg.eigvalsh(p.entries), float(p.entries.max()),
+    return (np.linalg.eigvalsh(p), float(p.max()),
             float(scores_from_truth(p, "er").values[labels].min()), h_prime_n)
 
 
-def assert_spectrum_matches_dense(p: ProbabilityMatrix, report):
+def assert_spectrum_matches_dense(p: np.ndarray, report):
     """Oracle: dense eigvalsh of the whole matrix, compared as a multiset
     to 1e-10 |lambda_1|; the report must also be magnitude-sorted."""
-    dense = np.linalg.eigvalsh(p.entries)
+    dense = np.linalg.eigvalsh(p)
     scale = np.abs(dense).max()
     assert report.eigenvalues.shape == dense.shape
     assert np.max(np.abs(np.sort(report.eigenvalues) - dense)) <= 1e-10 * scale
@@ -366,14 +363,13 @@ def assert_spectrum_matches_dense(p: ProbabilityMatrix, report):
     assert np.all(mags[:-1] >= mags[1:])
 
 
-def filled_by_hand(assembly) -> ProbabilityMatrix:
+def filled_by_hand(assembly) -> np.ndarray:
     """The n x n matrix of an ER assembly, built entry by entry."""
-    nc, n = assembly.core.n, assembly.n
-    entries = np.array([[0.0 if i == j else
-                         min(assembly.c_core * assembly.core.entries[i, j], 1.0)
-                         if i < nc and j < nc else assembly.level
-                         for j in range(n)] for i in range(n)])
-    return ProbabilityMatrix(entries)
+    nc, n = len(assembly.core), assembly.n
+    return np.array([[0.0 if i == j else
+                      min(assembly.c_core * assembly.core[i, j], 1.0)
+                      if i < nc and j < nc else assembly.level
+                      for j in range(n)] for i in range(n)])
 
 
 def assert_assembly_matches_dense(assembly, r=3, perm=None):
@@ -382,9 +378,9 @@ def assert_assembly_matches_dense(assembly, r=3, perm=None):
     to 1e-12 |lambda_1| in the spectrum and gap, to 1e-12 relative in h_n
     and h'_n, and exactly in p_star."""
     report = diagnostics(assembly, r)
-    p, labels = filled_by_hand(assembly), np.arange(assembly.n) < assembly.core.n
+    p, labels = filled_by_hand(assembly), np.arange(assembly.n) < len(assembly.core)
     if perm is not None:
-        p, labels = ProbabilityMatrix(p.entries[np.ix_(perm, perm)]), labels[perm]
+        p, labels = p[np.ix_(perm, perm)], labels[perm]
     eigvals, p_star, h_n, h_prime_n = dense_diagnostics(p, labels)
     mags = np.sort(np.abs(eigvals))[::-1]
     assert report.eigenvalues.shape == eigvals.shape
@@ -413,21 +409,19 @@ class TestReducedSpectrum:
         assume(n >= 2)
         rng = np.random.default_rng(seed)
         core = np.triu(rng.random((n_core, n_core)), 1)
-        assembly = ErAssembly(ProbabilityMatrix(core + core.T), 1.0, n_periphery, level)
+        assembly = ErAssembly(core + core.T, 1.0, n_periphery, level)
         assert_assembly_matches_dense(assembly, r=1)
         # the oracle's periphery interleaved with its core
         assert_assembly_matches_dense(assembly, r=1, perm=rng.permutation(n))
 
     def test_assembly_edge_cases(self):
-        core = ProbabilityMatrix(np.array([[0.0, 0.6, 0.2], [0.6, 0.0, 0.9],
-                                           [0.2, 0.9, 0.0]]))
+        core = np.array([[0.0, 0.6, 0.2], [0.6, 0.0, 0.9], [0.2, 0.9, 0.0]])
         for n_periphery, level in ((0, 0.3), (1, 0.3), (4, 1.0), (4, 0.95)):
             assert_assembly_matches_dense(ErAssembly(core, 1.5, n_periphery, level), r=2)
         # without a periphery the level is in no entry, so not in p_star
         assert diagnostics(ErAssembly(core, 0.5, 0, 0.9), 2).p_star == 0.45
         # a core row of zeros has degree 0: no config score, as in the dense path
-        isolated = ProbabilityMatrix(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0],
-                                               [0.0, 0.0, 0.0]]))
+        isolated = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
         assert assert_assembly_matches_dense(ErAssembly(isolated, 1.0, 0, 0.3),
                                              r=1).h_prime_n is None
 
