@@ -43,12 +43,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_run_record(out_dir, args, **resolved) -> None:
-    """run.json: every flag of the subcommand; `resolved` values replace raw ones."""
+def _write_run_record(args, **resolved) -> str:
+    """Make --out-dir and its run.json: every flag, `resolved` values replacing raw ones."""
+    os.makedirs(out_dir := args.out_dir, exist_ok=True)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     _write_json(os.path.join(out_dir, "run.json"),
                 {"subcommand": args.subcommand, "version": __version__,
                  "parameters": {**params, **resolved}})
+    return out_dir
 
 
 def _design(args, ratios) -> list[SynthConfig]:
@@ -67,8 +69,7 @@ def _design(args, ratios) -> list[SynthConfig]:
 def cmd_generate(args) -> int:
     cfg, = _design(args, [args.ratio])
     graphon = graphon_by_number(args.graphon)
-    os.makedirs(out_dir := args.out_dir, exist_ok=True)
-    _write_run_record(out_dir, args, n_core=cfg.n_core, n_periphery=cfg.n_periphery)
+    out_dir = _write_run_record(args, n_core=cfg.n_core, n_periphery=cfg.n_periphery)
     instance = generate_instance(graphon, cfg)
     g = instance.sample()
     write_edge_list(g, os.path.join(out_dir, "edges.tsv"))
@@ -129,8 +130,7 @@ def cmd_identify(args) -> int:
         raise DomainError(f"--rank {rank} must be below n = {g.n}")
     if select_method == "topk" and topk > g.n:
         raise DomainError(f"--select topk:{topk} must not exceed n = {g.n}")
-    os.makedirs(out_dir := args.out_dir, exist_ok=True)
-    _write_run_record(out_dir, args, rank=rank)
+    out_dir = _write_run_record(args, rank=rank)
     info = {"model": args.model, "rank_requested": args.rank}
     if rank == "auto":
         selection = select_rank_ecv(g, rank_candidates(g.n), seed=args.seed)
@@ -185,9 +185,8 @@ def cmd_bench(args) -> int:
     methods = check_plan(args.methods.split(",") if args.methods is not None else ALL_METHODS,
                          args.replicates)
     graphon = graphon_by_number(args.graphon)
-    os.makedirs(out_dir := args.out_dir, exist_ok=True)
-    _write_run_record(out_dir, args, n_core=cfgs[0].n_core, n_periphery=cfgs[0].n_periphery,
-                      ratios=list(ratios), methods=list(methods), rank=rank)
+    out_dir = _write_run_record(args, n_core=cfgs[0].n_core, n_periphery=cfgs[0].n_periphery,
+                                ratios=list(ratios), methods=list(methods), rank=rank)
     summary = {"settings": [], "methods": list(methods)}
     for ratio, ratio_tag, cfg in zip(ratios, ratio_tags, cfgs):
         result = run_experiment(graphon, cfg, methods=methods,
@@ -239,7 +238,7 @@ def cmd_diagnose(args) -> int:
     if not os.path.isfile(source):
         raise ValidationError(f"input file not found: {source}")
     if truth:
-        graphon, cfg, er_level = _read_meta(args.truth_p)
+        graphon, cfg = _read_meta(args.truth_p)
         if args.rank >= cfg.n:
             raise DomainError(f"--rank {args.rank} must be below n = {cfg.n}")
         if sizes and cfg.n_core < 4:
@@ -250,10 +249,9 @@ def cmd_diagnose(args) -> int:
             raise ValidationError("graph too small to diagnose")
         if args.rank >= g.n:
             raise DomainError(f"--rank {args.rank} must be below n = {g.n}")
-    os.makedirs(out_dir := args.out_dir, exist_ok=True)
-    _write_run_record(out_dir, args)
+    out_dir = _write_run_record(args)
     if truth:
-        instance = generate_instance(graphon, cfg, er_level=er_level)
+        instance = generate_instance(graphon, cfg)
         report = diagnostics(instance.assembly, args.rank)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes is not None:

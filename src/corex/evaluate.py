@@ -168,8 +168,8 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     the score and truth vectors, and record the operating points of the
     threshold and 2-means selection rules (plus the k-core staircase).  With
     rank "auto" each replicate's rank is chosen by select_rank_ecv from
-    rank_candidates(n).  cfg.seed is the master seed; every replicate
-    derives its own seed from it.
+    rank_candidates(n).  A proposed method on a replicate with no edges
+    raises DegenerateError.  Each replicate's seed derives from cfg.seed.
     """
     methods = check_plan(methods, replicates)
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))
@@ -186,6 +186,8 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
         truth = instance.truth
         g = instance.sample()
         del instance  # its core block, and a config instance's n x n matrix, end here
+        if need_spectral and g.m == 0:
+            raise DegenerateError(f"replicate {rep} (seed {rep_seed}) sampled no edges to score")
         p_hat = average_density(g)
         dec = None
         if need_spectral:

@@ -191,19 +191,16 @@ def design_record(graphon: GraphonSpec, cfg: SynthConfig) -> dict:
     return {"graphon": graphon.kind, **{k: getattr(cfg, k) for k in DESIGN_FIELDS[1:]}}
 
 
-def read_design(record: dict) -> tuple[GraphonSpec, SynthConfig, float | None]:
-    """The graphon, config and optional ER level of a meta.json object.
+def read_design(record: dict) -> tuple[GraphonSpec, SynthConfig]:
+    """The graphon and config of a meta.json object; only its design fields are read.
 
     A missing field raises ValidationError, a field of the wrong type or
     range DomainError."""
     missing = set(DESIGN_FIELDS) - set(record)
     if missing:
         raise ValidationError(f"meta.json missing fields: {sorted(missing)}")
-    er_level = record.get("er_level")
-    if er_level is not None and not (_is_number(er_level, Real) and 0.0 < er_level < 1.0):
-        raise DomainError(f"er_level must be a number in (0, 1), got {er_level!r}")
     cfg = SynthConfig(**{k: record[k] for k in DESIGN_FIELDS[1:]})
-    return GraphonSpec(kind=record["graphon"]), cfg, er_level
+    return GraphonSpec(kind=record["graphon"]), cfg
 
 
 @dataclass(frozen=True)
@@ -480,8 +477,7 @@ class GeneratedInstance:
         return self.assembly.sample(self.meta["adjacency_seed"])
 
 
-def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
-                      er_level: float | None = None) -> GeneratedInstance:
+def generate_instance(graphon: GraphonSpec, cfg: SynthConfig) -> GeneratedInstance:
     """Build the ground-truth probability matrix for one design point.
 
     Sub-seeds for the latent positions, the periphery weights, and the
@@ -490,7 +486,8 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
 
     ER-type: the core block is scaled by c_core and the periphery level by
     c_periphery, both solved in closed form from the block masses (see
-    _scale_er), so an unclipped instance meets Definition 1 exactly.
+    _scale_er), so an unclipped instance meets Definition 1 exactly; the
+    level that c_periphery scales is the core block's off-diagonal mean.
     Configuration-type: the core weights are scaled by c_core and the
     periphery weights by c_periphery before assembly (see _scale_config),
     so an unclipped instance meets Definition 2 exactly.  The periphery
@@ -513,10 +510,7 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig,
         "adjacency_seed": adjacency_seed,
     }
     if cfg.periphery == "er":
-        level = er_level if er_level is not None else float(core.sum() / (core.size - len(core)))
-        if not 0.0 < level < 1.0:
-            raise DomainError("ER periphery level must lie in (0, 1)")
-        meta["er_level"] = level
+        meta["er_level"] = level = float(core.sum() / (core.size - len(core)))
         assembly, *scales = _scale_er(core, level, cfg)
     else:
         theta_peri = sample_periphery_theta(core, cfg.n_periphery, theta_seed)

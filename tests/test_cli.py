@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from corex import cli, synth
 from corex.cli import main
 from corex.coreid import rank_candidates, select_rank_ecv
+from corex.evaluate import _replicate_seed
 from corex.spectral import eigengap_profile
 from corex.synth import DESIGN_FIELDS, SynthConfig, generate_instance, graphon_core
 
@@ -321,6 +322,25 @@ class TestBench:
         expected = select_rank_ecv(g, rank_candidates(g.n), seed=rep_seed).chosen_r
         assert setting["chosen_ranks"] == [expected]
 
+    # graphon 1 at 3 + 2 nodes and ratio 1: the first replicate of seed 0 samples no edge
+    NO_EDGE_DESIGN = ["bench", "--graphon", "1", "--n-core", "3", "--n-periphery", "2",
+                      "--ratios", "1", "--replicates", "1"]
+
+    @pytest.mark.parametrize("rank", ["4", "auto"])
+    def test_replicate_without_edges_is_data_error(self, tmp_path, capsys, rank):
+        rep_seed = _replicate_seed(0, 0)
+        cfg = SynthConfig(n_core=3, n_periphery=2, periphery="er", degree_ratio=1.0,
+                          seed=rep_seed)
+        assert generate_instance(synth.graphon_by_number(1), cfg).sample().m == 0
+        assert run(self.NO_EDGE_DESIGN + ["--rank", rank, "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"error: replicate 0 (seed {rep_seed}) "
+                                           f"sampled no edges to score\n")
+
+    def test_baselines_score_a_replicate_without_edges(self, tmp_path):
+        assert run(self.NO_EDGE_DESIGN + ["--rank", "4", "--methods",
+                                          "degree,pagerank,local_cc,kcore",
+                                          "--out-dir", str(tmp_path)]) == 0
+
     def test_rank_mode_flag_is_usage_error(self, tmp_path):
         out = tmp_path / "ecv"
         with pytest.raises(SystemExit) as exc:
@@ -367,12 +387,28 @@ class TestDiagnose:
                     "--periphery-level", "0.05", "--out-dir", str(out)])
         assert code == 0
         meta = json.loads((generated / "meta.json").read_text())
-        graphon, cfg, er_level = synth.read_design(meta)
-        core = generate_instance(graphon, cfg, er_level=er_level).assembly.core
+        graphon, cfg = synth.read_design(meta)
+        core = generate_instance(graphon, cfg).assembly.core
         expected = "n_periphery,lambda_1,gap_3_4,normalized_gap\n" + "".join(
             f"{rec['n_periphery']},{rec['lambda_1']!r},{rec['gap_3_4']!r},"
             f"{rec['normalized_gap']!r}\n" for rec in eigengap_profile(core, [0, 20, 40], 0.05))
         assert (out / "eigengap_sweep.csv").read_bytes() == expected.encode()
+
+    def test_truth_mode_reads_the_design_only(self, generated, tmp_path):
+        # meta.json's er_level is a record of the run: a rewritten one changes nothing
+        meta = json.loads((generated / "meta.json").read_text())
+        outputs = []
+        for name, level in [("kept", None), ("small", 0.001), ("text", "x")]:
+            path = generated / "meta.json"
+            if level is not None:
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps({**meta, "er_level": level}))
+            out = tmp_path / name
+            assert run(["diagnose", "--truth-p", str(path), "--rank", "3", "--sweep", "0,20",
+                        "--out-dir", str(out)]) == 0
+            outputs.append([(out / f).read_bytes()
+                            for f in ("diagnostics.json", "eigengap_sweep.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("flags", [["--sweep=-5"], ["--sweep", "abc"],
                                        ["--sweep", "0,,20"],
@@ -402,8 +438,7 @@ class TestDiagnose:
     @pytest.mark.parametrize("field, value", [
         ("n_core", "abc"), ("n_core", 30.5), ("n_periphery", None), ("seed", 1.5),
         ("degree_ratio", "3"), ("degree_ratio", float("nan")), ("target_density", "0.05"),
-        ("er_level", "x"), ("graphon", ["table1_g1"]), ("er_level", 1.5), ("er_level", 0),
-        ("er_level", -0.1),
+        ("periphery", "dense"), ("graphon", ["table1_g1"]),
     ])
     def test_meta_type_fault_is_data_error(self, generated, tmp_path, capsys, field, value):
         meta = json.loads((generated / "meta.json").read_text())
@@ -451,13 +486,13 @@ JSON_KINDS = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
 # are both JSON numbers, so a number field keeps its kind when given either
 FIELD_KINDS = {"graphon": {"str"}, "periphery": {"str"}, "n_core": {"int"},
                "n_periphery": {"int"}, "seed": {"int"}, "target_density": {"int", "float"},
-               "degree_ratio": {"int", "float"}, "er_level": {"int", "float"}}
+               "degree_ratio": {"int", "float"}}
 
 
 @settings(max_examples=60)
 @given(data=st.data(), field=st.sampled_from(sorted(FIELD_KINDS)))
 def test_retyped_meta_field_exits_0_or_3(valid_meta, data, field):
-    assert set(FIELD_KINDS) == set(DESIGN_FIELDS) | {"er_level"}
+    assert set(FIELD_KINDS) == set(DESIGN_FIELDS)
     kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - FIELD_KINDS[field])))
     meta = {**valid_meta, field: data.draw(JSON_KINDS[kind])}
     with tempfile.TemporaryDirectory() as tmp:

@@ -182,10 +182,10 @@ class TestAssembleEr:
         assert np.allclose(values[12:], expected, rtol=1e-12)
 
 
-def er_instance(graphon, n_core, n_periphery, ratio, density, er_level=None, seed=0):
+def er_instance(graphon, n_core, n_periphery, ratio, density, seed=0):
     cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
                       degree_ratio=ratio, target_density=density, seed=seed)
-    return generate_instance(graphon, cfg, er_level=er_level)
+    return generate_instance(graphon, cfg)
 
 
 def er_peak_in_dense_matrices(n_core, n_periphery):
@@ -430,8 +430,7 @@ def test_dense_peak_is_the_fill(periphery):
     (lambda constant_core: er_instance(G1, 60, 90, ratio=3.0, density=0.1, seed=3),
      "613ef134d0ff1ec0bc232fb334250889a96ea8c4c1ed3c9261a041e915176925"),
     # level clipped to 1, as in test_clipped_level_clips_every_touching_pair
-    (lambda constant_core: er_instance(constant_core(0.5), 20, 2, ratio=0.3, density=0.5,
-                                       er_level=0.5),
+    (lambda constant_core: er_instance(constant_core(0.5), 20, 2, ratio=0.3, density=0.5),
      "684ebda64ab16e9a14b702e80c81af62a11fc3facaa0f1942f9eb8a52fdde4e2"),
     (lambda constant_core: config_instance(G1, 60, 90, ratio=3.0, density=0.1, seed=3),
      "038bef71cebbfedd1dd9735db9eaa7c149850881037c05cc0db190038e4aa192"),
@@ -522,61 +521,57 @@ class TestRescale:
 
     def test_identity_when_already_on_target(self, constant_core):
         # a constant 0.25 core and level: density 0.25 and ratio 1 already hold
-        inst = er_instance(constant_core(0.25), 10, 10, ratio=1.0, density=0.25,
-                           er_level=0.25)
+        inst = er_instance(constant_core(0.25), 10, 10, ratio=1.0, density=0.25)
         assert abs(inst.meta["c_core"] - 1.0) < 1e-9
         assert abs(inst.meta["c_periphery"] - 1.0) < 1e-9
 
     def test_hits_target_density(self):
-        inst = er_instance(G1, 30, 30, ratio=2.0, density=0.02, er_level=0.05, seed=3)
+        inst = er_instance(G1, 30, 30, ratio=2.0, density=0.02, seed=3)
         assert inst.meta["rescale_clip_count"] == 0
         assert abs(inst.assembly.dense().sum() / (60 * 59) - 0.02) < 1e-9
 
     def test_hits_degree_ratio(self):
-        inst = er_instance(G2, 40, 60, ratio=3.0, density=0.03, er_level=0.04, seed=8)
+        inst = er_instance(G2, 40, 60, ratio=3.0, density=0.03, seed=8)
         deg = inst.assembly.dense().sum(axis=1)
         ratio = deg[:40].mean() / deg[40:].mean()
         assert abs(ratio - 3.0) < 1e-6
 
     def test_preserves_er_membership(self):
-        inst = er_instance(G1, 25, 25, ratio=2.5, density=0.05, er_level=0.06, seed=5)
+        inst = er_instance(G1, 25, 25, ratio=2.5, density=0.05, seed=5)
         assert inst.meta["rescale_clip_count"] == 0
         assert definition1_residual(inst.assembly.dense(), ~inst.truth) == 0.0
 
     def test_infeasible_ratio(self):
         with pytest.raises(InfeasibleError):
-            er_instance(G1, 10, 40, ratio=0.05, density=0.02, er_level=0.05, seed=2)
+            er_instance(G1, 10, 40, ratio=0.05, density=0.02, seed=2)
 
     def test_heavy_clipping_rejected(self, constant_core):
         # ratio 3 at density 0.95 pushes every core pair of a constant core
         # past 1, and core pairs are 190 of the 276 pairs
         with pytest.raises(InfeasibleError, match="20%"):
-            er_instance(constant_core(0.5), 20, 4, ratio=3.0, density=0.95,
-                        er_level=0.1)
+            er_instance(constant_core(0.5), 20, 4, ratio=3.0, density=0.95)
 
     def test_zero_core_rejected(self, constant_core):
         with pytest.raises(InfeasibleError):
-            er_instance(constant_core(0.0), 5, 5, ratio=1.0, density=0.05,
-                        er_level=0.05)
+            er_instance(constant_core(0.0), 5, 5, ratio=1.0, density=0.05)
 
     @settings(max_examples=60)
     @given(gnum=st.integers(1, 3), n_core=st.integers(2, 30),
            n_periphery=st.integers(0, 30),
            ratio=st.floats(1.0, 6.0), density=st.floats(0.005, 0.3),
-           er_level=st.one_of(st.none(), st.floats(0.001, 0.999)),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_closed_form_matches_dense_oracle(self, gnum, n_core, n_periphery, ratio,
-                                              density, er_level, seed):
+                                              density, seed):
         graphon = graphon_by_number(gnum)
         cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
                           degree_ratio=ratio, target_density=density, seed=seed)
         try:
-            inst = generate_instance(graphon, cfg, er_level=er_level)
+            inst = generate_instance(graphon, cfg)
         except InfeasibleError:
             core_seed = int(np.random.SeedSequence(seed).generate_state(3)[0])
             core = graphon_core(graphon, n_core, core_seed)
-            if er_level is None:  # the core's off-diagonal mean, as generate_instance takes it
-                er_level = float(core.sum() / (core.size - n_core))
+            # the core's off-diagonal mean, as generate_instance takes it
+            er_level = float(core.sum() / (core.size - n_core))
             meta = {"latents_seed": core_seed, "er_level": er_level}
             assert dense_rescale_oracle(graphon, cfg, meta) is None
             return
@@ -617,7 +612,7 @@ class TestRescale:
         graphon = constant_core(0.5)
         cfg = SynthConfig(n_core=20, n_periphery=2, periphery="er",
                           degree_ratio=0.3, target_density=0.5, seed=0)
-        inst = generate_instance(graphon, cfg, er_level=0.5)
+        inst = generate_instance(graphon, cfg)
         c_core, c_peri, scaled, clip_count = dense_rescale_oracle(graphon, cfg, inst.meta)
         assert c_peri * 0.5 > 1.0 and inst.assembly.level == 1.0
         assert inst.meta["rescale_clip_count"] == clip_count == 41
@@ -667,7 +662,7 @@ class TestDesignPoint:
     def test_read_design_inverts_the_record(self, er_level):
         cfg = SynthConfig(**VALID_DESIGN)
         record = {**design_record(G2, cfg), "latents_seed": 5, "er_level": er_level}
-        assert read_design(record) == (G2, cfg, er_level)
+        assert read_design(record) == (G2, cfg)
 
     def test_read_design_names_missing_fields(self):
         record = design_record(G1, SynthConfig(**VALID_DESIGN))
@@ -676,8 +671,7 @@ class TestDesignPoint:
             read_design(record)
 
     @pytest.mark.parametrize("field, value", [("graphon", ["table1_g1"]),
-                                              ("graphon", "custom"), ("er_level", "x"),
-                                              ("er_level", True), ("n_core", "abc")])
+                                              ("graphon", "custom"), ("n_core", "abc")])
     def test_read_design_rejects_bad_type(self, field, value):
         record = {**design_record(G1, SynthConfig(**VALID_DESIGN)), field: value}
         with pytest.raises(DomainError):
