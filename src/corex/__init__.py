@@ -28,8 +28,8 @@ _EXPORTS = {
              "sample_adjacency write_edge_list write_truth_labels",
     "spectral": "CoreScores SpectralDecomposition config_scores diagnostics eigengap_profile "
                 "er_scores scores_from_truth truncated_eigs",
-    "synth": "GeneratedInstance GraphonSpec SynthConfig generate_instance graphon_by_number "
-             "graphon_core graphon_matrix graphon_value sample_latents sample_periphery_theta",
+    "synth": "GeneratedInstance SynthConfig generate_instance graphon_by_number graphon_core "
+             "graphon_matrix graphon_value sample_latents sample_periphery_theta",
 }
 # public name -> its module; a module's own name maps to itself
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}

@@ -61,16 +61,16 @@ def _design(args, ratios) -> list[SynthConfig]:
         sizes = PRESET_SIZES[args.preset_sizes or "balanced"]
     elif args.preset_sizes or None in sizes:
         raise DomainError("give --preset-sizes, or both --n-core and --n-periphery")
-    return [SynthConfig(n_core=sizes[0], n_periphery=sizes[1], periphery=args.periphery,
-                        degree_ratio=ratio, target_density=args.density, seed=args.seed)
+    return [SynthConfig(graphon=graphon_by_number(args.graphon), n_core=sizes[0],
+                        n_periphery=sizes[1], periphery=args.periphery, degree_ratio=ratio,
+                        target_density=args.density, seed=args.seed)
             for ratio in ratios]
 
 
 def cmd_generate(args) -> int:
     cfg, = _design(args, [args.ratio])
-    graphon = graphon_by_number(args.graphon)
     out_dir = _write_run_record(args, n_core=cfg.n_core, n_periphery=cfg.n_periphery)
-    instance = generate_instance(graphon, cfg)
+    instance = generate_instance(cfg)
     g = instance.sample()
     write_edge_list(g, os.path.join(out_dir, "edges.tsv"))
     write_truth_labels(os.path.join(out_dir, "truth.csv"), instance.truth)
@@ -164,7 +164,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .evaluate import ALL_METHODS, check_plan, roc, run_experiment, write_roc_csv
+    from .evaluate import (ALL_METHODS, PROPOSED_METHODS, check_plan, roc, run_experiment,
+                           write_roc_csv)
     try:
         ratios = (tuple(map(float, args.ratios.split(","))) if args.ratios is not None
                   else DEFAULT_RATIOS)
@@ -179,18 +180,17 @@ def cmd_bench(args) -> int:
     if cfgs[0].n_periphery < 1:  # the ROC curves need both classes
         raise DomainError("bench needs --n-periphery >= 1")
     rank = _parse_rank(args.rank)
-    if rank != "auto" and rank >= cfgs[0].n:
-        raise DomainError(f"--rank {rank} must be below n = {cfgs[0].n}")
     _check_eps(args.eps)
     methods = check_plan(args.methods.split(",") if args.methods is not None else ALL_METHODS,
                          args.replicates)
-    graphon = graphon_by_number(args.graphon)
+    if rank != "auto" and rank >= cfgs[0].n and set(methods) & set(PROPOSED_METHODS):
+        raise DomainError(f"--rank {rank} must be below n = {cfgs[0].n}")
     out_dir = _write_run_record(args, n_core=cfgs[0].n_core, n_periphery=cfgs[0].n_periphery,
                                 ratios=list(ratios), methods=list(methods), rank=rank)
     summary = {"settings": [], "methods": list(methods)}
     for ratio, ratio_tag, cfg in zip(ratios, ratio_tags, cfgs):
-        result = run_experiment(graphon, cfg, methods=methods,
-                                replicates=args.replicates, rank=rank, eps=args.eps)
+        result = run_experiment(cfg, methods=methods, replicates=args.replicates, rank=rank,
+                                eps=args.eps)
         pooled_truth = np.concatenate(result.truth_vectors)
         for method in methods:
             pooled = np.concatenate(result.score_vectors[method])
@@ -238,7 +238,7 @@ def cmd_diagnose(args) -> int:
     if not os.path.isfile(source):
         raise ValidationError(f"input file not found: {source}")
     if truth:
-        graphon, cfg = _read_meta(args.truth_p)
+        cfg = _read_meta(args.truth_p)
         if args.rank >= cfg.n:
             raise DomainError(f"--rank {args.rank} must be below n = {cfg.n}")
         if sizes and cfg.n_core < 4:
@@ -251,7 +251,7 @@ def cmd_diagnose(args) -> int:
             raise DomainError(f"--rank {args.rank} must be below n = {g.n}")
     out_dir = _write_run_record(args)
     if truth:
-        instance = generate_instance(graphon, cfg)
+        instance = generate_instance(cfg)
         report = diagnostics(instance.assembly, args.rank)
         _write_json(os.path.join(out_dir, "diagnostics.json"), report.to_json_dict())
         if sizes is not None:

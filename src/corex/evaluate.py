@@ -17,7 +17,7 @@ from .coreid import CorePartition, kmeans_split, rank_candidates, select_rank_ec
 from .errors import DegenerateError, DomainError
 from .graph import _write_rows, average_density, degrees
 from .spectral import config_scores, eigengap_profile, er_scores, truncated_eigs
-from .synth import GraphonSpec, SynthConfig, design_record, generate_instance
+from .synth import SynthConfig, design_record, generate_instance
 
 __all__ = [
     "RocCurve",
@@ -157,9 +157,8 @@ def check_plan(methods, replicates: int) -> tuple:
     return methods
 
 
-def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
-                   replicates: int = 20, rank: int | str = 6,
-                   eps: float = 0.01) -> ExperimentResult:
+def run_experiment(cfg: SynthConfig, methods=ALL_METHODS, replicates: int = 20,
+                   rank: int | str = 6, eps: float = 0.01) -> ExperimentResult:
     """Replicate the simulation protocol for one design point.
 
     Per replicate: build the instance, draw one adjacency sample through
@@ -168,13 +167,14 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     the score and truth vectors, and record the operating points of the
     threshold and 2-means selection rules (plus the k-core staircase).  With
     rank "auto" each replicate's rank is chosen by select_rank_ecv from
-    rank_candidates(n).  A proposed method on a replicate with no edges
-    raises DegenerateError.  Each replicate's seed derives from cfg.seed.
+    rank_candidates(n).  A replicate with no edges raises DegenerateError if a
+    proposed method or eigenvector centrality would score it.  Each
+    replicate's seed derives from cfg.seed.
     """
     methods = check_plan(methods, replicates)
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))
     result = ExperimentResult(
-        config={**design_record(graphon, cfg), "rank": rank},
+        config={**design_record(cfg), "rank": rank},
         methods=methods,
         replicate_seeds=rep_seeds,
         aucs={m: [] for m in methods},
@@ -182,11 +182,11 @@ def run_experiment(graphon: GraphonSpec, cfg: SynthConfig, methods=ALL_METHODS,
     )
     need_spectral = any(m in PROPOSED_METHODS for m in methods)
     for rep, rep_seed in enumerate(rep_seeds):
-        instance = generate_instance(graphon, replace(cfg, seed=rep_seed))
+        instance = generate_instance(replace(cfg, seed=rep_seed))
         truth = instance.truth
         g = instance.sample()
         del instance  # its core block, and a config instance's n x n matrix, end here
-        if need_spectral and g.m == 0:
+        if g.m == 0 and (need_spectral or "eigenvector" in methods):
             raise DegenerateError(f"replicate {rep} (seed {rep_seed}) sampled no edges to score")
         p_hat = average_density(g)
         dec = None

@@ -37,6 +37,7 @@ __all__ = [
 # isqrt(2**63): the largest node count whose row-major pair keys i * n + j,
 # which from_pairs sorts and _triangle_pairs inverts, fit in int64
 MAX_NODES = 3_037_000_499
+INT32_INDEX_MAX = 2**31 - 1  # the largest n and 2m whose CSR arrays are int32, as in scipy
 
 
 class SparseGraph:
@@ -101,7 +102,7 @@ class SparseGraph:
         keep = np.not_equal(keys[1:], keys[:-1])  # keep[i]: key i + 1 is not a repeat
         keys = keys if keep.all() else keys[np.append(True, keep)]
         # the index dtype scipy picks, so to_csr adopts these arrays uncopied
-        dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
+        dtype = np.int32 if max(n, keys.size) <= INT32_INDEX_MAX else np.int64
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(dtype)
         indices = np.remainder(keys, n, out=keys).astype(dtype, copy=False)
         indptr.flags.writeable = indices.flags.writeable = False

@@ -22,7 +22,6 @@ from .errors import DomainError, InfeasibleError, ValidationError
 from .graph import _ROW_BLOCK, SparseGraph, _sample_pairs, _triangle_pairs
 
 __all__ = [
-    "GraphonSpec",
     "SynthConfig",
     "ErAssembly",
     "ConfigAssembly",
@@ -73,34 +72,27 @@ _GRAPHONS = {
 }
 
 
-@dataclass(frozen=True)
-class GraphonSpec:
-    """One of the built-in symmetric probability-valued functions on the
-    unit square."""
-
-    kind: str  # table1_g1 | table1_g2 | table1_g3
-
-    def __post_init__(self):
-        if not isinstance(self.kind, str):
-            raise DomainError(f"graphon kind must be a string, got {self.kind!r}")
-        if self.kind not in _GRAPHONS:
-            raise DomainError(f"unknown graphon kind {self.kind!r}")
+def _graphon(kind: str):
+    """The built-in graphon named kind: table1_g1, table1_g2 or table1_g3."""
+    if not isinstance(kind, str) or kind not in _GRAPHONS:
+        raise DomainError(f"unknown graphon kind {kind!r}")
+    return _GRAPHONS[kind]
 
 
-def graphon_by_number(number: int) -> GraphonSpec:
-    """Graphon 1, 2, or 3 of the simulation designs."""
+def graphon_by_number(number: int) -> str:
+    """The kind of graphon 1, 2, or 3 of the simulation designs."""
     if number not in (1, 2, 3):
         raise DomainError("graphon number must be 1, 2, or 3")
-    return GraphonSpec(kind=f"table1_g{number}")
+    return f"table1_g{number}"
 
 
-def graphon_value(spec: GraphonSpec, mu, nu):
-    """Evaluate the graphon on broadcast arrays of latents in [0, 1]; NaN
-    is outside."""
+def graphon_value(kind: str, mu, nu):
+    """Evaluate the built-in graphon `kind` on broadcast arrays of latents
+    in [0, 1]; NaN is outside."""
     mu, nu = np.asarray(mu, dtype=np.float64), np.asarray(nu, dtype=np.float64)
     if not (((0.0 <= mu) & (mu <= 1.0)).all() and ((0.0 <= nu) & (nu <= 1.0)).all()):
         raise DomainError("graphon arguments must lie in [0, 1]")
-    return np.asarray(_GRAPHONS[spec.kind](mu, nu))
+    return np.asarray(_graphon(kind)(mu, nu))
 
 
 def sample_latents(n: int, seed: int) -> np.ndarray:
@@ -109,25 +101,26 @@ def sample_latents(n: int, seed: int) -> np.ndarray:
     return rng.random(n)
 
 
-def graphon_matrix(spec: GraphonSpec, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the graphon on a latent vector; zero diagonal enforced."""
+def graphon_matrix(kind: str, xi: np.ndarray) -> np.ndarray:
+    """Evaluate the built-in graphon `kind` on a latent vector; zero diagonal enforced."""
+    _graphon(kind)  # an unknown kind is refused even with no latents
     xi = np.asarray(xi, dtype=np.float64)
     p, step = np.empty((xi.size, xi.size)), max(1, _ROW_BLOCK // max(1, xi.size))
     for lo in range(0, xi.size, step):  # row blocks keep the graphon's temporaries small
-        p[lo:lo + step] = graphon_value(spec, xi[lo:lo + step, np.newaxis], xi[np.newaxis, :])
+        p[lo:lo + step] = graphon_value(kind, xi[lo:lo + step, np.newaxis], xi[np.newaxis, :])
     np.fill_diagonal(p, 0.0)
     return p
 
 
-def graphon_core(spec: GraphonSpec, n_core: int, seed: int) -> np.ndarray:
-    """Sample a core probability matrix from the graphon.
+def graphon_core(kind: str, n_core: int, seed: int) -> np.ndarray:
+    """Sample a core probability matrix from the built-in graphon `kind`.
 
     The latent positions are recoverable by calling sample_latents with
     the same (n_core, seed).
     """
     if n_core < 2:
         raise DomainError("core needs at least 2 nodes")
-    return graphon_matrix(spec, sample_latents(n_core, seed))
+    return graphon_matrix(kind, sample_latents(n_core, seed))
 
 
 def sample_periphery_theta(core_p: np.ndarray, n_periphery: int, seed: int) -> np.ndarray:
@@ -157,6 +150,7 @@ class SynthConfig:
     """One synthetic design point; construction checks every field's type
     and range, and raises DomainError on any fault."""
 
+    graphon: str  # table1_g1 | table1_g2 | table1_g3
     n_core: int
     n_periphery: int
     periphery: str  # "er" | "config"
@@ -165,6 +159,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _graphon(self.graphon)
         for name, low in (("n_core", 2), ("n_periphery", 0), ("seed", 0)):
             value = getattr(self, name)
             if not _is_number(value, Integral) or value < low:
@@ -185,22 +180,21 @@ DESIGN_FIELDS = ("graphon", "n_core", "n_periphery", "periphery", "target_densit
                  "degree_ratio", "seed")
 
 
-def design_record(graphon: GraphonSpec, cfg: SynthConfig) -> dict:
+def design_record(cfg: SynthConfig) -> dict:
     """The design point as an ordered record: the head of meta.json and of
     a bench setting's config."""
-    return {"graphon": graphon.kind, **{k: getattr(cfg, k) for k in DESIGN_FIELDS[1:]}}
+    return {k: getattr(cfg, k) for k in DESIGN_FIELDS}
 
 
-def read_design(record: dict) -> tuple[GraphonSpec, SynthConfig]:
-    """The graphon and config of a meta.json object; only its design fields are read.
+def read_design(record: dict) -> SynthConfig:
+    """The design point of a meta.json object; only its design fields are read.
 
     A missing field raises ValidationError, a field of the wrong type or
     range DomainError."""
     missing = set(DESIGN_FIELDS) - set(record)
     if missing:
         raise ValidationError(f"meta.json missing fields: {sorted(missing)}")
-    cfg = SynthConfig(**{k: record[k] for k in DESIGN_FIELDS[1:]})
-    return GraphonSpec(kind=record["graphon"]), cfg
+    return SynthConfig(**{k: record[k] for k in DESIGN_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -477,7 +471,7 @@ class GeneratedInstance:
         return self.assembly.sample(self.meta["adjacency_seed"])
 
 
-def generate_instance(graphon: GraphonSpec, cfg: SynthConfig) -> GeneratedInstance:
+def generate_instance(cfg: SynthConfig) -> GeneratedInstance:
     """Build the ground-truth probability matrix for one design point.
 
     Sub-seeds for the latent positions, the periphery weights, and the
@@ -502,9 +496,9 @@ def generate_instance(graphon: GraphonSpec, cfg: SynthConfig) -> GeneratedInstan
     latents_seed, theta_seed, adjacency_seed = (
         int(s) for s in root.generate_state(3)
     )
-    core = graphon_core(graphon, cfg.n_core, latents_seed)
+    core = graphon_core(cfg.graphon, cfg.n_core, latents_seed)
     meta = {
-        **design_record(graphon, cfg),
+        **design_record(cfg),
         "latents_seed": latents_seed,
         "theta_seed": theta_seed,
         "adjacency_seed": adjacency_seed,

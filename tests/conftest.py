@@ -62,7 +62,7 @@ def constant_core(monkeypatch):
     gives every core as `value` off a zero diagonal, whatever the graphon.
     use returns graphon 1, to pass where a graphon is asked for."""
     def use(value):
-        def graphon_core(spec, n_core, seed):
+        def graphon_core(kind, n_core, seed):
             core = np.full((n_core, n_core), float(value))
             np.fill_diagonal(core, 0.0)
             return core

@@ -168,9 +168,9 @@ def test_criterion_03_exact_recovery_topk():
     aucs, sigs = [], []
     elapsed = 0.0
     for s in range(20):
-        cfg = SynthConfig(periphery="er", seed=s, **EXACT_POINT)
+        cfg = SynthConfig(graphon=graphon_by_number(1), periphery="er", seed=s, **EXACT_POINT)
         t0 = time.time()
-        inst = generate_instance(graphon_by_number(1), cfg)
+        inst = generate_instance(cfg)
         elapsed += time.time() - t0
         sig = noiseless_signal(inst, 6, "er")
         sigs.append(sig)
@@ -197,9 +197,9 @@ def test_criterion_04_threshold_selection():
     cfg_fp = cfg_fn = 0
     elapsed = 0.0
     for s in range(20):
-        cfg_er = SynthConfig(periphery="er", seed=s, **EXACT_POINT)
+        cfg_er = SynthConfig(graphon=graphon_by_number(1), periphery="er", seed=s, **EXACT_POINT)
         t0 = time.time()
-        inst = generate_instance(graphon_by_number(1), cfg_er)
+        inst = generate_instance(cfg_er)
         elapsed += time.time() - t0
         sig = noiseless_signal(inst, 6, "er")
         er_sigs.append(sig)
@@ -213,9 +213,10 @@ def test_criterion_04_threshold_selection():
         er_nhats.append(part.n_core)
         er_hits += int(part.n_core == cfg_er.n_core)
 
-        cfg_cf = SynthConfig(periphery="config", seed=s, **EXACT_POINT)
+        cfg_cf = SynthConfig(graphon=graphon_by_number(1), periphery="config", seed=s,
+                             **EXACT_POINT)
         t0 = time.time()
-        inst = generate_instance(graphon_by_number(1), cfg_cf)
+        inst = generate_instance(cfg_cf)
         elapsed += time.time() - t0
         # reported, not asserted: for graphon 1 at n = 2000 the config oracle
         # bound stays above ORACLE_MAX even at the largest unclipped core
@@ -248,22 +249,21 @@ def test_criterion_05_equal_density_auc_margins():
     elapsed = 0.0
     baselines = ("degree", "pagerank", "eigenvector", "local_cc", "kcore")
     for gnum, rank in ((1, 6), (2, 3)):
-        cfg = SynthConfig(periphery="er", degree_ratio=1.0, seed=500 + gnum,
-                          target_density=AUC_DENSITY[gnum], **BALANCED)
+        cfg = SynthConfig(graphon=graphon_by_number(gnum), periphery="er", degree_ratio=1.0,
+                          seed=500 + gnum, target_density=AUC_DENSITY[gnum], **BALANCED)
         detect = []
         for rep in range(20):
-            rep_cfg = SynthConfig(periphery="er", degree_ratio=1.0,
+            rep_cfg = SynthConfig(graphon=cfg.graphon, periphery="er", degree_ratio=1.0,
                                   seed=_replicate_seed(cfg.seed, rep),
                                   target_density=cfg.target_density, **BALANCED)
-            inst = generate_instance(graphon_by_number(gnum), rep_cfg)
+            inst = generate_instance(rep_cfg)
             detect.append(detection_margin(inst.assembly.dense(), rank))
         assert min(detect) >= DETECT_AUC, (
             f"[criterion 05] g{gnum}: the noiseless P no longer supports the "
             f"AUC claim: min |lam_r|/sqrt(n pbar) {min(detect):.2f}")
         t0 = time.time()
-        res = run_experiment(graphon_by_number(gnum), cfg,
-                             methods=("proposed_er",) + baselines,
-                             replicates=20, rank=rank)
+        res = run_experiment(cfg, methods=("proposed_er",) + baselines, replicates=20,
+                             rank=rank)
         elapsed += time.time() - t0
         proposed = res.mean_auc("proposed_er")
         best_base, best_auc = max(((m, res.mean_auc(m)) for m in baselines),

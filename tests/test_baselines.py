@@ -165,9 +165,9 @@ def tie_heavy_graphs(draw):
 def bench_graph(seed: int) -> SparseGraph:
     """One graph of `corex bench`'s default design point: graphon 1, configuration
     periphery, degree ratio 3, density 0.02, a balanced 1000/1000 split."""
-    cfg = SynthConfig(n_core=1000, n_periphery=1000, periphery="config", degree_ratio=3.0,
-                      target_density=0.02, seed=seed)
-    return generate_instance(graphon_by_number(1), cfg).sample()
+    cfg = SynthConfig(graphon=graphon_by_number(1), n_core=1000, n_periphery=1000,
+                      periphery="config", degree_ratio=3.0, target_density=0.02, seed=seed)
+    return generate_instance(cfg).sample()
 
 
 @given(tie_heavy_graphs())

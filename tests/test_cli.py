@@ -316,9 +316,10 @@ class TestBench:
         setting = json.loads((tmp_path / "summary.json").read_text())["settings"][0]
         assert setting["config"]["rank"] == "auto" and "rank_mode" not in setting["config"]
         rep_seed, = setting["replicate_seeds"]
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
-                          degree_ratio=2.0, target_density=density, seed=rep_seed)
-        g = generate_instance(synth.graphon_by_number(1), cfg).sample()
+        cfg = SynthConfig(graphon=synth.graphon_by_number(1), n_core=n_core,
+                          n_periphery=n_periphery, periphery="er", degree_ratio=2.0,
+                          target_density=density, seed=rep_seed)
+        g = generate_instance(cfg).sample()
         expected = select_rank_ecv(g, rank_candidates(g.n), seed=rep_seed).chosen_r
         assert setting["chosen_ranks"] == [expected]
 
@@ -329,17 +330,36 @@ class TestBench:
     @pytest.mark.parametrize("rank", ["4", "auto"])
     def test_replicate_without_edges_is_data_error(self, tmp_path, capsys, rank):
         rep_seed = _replicate_seed(0, 0)
-        cfg = SynthConfig(n_core=3, n_periphery=2, periphery="er", degree_ratio=1.0,
-                          seed=rep_seed)
-        assert generate_instance(synth.graphon_by_number(1), cfg).sample().m == 0
+        cfg = SynthConfig(graphon=synth.graphon_by_number(1), n_core=3, n_periphery=2,
+                          periphery="er", degree_ratio=1.0, seed=rep_seed)
+        assert generate_instance(cfg).sample().m == 0
         assert run(self.NO_EDGE_DESIGN + ["--rank", rank, "--out-dir", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (f"error: replicate 0 (seed {rep_seed}) "
                                            f"sampled no edges to score\n")
 
     def test_baselines_score_a_replicate_without_edges(self, tmp_path):
-        assert run(self.NO_EDGE_DESIGN + ["--rank", "4", "--methods",
-                                          "degree,pagerank,local_cc,kcore",
+        # at the default rank 6, which no baseline uses, on 5 nodes
+        assert run(self.NO_EDGE_DESIGN + ["--methods", "degree,pagerank,local_cc,kcore",
                                           "--out-dir", str(tmp_path)]) == 0
+
+    def test_rank_is_checked_only_for_a_proposed_method(self, tmp_path, capsys):
+        out = tmp_path / "proposed"
+        assert run(self.NO_EDGE_DESIGN + ["--methods", "degree,proposed_er",
+                                          "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: --rank 6 must be below n = 5\n"
+        assert not out.exists()
+        assert run(["bench", "--graphon", "1", "--n-core", "3", "--n-periphery", "2",
+                    "--replicates", "1", "--methods", "degree,kcore",
+                    "--out-dir", str(tmp_path / "baselines")]) == 0
+
+    def test_eigenvector_on_a_replicate_without_edges_is_data_error(self, tmp_path, capsys):
+        # the same replicate-level error as the proposed methods, not the
+        # scorer's own "needs at least one edge"
+        rep_seed = _replicate_seed(0, 0)
+        assert run(self.NO_EDGE_DESIGN + ["--methods", "degree,eigenvector",
+                                          "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"error: replicate 0 (seed {rep_seed}) "
+                                           f"sampled no edges to score\n")
 
     def test_rank_mode_flag_is_usage_error(self, tmp_path):
         out = tmp_path / "ecv"
@@ -387,8 +407,7 @@ class TestDiagnose:
                     "--periphery-level", "0.05", "--out-dir", str(out)])
         assert code == 0
         meta = json.loads((generated / "meta.json").read_text())
-        graphon, cfg = synth.read_design(meta)
-        core = generate_instance(graphon, cfg).assembly.core
+        core = generate_instance(synth.read_design(meta)).assembly.core
         expected = "n_periphery,lambda_1,gap_3_4,normalized_gap\n" + "".join(
             f"{rec['n_periphery']},{rec['lambda_1']!r},{rec['gap_3_4']!r},"
             f"{rec['normalized_gap']!r}\n" for rec in eigengap_profile(core, [0, 20, 40], 0.05))

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import kmeans_split_loop, random_graph
-from corex.coreid import (KMEANS_FLOOR, CorePartition, RankSelection, _edge_split, _fold_losses,
-                          identify_top_k, kmeans_split, rank_candidates, select_rank_ecv,
-                          threshold, write_partition_csv)
+from corex.coreid import (ECV_TOL, KMEANS_FLOOR, CorePartition, RankSelection, _edge_split,
+                          _fold_losses, identify_top_k, kmeans_split, rank_candidates,
+                          select_rank_ecv, threshold, write_partition_csv)
 from corex.errors import DegenerateError, DomainError
 from corex.evaluate import RocCurve, write_roc_csv
 from corex.graph import SparseGraph, sample_adjacency
@@ -432,7 +432,7 @@ class TestEcvLossOracle:
                 assert np.all(adj[non_edges[:, 0], non_edges[:, 1]] == 0)
                 assert np.all(non_edges[:, 0] < non_edges[:, 1])
                 vals, vecs, _ = _eigs(kept.to_csr() * (1.0 / (1.0 - holdout)), max(cands),
-                                      tol=1e-6, seed=seed + 7919 * (fold + 1))
+                                      tol=ECV_TOL, seed=seed + 7919 * (fold + 1))
                 losses = _fold_losses(vals, vecs, held, non_edges, weight, cands)
                 assert np.array_equal(losses, sel.fold_losses[fold])
                 share = holdout * (n * (n - 1) // 2 - g.m)

@@ -231,30 +231,25 @@ class TestEigengapProfile:
 
 class TestRunExperiment:
     def test_degree_only_deterministic(self):
-        cfg = SynthConfig(n_core=30, n_periphery=30, periphery="er",
-                          degree_ratio=2.0, target_density=0.08, seed=5)
-        g1 = graphon_by_number(1)
-        a = run_experiment(g1, cfg, methods=("degree",), replicates=1)
-        b = run_experiment(g1, cfg, methods=("degree",), replicates=1)
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=30, n_periphery=30,
+                          periphery="er", degree_ratio=2.0, target_density=0.08, seed=5)
+        a = run_experiment(cfg, methods=("degree",), replicates=1)
+        b = run_experiment(cfg, methods=("degree",), replicates=1)
         assert a.aucs == b.aucs
         assert a.replicate_seeds == b.replicate_seeds
 
     def test_proposed_beats_degree_at_equal_density_small(self):
         # miniature version of the headline comparison
-        cfg = SynthConfig(n_core=100, n_periphery=100, periphery="er",
-                          degree_ratio=1.0, target_density=0.15, seed=7)
-        g1 = graphon_by_number(1)
-        result = run_experiment(g1, cfg, methods=("proposed_er", "degree"),
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=100, n_periphery=100,
+                          periphery="er", degree_ratio=1.0, target_density=0.15, seed=7)
+        result = run_experiment(cfg, methods=("proposed_er", "degree"),
                                 replicates=3, rank=6)
         assert result.mean_auc("proposed_er") > result.mean_auc("degree")
 
     def test_summary_shape(self):
-        cfg = SynthConfig(n_core=25, n_periphery=25, periphery="config",
-                          degree_ratio=2.0, target_density=0.1, seed=9)
-        g2 = graphon_by_number(2)
-        result = run_experiment(g2, cfg,
-                                methods=("proposed_config", "kcore"),
-                                replicates=2, rank=3)
+        cfg = SynthConfig(graphon=graphon_by_number(2), n_core=25, n_periphery=25,
+                          periphery="config", degree_ratio=2.0, target_density=0.1, seed=9)
+        result = run_experiment(cfg, methods=("proposed_config", "kcore"), replicates=2, rank=3)
         payload = result.summary_dict()
         assert set(payload["auc"]) == {"proposed_config", "kcore"}
         assert len(payload["auc"]["kcore"]["values"]) == 2
@@ -263,14 +258,13 @@ class TestRunExperiment:
     def test_threshold_points_follow_the_scores_model(self):
         # replicate 0 rebuilt by hand: each model's threshold point is keyed by
         # the model its scores carry
-        cfg = SynthConfig(n_core=60, n_periphery=90, periphery="config",
-                          degree_ratio=2.0, target_density=0.1, seed=4)
-        g1 = graphon_by_number(1)
-        result = run_experiment(g1, cfg, methods=("proposed_er", "proposed_config"),
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=60, n_periphery=90,
+                          periphery="config", degree_ratio=2.0, target_density=0.1, seed=4)
+        result = run_experiment(cfg, methods=("proposed_er", "proposed_config"),
                                 replicates=1, rank=3, eps=0.05)
         points = result.summary_dict()["operating_points"]
         seed = _replicate_seed(cfg.seed, 0)
-        instance = generate_instance(g1, replace(cfg, seed=seed))
+        instance = generate_instance(replace(cfg, seed=seed))
         g = instance.sample()
         dec = truncated_eigs(g, 3, seed=seed)
         expected = {
@@ -282,13 +276,13 @@ class TestRunExperiment:
         assert points["threshold_config"] == [expected["config"]]
 
     def test_unknown_method_rejected(self):
-        cfg = SynthConfig(n_core=10, n_periphery=10, periphery="er",
-                          degree_ratio=1.0, target_density=0.1, seed=0)
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=10, n_periphery=10,
+                          periphery="er", degree_ratio=1.0, target_density=0.1, seed=0)
         with pytest.raises(DomainError):
-            run_experiment(graphon_by_number(1), cfg, methods=("nope",))
+            run_experiment(cfg, methods=("nope",))
 
     def test_repeated_method_rejected(self):
-        cfg = SynthConfig(n_core=10, n_periphery=10, periphery="er",
-                          degree_ratio=1.0, target_density=0.1, seed=0)
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=10, n_periphery=10,
+                          periphery="er", degree_ratio=1.0, target_density=0.1, seed=0)
         with pytest.raises(DomainError, match="twice"):
-            run_experiment(graphon_by_number(1), cfg, methods=("degree", "degree"))
+            run_experiment(cfg, methods=("degree", "degree"))

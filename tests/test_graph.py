@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_graph
 from corex.errors import DomainError, ParseError, RangeError, ValidationError
 from corex.graph import (MAX_NODES, SparseGraph, _triangle_pairs,
                          average_density, degrees, load_edge_list, sample_adjacency,
@@ -362,6 +363,38 @@ class TestFromPairs:
         assert path.read_text().endswith("\n49998\t49999\n")
         g2 = load_edge_list(path)
         assert g2.n == n and g2.edge_array().tolist() == edges.tolist()
+
+    def test_int64_index_arrays_give_the_int32_results(self, monkeypatch):
+        # past INT32_INDEX_MAX nodes or stored entries the CSR arrays are int64;
+        # a lowered limit takes a small graph, and every graph select_rank_ecv
+        # builds from it, down that path.  Whether scipy then adopts the int64
+        # arrays uncopied shows only past 2**31 entries: on a small graph it may
+        # downcast them, so that is not asserted here.
+        from corex.baselines import coreness_scores, local_cc_scores
+        from corex.coreid import select_rank_ecv
+        from corex.spectral import truncated_eigs
+
+        def results(g):
+            dec = truncated_eigs(g, 3, seed=1)
+            return (g.to_csr(), dec.eigenvalues, dec.eigenvectors,
+                    select_rank_ecv(g, [1, 2, 3, 4], seed=2), local_cc_scores(g),
+                    coreness_scores(g))
+
+        pairs = random_graph(200, 0.1, seed=9).edge_array()
+        narrow = SparseGraph.from_pairs(200, pairs)
+        expected = results(narrow)
+        monkeypatch.setattr("corex.graph.INT32_INDEX_MAX", 100)
+        wide = SparseGraph.from_pairs(200, pairs)
+        assert narrow.indices.dtype == narrow.indptr.dtype == np.int32
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        assert np.array_equal(wide.edge_array(), pairs)
+        csr, vals, vecs, selection, local_cc, coreness = results(wide)
+        assert (csr != expected[0]).nnz == 0
+        np.testing.assert_allclose(vals, expected[1], rtol=1e-12)
+        np.testing.assert_allclose(vecs, expected[2], atol=1e-12)
+        assert selection.chosen_r == expected[3].chosen_r
+        np.testing.assert_allclose(selection.fold_losses, expected[3].fold_losses, rtol=1e-12)
+        assert np.array_equal(local_cc, expected[4]) and np.array_equal(coreness, expected[5])
 
 
 @st.composite

@@ -39,9 +39,10 @@ def test_clustered_bulk_edge_graph_converges():
     # at the bulk edge; the generator call is `corex generate --graphon 2
     # --n-core 1000 --n-periphery 7000 --periphery config --density 0.005
     # --ratio 3 --seed 3757552657`
-    cfg = SynthConfig(n_core=1000, n_periphery=7000, periphery="config",
-                      degree_ratio=3.0, target_density=0.005, seed=3757552657)
-    instance = generate_instance(graphon_by_number(2), cfg)
+    cfg = SynthConfig(graphon=graphon_by_number(2), n_core=1000, n_periphery=7000,
+                      periphery="config", degree_ratio=3.0, target_density=0.005,
+                      seed=3757552657)
+    instance = generate_instance(cfg)
     g = sample_adjacency(instance.assembly.dense(), instance.meta["adjacency_seed"])
     del instance
     dec = truncated_eigs(g, 6, seed=0)

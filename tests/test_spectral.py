@@ -331,9 +331,9 @@ class TestDiagnostics:
 
         core = np.full((4, 4), 0.1)
         np.fill_diagonal(core, 0.0)
-        config = generate_instance(graphon_by_number(1), SynthConfig(
-            n_core=4, n_periphery=6, periphery="config", degree_ratio=2.0,
-            target_density=0.2)).assembly
+        config = generate_instance(SynthConfig(
+            graphon=graphon_by_number(1), n_core=4, n_periphery=6, periphery="config",
+            degree_ratio=2.0, target_density=0.2)).assembly
         monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
         for assembly in (ErAssembly(core, 1.0, 6, 0.1), config):
             for r in (0, 10, 11):
@@ -426,9 +426,9 @@ class TestReducedSpectrum:
                                              r=1).h_prime_n is None
 
     def test_config_instance_takes_dense_path(self):
-        cfg = SynthConfig(n_core=30, n_periphery=40, periphery="config",
-                          degree_ratio=2.0, target_density=0.1, seed=4)
-        inst = generate_instance(graphon_by_number(1), cfg)
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=30, n_periphery=40,
+                          periphery="config", degree_ratio=2.0, target_density=0.1, seed=4)
+        inst = generate_instance(cfg)
         assert isinstance(inst.assembly, ConfigAssembly)
         report = diagnostics(inst.assembly, 3)
         p = inst.assembly.dense()
@@ -439,16 +439,16 @@ class TestReducedSpectrum:
         assert (report.p_star, report.h_n, report.h_prime_n) == (p_star, h_n, h_prime_n)
 
     def test_unclipped_er_instance_matches_dense(self):
-        cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=30, n_periphery=40, periphery="er",
                           degree_ratio=2.0, target_density=0.05, seed=4)
-        inst = generate_instance(graphon_by_number(1), cfg)
+        inst = generate_instance(cfg)
         assert inst.meta["rescale_clip_count"] == 0
         assert_assembly_matches_dense(inst.assembly)
 
     def test_clipped_er_instance_takes_reduced_path(self):
-        cfg = SynthConfig(n_core=30, n_periphery=40, periphery="er",
+        cfg = SynthConfig(graphon=graphon_by_number(2), n_core=30, n_periphery=40, periphery="er",
                           degree_ratio=3.0, target_density=0.2, seed=1)
-        inst = generate_instance(graphon_by_number(2), cfg)
+        inst = generate_instance(cfg)
         assert inst.meta["rescale_clip_count"] > 0
         assert inst.assembly.level == inst.meta["c_periphery"] * inst.meta["er_level"]
         report = assert_assembly_matches_dense(inst.assembly)
@@ -461,11 +461,11 @@ class TestReducedSpectrum:
         # the dense path holds the n x n matrix (8 n^2 bytes); the assembly
         # path holds the core block and O(n) vectors
         n_core, n_periphery = 200, 4000
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
-                          degree_ratio=3.0, target_density=0.02, seed=0)
+        cfg = SynthConfig(graphon=graphon_by_number(1), n_core=n_core, n_periphery=n_periphery,
+                          periphery="er", degree_ratio=3.0, target_density=0.02, seed=0)
         tracemalloc.start()
         try:
-            inst = generate_instance(graphon_by_number(1), cfg)
+            inst = generate_instance(cfg)
             diagnostics(inst.assembly, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -79,6 +79,20 @@ class TestGraphonValues:
         with pytest.raises(DomainError):
             graphon_value(G2, 0.5, 1.5)
 
+    @pytest.mark.parametrize("kind", ["custom", "TABLE1_G1", 1, None])
+    def test_unknown_kind_rejected(self, kind):
+        # a graphon is one of the three built-in kinds, named by its string
+        with pytest.raises(DomainError, match="graphon kind"):
+            graphon_value(kind, 0.5, 0.5)
+        with pytest.raises(DomainError, match="graphon kind"):
+            graphon_matrix(kind, np.empty(0))
+        with pytest.raises(DomainError, match="graphon kind"):
+            graphon_core(kind, 5, seed=0)
+
+    def test_graphon_by_number_names_the_kind(self):
+        assert [graphon_by_number(k) for k in (1, 2, 3)] == ["table1_g1", "table1_g2",
+                                                             "table1_g3"]
+
     @pytest.mark.parametrize("spec", [G1, G2, G3], ids=["g1", "g2", "g3"])
     def test_nan_latent_rejected(self, spec):
         # a NaN fails every comparison, so a check written as "outside [0, 1]"
@@ -183,9 +197,9 @@ class TestAssembleEr:
 
 
 def er_instance(graphon, n_core, n_periphery, ratio, density, seed=0):
-    cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
+    cfg = SynthConfig(graphon=graphon, n_core=n_core, n_periphery=n_periphery, periphery="er",
                       degree_ratio=ratio, target_density=density, seed=seed)
-    return generate_instance(graphon, cfg)
+    return generate_instance(cfg)
 
 
 def er_peak_in_dense_matrices(n_core, n_periphery):
@@ -301,9 +315,9 @@ class TestErSample:
 
 
 def config_instance(graphon, n_core, n_periphery, ratio, density, seed=0):
-    cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="config",
+    cfg = SynthConfig(graphon=graphon, n_core=n_core, n_periphery=n_periphery, periphery="config",
                       degree_ratio=ratio, target_density=density, seed=seed)
-    return generate_instance(graphon, cfg)
+    return generate_instance(cfg)
 
 
 def same_graph(a, b):
@@ -358,9 +372,9 @@ class TestConfigSample:
     def test_independent_of_chunk_size(self, monkeypatch, periphery, chunk):
         # an unbounded chunk is the single draw of the ER sampler before thinning
         # came in, so ER touching edges keep that layout
-        cfg = SynthConfig(n_core=30, n_periphery=50, periphery=periphery,
+        cfg = SynthConfig(graphon=G2, n_core=30, n_periphery=50, periphery=periphery,
                           degree_ratio=3.0, target_density=0.1, seed=6)
-        inst = generate_instance(G2, cfg)
+        inst = generate_instance(cfg)
         whole = inst.sample()
         monkeypatch.setattr("corex.synth._SKIP_CHUNK", chunk)
         assert same_graph(inst.sample(), whole)
@@ -394,9 +408,9 @@ class TestConfigSample:
 def test_sample_peak_memory_below_one_core_block(periphery):
     # the core pairs are drawn from the unscaled core a block of rows at a
     # time, so no scaled n_c x n_c copy (8 n_c^2 bytes) is made
-    cfg = SynthConfig(n_core=1500, n_periphery=500, periphery=periphery,
+    cfg = SynthConfig(graphon=G1, n_core=1500, n_periphery=500, periphery=periphery,
                       degree_ratio=3.0, target_density=0.02, seed=1)
-    inst = generate_instance(G1, cfg)
+    inst = generate_instance(cfg)
     tracemalloc.start()
     try:
         inst.sample()
@@ -411,9 +425,9 @@ def test_dense_peak_is_the_fill(periphery):
     # dense() allocates the n x n matrix and nothing of its size; a run-time
     # symmetry check (an n x n bool from a transposed compare) took it to
     # 1.134 x 8 n^2 here
-    cfg = SynthConfig(n_core=500, n_periphery=500, periphery=periphery,
+    cfg = SynthConfig(graphon=G1, n_core=500, n_periphery=500, periphery=periphery,
                       degree_ratio=3.0, target_density=0.02, seed=1)
-    assembly = generate_instance(G1, cfg).assembly
+    assembly = generate_instance(cfg).assembly
     tracemalloc.start()
     try:
         assembly.dense()
@@ -462,10 +476,10 @@ class TestAssembleConfig:
         assert np.array_equal(t1, t2)
 
     def test_zero_core_rejected(self, constant_core):
-        cfg = SynthConfig(n_core=4, n_periphery=3, periphery="config",
+        cfg = SynthConfig(graphon=constant_core(0.0), n_core=4, n_periphery=3, periphery="config",
                           degree_ratio=1.0, target_density=0.05, seed=0)
         with pytest.raises(DomainError):
-            generate_instance(constant_core(0.0), cfg)
+            generate_instance(cfg)
 
     @settings(max_examples=80)
     @given(gnum=st.integers(1, 3), n_core=st.integers(2, 30),
@@ -475,8 +489,9 @@ class TestAssembleConfig:
         # dense() and the clip count are bit for bit those of the dense
         # assembly; the density is counted in another order
         graphon = graphon_by_number(gnum)
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="config",
-                          degree_ratio=ratio, target_density=density, seed=seed)
+        cfg = SynthConfig(graphon=graphon, n_core=n_core, n_periphery=n_periphery,
+                          periphery="config", degree_ratio=ratio, target_density=density,
+                          seed=seed)
         latents_seed, theta_seed, _ = (int(w) for w in
                                        np.random.SeedSequence(seed).generate_state(3))
         core = graphon_core(graphon, n_core, latents_seed)
@@ -485,9 +500,9 @@ class TestAssembleConfig:
             entries, c_core, c_peri, clip_count = dense_config(core, theta_peri, cfg)
         except (DomainError, InfeasibleError) as exc:
             with pytest.raises(type(exc)):
-                generate_instance(graphon, cfg)
+                generate_instance(cfg)
             return
-        inst = generate_instance(graphon, cfg)
+        inst = generate_instance(cfg)
         dense = inst.assembly.dense()
         assert np.array_equal(dense, entries)
         assert_probability_matrix(dense, inst.assembly.core_block())
@@ -506,9 +521,9 @@ class TestAssembleConfig:
         # clips in the core block only (over several of its row blocks), in
         # both parts, and off the core block only, where periphery rows whose
         # own diagonal entry would exceed 1 must not count it
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="config",
+        cfg = SynthConfig(graphon=G1, n_core=n_core, n_periphery=n_periphery, periphery="config",
                           degree_ratio=ratio, target_density=density, seed=4)
-        inst = generate_instance(G1, cfg)
+        inst = generate_instance(cfg)
         core = graphon_core(G1, n_core, inst.meta["latents_seed"])
         theta_peri = sample_periphery_theta(core, n_periphery, inst.meta["theta_seed"])
         entries, *_, oracle_count = dense_config(core, theta_peri, cfg)
@@ -563,10 +578,10 @@ class TestRescale:
     def test_closed_form_matches_dense_oracle(self, gnum, n_core, n_periphery, ratio,
                                               density, seed):
         graphon = graphon_by_number(gnum)
-        cfg = SynthConfig(n_core=n_core, n_periphery=n_periphery, periphery="er",
+        cfg = SynthConfig(graphon=graphon, n_core=n_core, n_periphery=n_periphery, periphery="er",
                           degree_ratio=ratio, target_density=density, seed=seed)
         try:
-            inst = generate_instance(graphon, cfg)
+            inst = generate_instance(cfg)
         except InfeasibleError:
             core_seed = int(np.random.SeedSequence(seed).generate_state(3)[0])
             core = graphon_core(graphon, n_core, core_seed)
@@ -610,9 +625,9 @@ class TestRescale:
         # a small periphery that must out-degree the core pushes c_periphery a
         # above 1: all 20 * 2 + 1 pairs touching the periphery clip
         graphon = constant_core(0.5)
-        cfg = SynthConfig(n_core=20, n_periphery=2, periphery="er",
+        cfg = SynthConfig(graphon=graphon, n_core=20, n_periphery=2, periphery="er",
                           degree_ratio=0.3, target_density=0.5, seed=0)
-        inst = generate_instance(graphon, cfg)
+        inst = generate_instance(cfg)
         c_core, c_peri, scaled, clip_count = dense_rescale_oracle(graphon, cfg, inst.meta)
         assert c_peri * 0.5 > 1.0 and inst.assembly.level == 1.0
         assert inst.meta["rescale_clip_count"] == clip_count == 41
@@ -621,15 +636,15 @@ class TestRescale:
 
     def test_clip_count_over_row_blocks(self):
         # n = 1400 spans two row blocks of the clip count
-        cfg = SynthConfig(n_core=600, n_periphery=800, periphery="er",
+        cfg = SynthConfig(graphon=G2, n_core=600, n_periphery=800, periphery="er",
                           degree_ratio=3.0, target_density=0.2, seed=1)
-        inst = generate_instance(G2, cfg)
+        inst = generate_instance(cfg)
         c_core, c_peri, scaled, clip_count = dense_rescale_oracle(G2, cfg, inst.meta)
         assert inst.meta["rescale_clip_count"] == clip_count == 49935
         np.testing.assert_allclose(inst.assembly.dense(), scaled, rtol=1e-12, atol=0.0)
 
 
-VALID_DESIGN = dict(n_core=20, n_periphery=30, periphery="er", degree_ratio=2.0,
+VALID_DESIGN = dict(graphon=G1, n_core=20, n_periphery=30, periphery="er", degree_ratio=2.0,
                     target_density=0.05, seed=11)
 
 
@@ -640,7 +655,8 @@ class TestDesignPoint:
         ("seed", False), ("periphery", "dense"), ("degree_ratio", math.nan),
         ("degree_ratio", math.inf), ("degree_ratio", 0.0), ("degree_ratio", "3"),
         ("degree_ratio", True), ("target_density", 0.0), ("target_density", 1.0),
-        ("target_density", math.nan), ("target_density", "0.05"),
+        ("target_density", math.nan), ("target_density", "0.05"), ("graphon", "custom"),
+        ("graphon", 1), ("graphon", ["table1_g1"]),
     ])
     def test_config_rejects_bad_field(self, field, value):
         with pytest.raises(DomainError):
@@ -653,19 +669,19 @@ class TestDesignPoint:
 
     def test_meta_head_is_the_design_record(self):
         cfg = SynthConfig(**VALID_DESIGN)
-        meta = generate_instance(G1, cfg).meta
-        head = design_record(G1, cfg)
+        meta = generate_instance(cfg).meta
+        head = design_record(cfg)
         assert list(head) == list(DESIGN_FIELDS)
         assert list(meta.items())[:len(head)] == list(head.items())
 
     @pytest.mark.parametrize("er_level", [None, 0.03])
     def test_read_design_inverts_the_record(self, er_level):
-        cfg = SynthConfig(**VALID_DESIGN)
-        record = {**design_record(G2, cfg), "latents_seed": 5, "er_level": er_level}
-        assert read_design(record) == (G2, cfg)
+        cfg = SynthConfig(**{**VALID_DESIGN, "graphon": G2})
+        record = {**design_record(cfg), "latents_seed": 5, "er_level": er_level}
+        assert read_design(record) == cfg
 
     def test_read_design_names_missing_fields(self):
-        record = design_record(G1, SynthConfig(**VALID_DESIGN))
+        record = design_record(SynthConfig(**VALID_DESIGN))
         del record["seed"], record["periphery"]
         with pytest.raises(ValidationError, match=r"\['periphery', 'seed'\]"):
             read_design(record)
@@ -673,26 +689,26 @@ class TestDesignPoint:
     @pytest.mark.parametrize("field, value", [("graphon", ["table1_g1"]),
                                               ("graphon", "custom"), ("n_core", "abc")])
     def test_read_design_rejects_bad_type(self, field, value):
-        record = {**design_record(G1, SynthConfig(**VALID_DESIGN)), field: value}
+        record = {**design_record(SynthConfig(**VALID_DESIGN)), field: value}
         with pytest.raises(DomainError):
             read_design(record)
 
 
 class TestGenerateInstance:
     def test_meta_echo_and_determinism(self):
-        cfg = SynthConfig(n_core=20, n_periphery=30, periphery="er",
+        cfg = SynthConfig(graphon=G1, n_core=20, n_periphery=30, periphery="er",
                           degree_ratio=2.0, target_density=0.05, seed=11)
-        a = generate_instance(G1, cfg)
-        b = generate_instance(G1, cfg)
+        a = generate_instance(cfg)
+        b = generate_instance(cfg)
         assert np.array_equal(a.assembly.dense(), b.assembly.dense())
         assert a.meta == b.meta
         assert a.truth.sum() == 20
         assert abs(a.meta["realized_density"] - 0.05) < 1e-9
 
     def test_config_instance_membership(self):
-        cfg = SynthConfig(n_core=25, n_periphery=25, periphery="config",
+        cfg = SynthConfig(graphon=G2, n_core=25, n_periphery=25, periphery="config",
                           degree_ratio=1.0, target_density=0.05, seed=3)
-        inst = generate_instance(G2, cfg)
+        inst = generate_instance(cfg)
         periphery = ~inst.truth
         # the product form alone is necessary, not sufficient: Definition 2
         # also ties the weights to the expected degrees
@@ -702,9 +718,9 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize("ratio", [1.0, 3.0])
     def test_config_instance_hits_targets_inside_definition2(self, ratio):
-        cfg = SynthConfig(n_core=1000, n_periphery=1000, periphery="config",
+        cfg = SynthConfig(graphon=G1, n_core=1000, n_periphery=1000, periphery="config",
                           degree_ratio=ratio, target_density=0.02, seed=0)
-        inst = generate_instance(G1, cfg)
+        inst = generate_instance(cfg)
         assert inst.meta["rescale_clip_count"] == 0
         p = inst.assembly.dense()
         assert definition2_residual(p, ~inst.truth) <= 1e-10
@@ -715,9 +731,9 @@ class TestGenerateInstance:
     def test_config_periphery_scores_far_below_core(self):
         # inside Definition 2 a periphery row is d_j / sum(d) up to its zero
         # diagonal, so its noiseless config score is only that diagonal term
-        cfg = SynthConfig(n_core=1000, n_periphery=1000, periphery="config",
+        cfg = SynthConfig(graphon=G1, n_core=1000, n_periphery=1000, periphery="config",
                           degree_ratio=3.0, target_density=0.02, seed=0)
-        inst = generate_instance(G1, cfg)
+        inst = generate_instance(cfg)
         values = scores_from_truth(inst.assembly.dense(), "config").values
         assert 10.0 * values[~inst.truth].max() <= values[inst.truth].min()
 
