@@ -45,7 +45,10 @@ def _write_json(path, payload) -> None:
 
 def _write_run_record(args, **resolved) -> str:
     """Make --out-dir and its run.json: every flag, `resolved` values replacing raw ones."""
-    os.makedirs(out_dir := args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir := args.out_dir, exist_ok=True)
+    except OSError as exc:  # an existing file, a path under one, no permission
+        raise ValidationError(f"cannot make --out-dir {out_dir!r}: {exc.strerror}") from None
     params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     _write_json(os.path.join(out_dir, "run.json"),
                 {"subcommand": args.subcommand, "version": __version__,
@@ -83,8 +86,9 @@ def cmd_generate(args) -> int:
 
 
 def _parse_select(spec: str):
+    """--select as a coreid.select rule: "threshold", "kmeans", or the top-k count."""
     if spec == "threshold" or spec == "kmeans":
-        return spec, None
+        return spec
     if spec.startswith("topk:"):
         try:
             count = int(spec.split(":", 1)[1])
@@ -92,7 +96,7 @@ def _parse_select(spec: str):
             count = -1  # reported below, with the negative counts
         if count < 0:
             raise DomainError(f"top-k count must be a nonnegative integer, got {spec!r}")
-        return "topk", count
+        return count
     raise DomainError("--select must be topk:<N>, threshold, or kmeans")
 
 
@@ -115,12 +119,11 @@ def _check_eps(eps: float) -> None:
 
 
 def cmd_identify(args) -> int:
-    from .coreid import (identify_top_k, kmeans_split, rank_candidates, select_rank_ecv,
-                         threshold, write_partition_csv)
-    from .spectral import config_scores, er_scores, truncated_eigs, write_scores_csv
+    from .coreid import decompose, select, write_partition_csv
+    from .spectral import config_scores, er_scores, write_scores_csv
     if not os.path.isfile(args.input):
         raise ValidationError(f"input file not found: {args.input}")
-    select_method, topk = _parse_select(args.select)
+    rule = _parse_select(args.select)
     rank = _parse_rank(args.rank)
     _check_eps(args.eps)
     g = load_edge_list(args.input)
@@ -128,16 +131,14 @@ def cmd_identify(args) -> int:
         raise ValidationError("input graph has no edges; nothing to identify")
     if rank != "auto" and rank >= g.n:
         raise DomainError(f"--rank {rank} must be below n = {g.n}")
-    if select_method == "topk" and topk > g.n:
-        raise DomainError(f"--select topk:{topk} must not exceed n = {g.n}")
+    if not isinstance(rule, str) and rule > g.n:
+        raise DomainError(f"--select topk:{rule} must not exceed n = {g.n}")
     out_dir = _write_run_record(args, rank=rank)
+    dec, selection = decompose(g, rank, seed=args.seed)
     info = {"model": args.model, "rank_requested": args.rank}
-    if rank == "auto":
-        selection = select_rank_ecv(g, rank_candidates(g.n), seed=args.seed)
-        rank = selection.chosen_r
+    if selection is not None:
         info["rank_selection"] = selection.to_json_dict()
-    info["rank_used"] = rank
-    dec = truncated_eigs(g, rank, seed=args.seed)
+    info["rank_used"] = dec.rank
     if args.model == "er":
         scores = er_scores(dec)
     else:
@@ -148,12 +149,7 @@ def cmd_identify(args) -> int:
         info["excluded_nodes"] = list(scores.excluded)
     p_hat = average_density(g)
     info["p_hat"] = p_hat
-    if select_method == "topk":
-        partition = identify_top_k(scores, topk)
-    elif select_method == "threshold":
-        partition = threshold(scores, p_hat, eps=args.eps)
-    else:
-        partition = kmeans_split(scores)
+    partition = select(scores, rule, p_hat, eps=args.eps)
     info["cutoff"] = partition.cutoff
     info["n_core"] = partition.n_core
     write_scores_csv(os.path.join(out_dir, "scores.csv"), scores)

@@ -1,10 +1,10 @@
-"""Turning scores into a core/periphery partition and picking the rank.
+"""The pipeline's two decisions: the rank, and the core/periphery partition.
 
-Selection rules: fixed-size top-k, the theoretical score threshold of the
-scores' periphery model, and 2-means on log scores.  The approximating
-rank is chosen by edge-sampling cross-validation (hold out a share of the
-edges, refit the low-rank estimate, compare it with the held-out edges
-and with a reweighted sample of non-edges).
+`decompose` solves at a fixed rank or at the one that edge-sampling
+cross-validation picks (hold out a share of the edges, refit the low-rank
+estimate, compare it with the held-out edges and a reweighted sample of
+non-edges).  `select` applies a rule: fixed-size top-k, the score threshold
+of the scores' periphery model, or 2-means on log scores.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError
 from .graph import SparseGraph, _triangle_pairs, _write_rows
-from .spectral import CoreScores, _eigs
+from .spectral import CoreScores, _eigs, truncated_eigs
 
 __all__ = [
     "CorePartition",
     "RankSelection",
+    "decompose",
+    "select",
     "identify_top_k",
     "threshold",
     "kmeans_split",
-    "rank_candidates",
     "select_rank_ecv",
     "write_partition_csv",
 ]
@@ -190,11 +191,6 @@ def _fold_losses(vals: np.ndarray, vecs: np.ndarray, held: np.ndarray,
     return sums / total if total > 0 else np.zeros(len(cands))
 
 
-def rank_candidates(n: int) -> list[int]:
-    """The ranks `--rank auto` chooses from on an n-node graph: 1..10, each below n."""
-    return [r for r in range(1, 11) if r < n]
-
-
 def select_rank_ecv(g: SparseGraph, candidates, seed: int = 0) -> RankSelection:
     """Pick the approximating rank by edge-sampling cross-validation
     (Li, Levina & Zhu, Biometrika 2020) over ECV_FOLDS (3) folds.
@@ -238,6 +234,25 @@ def select_rank_ecv(g: SparseGraph, candidates, seed: int = 0) -> RankSelection:
                          fold_losses=tuple(tuple(float(v) for v in row) for row in losses),
                          fold_held_edges=tuple(held_counts),
                          fold_non_edges=tuple(non_edge_counts))
+
+
+def decompose(g: SparseGraph, rank, seed: int = 0):
+    """(SpectralDecomposition, RankSelection or None) of g at `rank`: an integer
+    rank is solved as given, with no selection; "auto" is first chosen by
+    select_rank_ecv over ranks 1..min(10, n - 1), on the solve's seed."""
+    selection = None
+    if rank == "auto":
+        selection = select_rank_ecv(g, range(1, min(10, g.n - 1) + 1), seed=seed)
+        rank = selection.chosen_r
+    return truncated_eigs(g, rank, seed=seed), selection
+
+
+def select(scores: CoreScores, rule, p_hat: float, eps: float = 0.01) -> CorePartition:
+    """The partition by `rule`: "threshold" (at p_hat and eps), "kmeans", or
+    an integer count of top-scoring nodes."""
+    if rule == "threshold":
+        return threshold(scores, p_hat, eps=eps)
+    return kmeans_split(scores) if rule == "kmeans" else identify_top_k(scores, rule)
 
 
 def write_partition_csv(path, partition: CorePartition, scores: CoreScores) -> None:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines as bl
-from .coreid import CorePartition, kmeans_split, rank_candidates, select_rank_ecv, threshold
+from .coreid import CorePartition, decompose, select
 from .errors import DegenerateError, DomainError
 from .graph import _write_rows, average_density, degrees
-from .spectral import config_scores, eigengap_profile, er_scores, truncated_eigs
+from .spectral import config_scores, eigengap_profile, er_scores
 from .synth import SynthConfig, design_record, generate_instance
 
 __all__ = [
@@ -165,11 +165,11 @@ def run_experiment(cfg: SynthConfig, methods=ALL_METHODS, replicates: int = 20,
     GeneratedInstance.sample (so an ER-type instance never fills its n x n
     matrix), score the nodes with every requested method, collect AUCs and
     the score and truth vectors, and record the operating points of the
-    threshold and 2-means selection rules (plus the k-core staircase).  With
-    rank "auto" each replicate's rank is chosen by select_rank_ecv from
-    rank_candidates(n).  A replicate with no edges raises DegenerateError if a
-    proposed method or eigenvector centrality would score it.  Each
-    replicate's seed derives from cfg.seed.
+    threshold and 2-means selection rules (plus the k-core staircase).  The
+    proposed methods share one coreid.decompose per replicate, on the
+    replicate's seed, so rank "auto" chooses as identify does.  A replicate
+    with no edges raises DegenerateError if a proposed method or eigenvector
+    centrality would score it.  Each replicate's seed derives from cfg.seed.
     """
     methods = check_plan(methods, replicates)
     rep_seeds = tuple(_replicate_seed(cfg.seed, rep) for rep in range(replicates))
@@ -189,27 +189,22 @@ def run_experiment(cfg: SynthConfig, methods=ALL_METHODS, replicates: int = 20,
         if g.m == 0 and (need_spectral or "eigenvector" in methods):
             raise DegenerateError(f"replicate {rep} (seed {rep_seed}) sampled no edges to score")
         p_hat = average_density(g)
-        dec = None
         if need_spectral:
-            r = rank
-            if rank == "auto":
-                r = select_rank_ecv(g, rank_candidates(g.n), seed=rep_seed).chosen_r
-                result.chosen_ranks.append(r)
-            dec = truncated_eigs(g, r, seed=rep_seed)
+            dec, selection = decompose(g, rank, seed=rep_seed)
+            if selection is not None:
+                result.chosen_ranks.append(selection.chosen_r)
         result.truth_vectors.append(truth)
         for method in methods:
             if method in PROPOSED_METHODS:
                 scores = (er_scores(dec) if method == "proposed_er"
                           else config_scores(dec, degrees(g)))
                 values = scores.values
-                result.operating_points.setdefault(f"threshold_{scores.model}", []).append(
-                    operating_point(threshold(scores, p_hat, eps=eps), truth))
-                try:
-                    km = kmeans_split(scores)
-                    result.operating_points.setdefault(f"kmeans_{scores.model}", []).append(
-                        operating_point(km, truth))
-                except DegenerateError:
-                    pass
+                for rule in ("threshold", "kmeans"):
+                    try:
+                        point = operating_point(select(scores, rule, p_hat, eps=eps), truth)
+                    except DegenerateError:  # no 2-means split: the replicate has no point
+                        continue
+                    result.operating_points.setdefault(f"{rule}_{scores.model}", []).append(point)
             elif method != "kcore":  # degree, pagerank, eigenvector, local_cc
                 values = getattr(bl, f"{method}_scores")(g)
             else:

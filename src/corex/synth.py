@@ -229,18 +229,22 @@ class _Assembly:
         & Brandes, Phys. Rev. E 71, 036113, 2005), and each candidate is kept with
         probability p_ij / q by a uniform from a stream of its own (Miller & Hagberg,
         WAW 2011).  An ER-type candidate has p_ij / q exactly 1, so it is always kept.
-        The draws go a chunk of candidates at a time, and the output does not depend
-        on the chunk size."""
+        A q of 0 (a density that underflowed) draws no touching pair.  The draws go a
+        chunk of candidates at a time, and the output does not depend on the chunk
+        size: a skip past the last pair is clipped to land one past it, so the running
+        sum stays within int64 for any n up to MAX_NODES."""
         nc, npr = len(self.core), self.n_periphery
         touching, cross, bound = nc * npr + npr * (npr - 1) // 2, nc * npr, self.bound()
         skips = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 0)))
         thin = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE2, 1)))
         chunks, last = [_sample_pairs(self.core, self.c_core, seed)], -1
-        while last < touching - 1:
-            expected = (touching - 1 - last) * bound
-            size = min(touching - 1 - last, int(expected + 4.0 * np.sqrt(expected)) + 16,
-                       _SKIP_CHUNK)
-            hits = last + np.cumsum(skips.geometric(bound, size))
+        # with each skip clipped, a chunk's hits stay below size * (touching + 1)
+        cap = min(_SKIP_CHUNK, (2**63 - 1) // (touching + 1))
+        while bound > 0 and last < touching - 1:
+            left = touching - last  # a skip this long lands one past the last pair
+            expected = (left - 1) * bound
+            size = min(left - 1, int(expected + 4.0 * np.sqrt(expected)) + 16, cap)
+            hits = last + np.cumsum(np.minimum(skips.geometric(bound, size), left))
             last = int(hits[-1])
             hits = hits[hits < touching]
             i, j = _triangle_pairs(npr, hits[hits >= cross] - cross)

@@ -6,6 +6,11 @@ compare two genuinely different routes to the same quantity.
 """
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,28 @@ from corex.synth import graphon_by_number
 # take longer than hypothesis's 200 ms default deadline on a busy machine
 settings.register_profile("corex", deadline=None)
 settings.load_profile("corex")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env(**extra):
+    """This environment, with the repository's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **extra)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def run_bounded(args, timeout=60):
+    """`python args` in a child process with one BLAS thread, a 2 GiB
+    address-space limit and a timeout, so a run that never ends or grows
+    without bound fails the calling test and leaves this process alone."""
+    return subprocess.run([sys.executable, *args], env=child_env(OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def centering_matrix(n: int) -> np.ndarray:

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ROOT, child_env, run_bounded
 from corex import cli, synth
 from corex.cli import main
-from corex.coreid import rank_candidates, select_rank_ecv
-from corex.evaluate import _replicate_seed
+from corex.coreid import CorePartition
+from corex.evaluate import _replicate_seed, operating_point
+from corex.graph import write_edge_list
 from corex.spectral import eigengap_profile
 from corex.synth import DESIGN_FIELDS, SynthConfig, generate_instance, graphon_core
 
@@ -82,6 +84,17 @@ class TestGenerate:
         assert code == 0
         assert read_truth(out / "truth.csv").all()
 
+    @pytest.mark.parametrize("flags", [["--density", "1e-300"], ["--density", "5e-324"],
+                                       ["--periphery", "config", "--density", "1e-300"]],
+                             ids=["er-1e-300", "er-5e-324", "config-1e-300"])
+    def test_tiny_density_samples_an_empty_graph(self, tmp_path, flags):
+        """A density that SynthConfig accepts but whose touching-pair bound is
+        below 1e-19, or underflows to 0, samples no edge and ends."""
+        proc = run_bounded(["-m", "corex.cli", "generate", "--graphon", "1", "--n-core", "10",
+                            "--n-periphery", "10", *flags, "--out-dir", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("wrote edges.tsv (0 edges)")
+
     def test_no_sizes_means_balanced(self, tmp_path):
         assert run(["generate", "--graphon", "1", "--density", "0.005",
                     "--out-dir", str(tmp_path)]) == 0
@@ -140,11 +153,8 @@ IMPORT_PROBE = textwrap.dedent("""
 def run_import_probe(out, steps):
     """The scipy and corex modules loaded after each step of IMPORT_PROBE,
     run in a fresh interpreter, because this one has them loaded already."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(out), steps], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(out), steps],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -198,6 +208,35 @@ def test_benchmark_traced_names_resolve():
     rebuilt = SparseGraph(g.n, g.adjacency)
     assert np.array_equal(rebuilt.indptr, g.indptr)
     assert np.array_equal(rebuilt.indices, g.indices)
+
+
+def traced_spans(tmp_path, argv):
+    """The span names of one run of perfbench/traced.py on `argv`, from a job JSON."""
+    tmp_path.mkdir()
+    job = {"argv": argv, "untraced_out": str(tmp_path / "untraced"),
+           "traced_out": str(tmp_path / "traced"), "result": str(tmp_path / "result.json")}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    proc = run_bounded([str(ROOT / "perfbench" / "traced.py"), str(tmp_path / "job.json")],
+                       timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {span["name"] for span in json.loads((tmp_path / "result.json").read_text())["spans"]}
+
+
+def test_benchmark_traces_the_one_pipeline(generated, tmp_path):
+    """traced.py rebinds each traced name in the corex modules that bind it,
+    so the calls coreid.decompose and coreid.select make through coreid's own
+    names must still record their spans, on both paths through the pipeline."""
+    pipeline = {"coreid.select_rank_ecv", "spectral.truncated_eigs", "spectral.er_scores",
+                "coreid.kmeans_split"}
+    spans = traced_spans(tmp_path / "identify", ["identify", "--input",
+                         str(generated / "edges.tsv"), "--rank", "auto", "--select", "kmeans"])
+    assert pipeline | {"graph.load_edge_list", "coreid.write_partition_csv"} <= spans
+    spans = traced_spans(tmp_path / "bench", [
+        "bench", "--graphon", "1", "--n-core", "30", "--n-periphery", "30", "--density", "0.08",
+        "--ratios", "2", "--replicates", "1", "--rank", "auto"])
+    baselines = {f"baselines.{name}_scores" for name in
+                 ("degree", "pagerank", "eigenvector", "local_cc", "coreness")}
+    assert pipeline | baselines | {"spectral.config_scores", "evaluate.roc"} <= spans
 
 
 class TestIdentify:
@@ -312,16 +351,24 @@ class TestBench:
                     "--n-periphery", str(n_periphery), "--ratios", "2",
                     "--density", str(density), "--methods", "proposed_er",
                     "--replicates", "1", "--rank", "auto", "--seed", "4",
-                    "--out-dir", str(tmp_path)]) == 0
-        setting = json.loads((tmp_path / "summary.json").read_text())["settings"][0]
+                    "--out-dir", str(tmp_path / "bench")]) == 0
+        setting = json.loads((tmp_path / "bench" / "summary.json").read_text())["settings"][0]
         assert setting["config"]["rank"] == "auto" and "rank_mode" not in setting["config"]
         rep_seed, = setting["replicate_seeds"]
         cfg = SynthConfig(graphon=synth.graphon_by_number(1), n_core=n_core,
                           n_periphery=n_periphery, periphery="er", degree_ratio=2.0,
                           target_density=density, seed=rep_seed)
-        g = generate_instance(cfg).sample()
-        expected = select_rank_ecv(g, rank_candidates(g.n), seed=rep_seed).chosen_r
-        assert setting["chosen_ranks"] == [expected]
+        instance = generate_instance(cfg)
+        write_edge_list(instance.sample(), tmp_path / "edges.tsv")
+        out = tmp_path / "identify"
+        assert run(["identify", "--input", str(tmp_path / "edges.tsv"), "--rank", "auto",
+                    "--select", "threshold", "--seed", str(rep_seed), "--out-dir", str(out)]) == 0
+        assert setting["chosen_ranks"] == [json.loads((out / "identify.json").read_text())[
+            "rank_used"]]
+        labels = np.loadtxt(out / "partition.csv", delimiter=",", skiprows=1, usecols=1,
+                            dtype=np.int64).astype(bool)
+        assert setting["operating_points"]["threshold_er"] == [
+            list(operating_point(CorePartition(labels), instance.truth))]
 
     # graphon 1 at 3 + 2 nodes and ratio 1: the first replicate of seed 0 samples no edge
     NO_EDGE_DESIGN = ["bench", "--graphon", "1", "--n-core", "3", "--n-periphery", "2",
@@ -652,13 +699,15 @@ class TestExitCodes:
         if bad_args:  # rejected before any output is written
             assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [
+    EACH_SUBCOMMAND = pytest.mark.parametrize("flags", [
         ["generate", "--graphon", "1", "--n-core", "20", "--n-periphery", "20"],
         ["identify", "--input", "{edges}", "--rank", "3"],
         ["bench", "--graphon", "1", "--n-core", "20", "--n-periphery", "20",
          "--ratios", "1", "--replicates", "1", "--methods", "degree"],
         ["diagnose", "--input", "{edges}", "--rank", "3"],
     ], ids=["generate", "identify", "bench", "diagnose"])
+
+    @EACH_SUBCOMMAND
     def test_negative_seed_is_data_error(self, generated, tmp_path, capsys, flags):
         out = tmp_path / "out"
         edges = str(generated / "edges.tsv")
@@ -667,6 +716,19 @@ class TestExitCodes:
         assert code == 3
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @EACH_SUBCOMMAND
+    def test_out_dir_that_cannot_be_made_is_data_error(self, generated, tmp_path, capsys,
+                                                       flags, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under else blocker
+        edges = str(generated / "edges.tsv")
+        assert run([f.format(edges=edges) for f in flags] + ["--out-dir", str(out)]) == 3
+        reason = "Not a directory" if under else "File exists"
+        assert capsys.readouterr().err == f"error: cannot make --out-dir {str(out)!r}: {reason}\n"
+        assert blocker.read_text() == "kept\n"
 
     def test_eigenvector_no_convergence_is_solver_error(self, tmp_path, monkeypatch, capsys):
         from scipy.sparse import linalg

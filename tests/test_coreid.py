@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import kmeans_split_loop, random_graph
 from corex.coreid import (ECV_TOL, KMEANS_FLOOR, CorePartition, RankSelection, _edge_split,
-                          _fold_losses, identify_top_k, kmeans_split, rank_candidates,
+                          _fold_losses, decompose, identify_top_k, kmeans_split, select,
                           select_rank_ecv, threshold, write_partition_csv)
 from corex.errors import DegenerateError, DomainError
 from corex.evaluate import RocCurve, write_roc_csv
 from corex.graph import SparseGraph, sample_adjacency
-from corex.spectral import CoreScores, _eigs, write_scores_csv
+from corex.spectral import CoreScores, _eigs, truncated_eigs, write_scores_csv
 
 # frozen independent evaluations (decimal arithmetic, 60 digits)
 ER_CUTOFF_N100_P004 = 0.43615668958789177
@@ -293,7 +293,7 @@ class TestSelectRankEcv:
         rank fits those edges better and the largest candidate wins.  A warm
         start or cache that lets the full graph into a fold fails here."""
         g = planted_sbm3(300, 0.5, 0.1, seed=200)
-        cands = rank_candidates(g.n)
+        cands = list(range(1, 11))  # the ranks decompose(g, "auto") chooses from
         assert select_rank_ecv(g, cands, seed=0).chosen_r == 3
         full = _eigs(g.to_csr(), max(cands), tol=1e-6, seed=0)
         monkeypatch.setattr("corex.coreid._eigs", lambda mat, r, tol, seed: full)
@@ -304,6 +304,44 @@ class TestSelectRankEcv:
                             candidate_losses=(0.5, 0.2))
         payload = sel.to_json_dict()
         assert payload["chosen_r"] == 2 and payload["losses"]["2"] == 0.2
+
+
+class TestPipeline:
+    """coreid.decompose and coreid.select: the rank rule and the selection
+    rules that identify and every bench replicate share."""
+
+    def test_auto_is_ecv_over_ten_ranks_then_the_solve_on_one_seed(self):
+        g = planted_sbm3(300, 0.5, 0.1, seed=200)
+        dec, sel = decompose(g, "auto", seed=3)
+        assert sel == select_rank_ecv(g, list(range(1, 11)), seed=3)
+        solved = truncated_eigs(g, sel.chosen_r, seed=3)
+        assert dec.rank == sel.chosen_r == 3
+        assert np.array_equal(dec.eigenvalues, solved.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, solved.eigenvectors)
+
+    @pytest.mark.parametrize("n", [2, 5, 11, 12])
+    def test_auto_candidates_stay_below_n(self, n):
+        g = random_graph(n, 0.8, seed=n)
+        assert decompose(g, "auto", seed=0)[1].candidates == tuple(range(1, min(10, n - 1) + 1))
+
+    def test_fixed_rank_has_no_selection(self):
+        g = planted_sbm3(300, 0.5, 0.1, seed=200)
+        dec, sel = decompose(g, 4, seed=1)
+        assert sel is None
+        assert np.array_equal(dec.eigenvectors, truncated_eigs(g, 4, seed=1).eigenvectors)
+        with pytest.raises(DomainError):
+            decompose(g, 300)
+
+    @pytest.mark.parametrize("scores", [er, cfg])
+    def test_select_applies_each_rule(self, scores):
+        s = scores(np.linspace(0.01, 1.0, 100) ** 3)
+        rules = {"threshold": threshold(s, 0.04, eps=0.2), "kmeans": kmeans_split(s),
+                 7: identify_top_k(s, 7), 0: identify_top_k(s, 0)}
+        for rule, expected in rules.items():
+            part = select(s, rule, 0.04, eps=0.2)
+            assert np.array_equal(part.labels, expected.labels) and part.cutoff == expected.cutoff
+        with pytest.raises(DegenerateError):
+            select(scores([1.0, 1.0, 1.0]), "kmeans", 0.5)
 
 
 def fold_sample(g, seed, fold):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (definition1_residual, definition2_residual, dense_config, dense_er,
-                      periphery_product_residual)
+                      periphery_product_residual, run_bounded)
 from corex.errors import DomainError, InfeasibleError, ValidationError
 from corex import synth
 from corex.graph import sample_adjacency
@@ -435,6 +436,31 @@ def test_dense_peak_is_the_fill(periphery):
     finally:
         tracemalloc.stop()
     assert peak <= 1.02 * 8 * 1000 ** 2
+
+
+MAX_NODES_SAMPLE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from corex import synth
+    from corex.graph import MAX_NODES
+    # hand back the pairs: a graph of MAX_NODES nodes would need 24 GB of indptr
+    synth.SparseGraph.from_pairs = staticmethod(lambda n, pairs: pairs)
+    assembly = synth.ErAssembly(core=np.zeros((2, 2)), c_core=0.0,
+                                n_periphery=MAX_NODES - 2, level=float(sys.argv[1]))
+    for seed in range(10):
+        pairs = assembly.sample(seed)
+        assert ((0 <= pairs) & (pairs < MAX_NODES)).all() and (pairs[:, 0] < pairs[:, 1]).all()
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+""")
+
+
+@pytest.mark.parametrize("level", ["1e-19", "1e-17", "0.0"])
+def test_touching_sampler_ends_at_max_nodes(level):
+    """At n = MAX_NODES the touching pairs number about 2^62, and a skip at a
+    level of 1e-19 is often 2^63 - 1: clipped skips keep the running sum in
+    int64, so every draw ends with distinct pairs in range."""
+    proc = run_bounded(["-c", MAX_NODES_SAMPLE, level])
+    assert proc.returncode == 0, proc.stderr
 
 
 # SHA-256 of edge_array().tobytes(): a change to either sampler's random
